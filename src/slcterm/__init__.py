@@ -4,186 +4,14 @@ A loop is a conjunction of constraints a1*x + a2*x' <= b over integer
 states; the analyzer decomposes the transition polyhedron, classifies
 its recession cone, and decides (or conjectures) whether an infinite
 integer trace exists.  Everything runs in exact rational arithmetic.
+The package exports the entry points below; each layer (`poly2`,
+`lattice`, `analyzer`, `collatz`, `oracle`, `loopio`, `cli`) is a
+submodule with its own names.
 """
 
-from .analyzer import (
-    CYCLE,
-    EMPTY,
-    CaseLabel,
-    CycleWitness,
-    ExtensionFailedError,
-    NotNonTerminatingError,
-    RegionFlags,
-    SelfAvoiding,
-    TraceSeed,
-    Verdict,
-    cone_regions,
-    cycle1,
-    cycle2,
-    decide,
-    decide_self_avoiding,
-    has_cycle,
-    region_feasible,
-    witness_trace,
-)
-from .collatz import (
-    GenCollatz,
-    OrbitResult,
-    ReachResult,
-    ReductionPreconditionError,
-    WeakCollatz,
-    apply_map,
-    as_generalized,
-    gen_apply,
-    orbit,
-    reachability_scan,
-    residue_histogram,
-    to_slc,
-    weak_apply,
-)
-from .lattice import (
-    DEFAULT_SCAN_LIMIT,
-    Height,
-    Interval,
-    ScanLimitExceededError,
-    VerticalRecessionError,
-    column,
-    count_fractions,
-    height,
-    integer_bounds,
-    integer_point_1d,
-    integer_point_2d,
-)
-from .loopio import (
-    BadHeaderError,
-    BadTokenError,
-    LoopFormatError,
-    SchemaMismatchError,
-    emit_json,
-    emit_report,
-    emit_text,
-    parse_json,
-    parse_text,
-)
-from .oracle import (
-    PreconditionSignError,
-    TransGraph,
-    build_graph,
-    diagonal_collapse,
-    find_cycle,
-    find_escape,
-)
-from .poly2 import (
-    Cone,
-    Constraint,
-    EmptyPolyhedronError,
-    HalfPlane,
-    HPoly,
-    Line,
-    MWDecomp,
-    Plane,
-    Pointed2,
-    Ray,
-    Zero,
-    ZeroVectorError,
-    cone_contains,
-    contains,
-    cross,
-    decompose,
-    dot,
-    halfplane_normal,
-    hpoly,
-    intersect,
-    is_empty,
-    primitive,
-    recession_cone,
-    swap,
-    x_extent,
-)
+from .analyzer import decide, witness_trace
+from .poly2 import hpoly
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CYCLE",
-    "EMPTY",
-    "BadHeaderError",
-    "BadTokenError",
-    "CaseLabel",
-    "Cone",
-    "Constraint",
-    "CycleWitness",
-    "DEFAULT_SCAN_LIMIT",
-    "EmptyPolyhedronError",
-    "ExtensionFailedError",
-    "GenCollatz",
-    "HPoly",
-    "HalfPlane",
-    "Height",
-    "Interval",
-    "Line",
-    "LoopFormatError",
-    "MWDecomp",
-    "NotNonTerminatingError",
-    "OrbitResult",
-    "Plane",
-    "Pointed2",
-    "PreconditionSignError",
-    "Ray",
-    "ReachResult",
-    "ReductionPreconditionError",
-    "RegionFlags",
-    "ScanLimitExceededError",
-    "SchemaMismatchError",
-    "SelfAvoiding",
-    "TraceSeed",
-    "TransGraph",
-    "Verdict",
-    "VerticalRecessionError",
-    "WeakCollatz",
-    "Zero",
-    "ZeroVectorError",
-    "apply_map",
-    "as_generalized",
-    "build_graph",
-    "column",
-    "cone_contains",
-    "cone_regions",
-    "contains",
-    "count_fractions",
-    "cross",
-    "cycle1",
-    "cycle2",
-    "decide",
-    "decide_self_avoiding",
-    "decompose",
-    "diagonal_collapse",
-    "dot",
-    "emit_json",
-    "emit_report",
-    "emit_text",
-    "find_cycle",
-    "find_escape",
-    "gen_apply",
-    "halfplane_normal",
-    "has_cycle",
-    "height",
-    "hpoly",
-    "integer_bounds",
-    "integer_point_1d",
-    "integer_point_2d",
-    "intersect",
-    "is_empty",
-    "orbit",
-    "parse_json",
-    "parse_text",
-    "primitive",
-    "reachability_scan",
-    "recession_cone",
-    "region_feasible",
-    "residue_histogram",
-    "swap",
-    "to_slc",
-    "weak_apply",
-    "witness_trace",
-    "x_extent",
-]
+__all__ = ["decide", "hpoly", "witness_trace", "__version__"]

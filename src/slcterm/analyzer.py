@@ -17,7 +17,6 @@ L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and EMPTY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .lattice import (
@@ -39,6 +38,7 @@ from .poly2 import (
     Pointed2,
     Ray,
     Zero,
+    bound_1d,
     cone_contains,
     contains,
     cross,
@@ -129,19 +129,8 @@ class SelfAvoiding:
 
 def cycle1(p: HPoly) -> Optional[int]:
     """Integer fixed point x with (x, x) in p, or None."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    for a1, a2, b in p.rows:
-        c = a1 + a2
-        if c > 0:
-            v = Fraction(b, c)
-            hi = v if hi is None else min(hi, v)
-        elif c < 0:
-            v = Fraction(b, c)
-            lo = v if lo is None else max(lo, v)
-        elif b < 0:
-            return None
-    return integer_point_1d(Interval.of(lo, hi))
+    empty, lo, hi = bound_1d((a1 + a2, b) for a1, a2, b in p.rows)
+    return None if empty else integer_point_1d(Interval(lo, hi))
 
 
 def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,18 +38,7 @@ from .loopio import (
     parse_text,
 )
 from .oracle import build_graph, find_cycle, find_escape
-from .poly2 import (
-    Cone,
-    HalfPlane,
-    HPoly,
-    Line,
-    Plane,
-    Pointed2,
-    Ray,
-    Zero,
-    decompose,
-    is_empty,
-)
+from .poly2 import Cone, HalfPlane, HPoly, decompose, is_empty
 
 
 def _read_loop(path: str) -> HPoly:
@@ -67,17 +57,11 @@ def _fmt_pt(pt) -> str:
 
 
 def _fmt_cone(c: Cone) -> str:
-    if isinstance(c, Zero):
-        return "zero"
-    if isinstance(c, Ray):
-        return f"ray {_fmt_pt(c.v)}"
-    if isinstance(c, Line):
-        return f"line {_fmt_pt(c.v)}"
     if isinstance(c, HalfPlane):
-        return f"half-plane boundary={_fmt_pt(c.boundary)} witness={_fmt_pt(c.interior_witness)}"
-    if isinstance(c, Pointed2):
-        return f"wedge {_fmt_pt(c.v1)} {_fmt_pt(c.v2)}"
-    return "plane"
+        args = [f"boundary={_fmt_pt(c.boundary)}", f"witness={_fmt_pt(c.interior_witness)}"]
+    else:
+        args = [_fmt_pt(v) for v in astuple(c)]
+    return " ".join([c.kind, *args])
 
 
 # ---------------------------------------------------------------------------

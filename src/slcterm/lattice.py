@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .poly2 import (
+    EmptyPolyhedronError,
     HPoly,
     Line,
     MWDecomp,
@@ -24,9 +25,9 @@ from .poly2 import (
     Rat,
     Ray,
     Zero,
+    bound_1d,
     cone_contains,
     decompose,
-    is_empty,
 )
 
 
@@ -86,20 +87,8 @@ class Height:
 
 def column(p: HPoly, z) -> Interval:
     """The slice {y : (z, y) in p} as an exact interval."""
-    z = Fraction(z)
-    lo: Optional[Rat] = None
-    hi: Optional[Rat] = None
-    for a1, a2, b in p.rows:
-        rhs = Fraction(b) - a1 * z
-        if a2 > 0:
-            v = rhs / a2
-            hi = v if hi is None else min(hi, v)
-        elif a2 < 0:
-            v = rhs / a2
-            lo = v if lo is None else max(lo, v)
-        elif rhs < 0:
-            return Interval.nothing()
-    return Interval.of(lo, hi)
+    empty, lo, hi = bound_1d((a2, b - a1 * z) for a1, a2, b in p.rows)
+    return Interval.nothing() if empty else Interval(lo, hi)
 
 
 def _ceil(x: Rat) -> int:
@@ -200,9 +189,14 @@ def _scan(p: HPoly, zs, scan_limit: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _window_order(lo: int, hi: int) -> list[int]:
-    # smallest |z| first, nonnegative before negative on ties
-    return sorted(range(lo, hi + 1), key=lambda z: (abs(z), z < 0))
+def _window_order(lo: int, hi: int) -> Iterator[int]:
+    # lo..hi by smallest |z| first, nonnegative before negative on ties;
+    # lazy, so a huge or far-off window costs only the columns scanned
+    for k in range(max(0, lo, -hi), max(hi, -lo) + 1):
+        if lo <= k <= hi:
+            yield k
+        if k and lo <= -k <= hi:
+            yield -k
 
 
 def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
@@ -214,9 +208,10 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     with that period; two-dimensional cones guarantee a hit once the
     column width reaches 1, at an exactly computable threshold.
     """
-    if is_empty(p):
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
         return None
-    d = decompose(p)
     cone = d.cone
 
     if isinstance(cone, Plane):

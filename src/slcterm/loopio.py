@@ -20,18 +20,7 @@ import re
 from typing import Any, Dict, List, Optional
 
 from .analyzer import CycleWitness, TraceSeed, Verdict
-from .poly2 import (
-    Cone,
-    HalfPlane,
-    HPoly,
-    MWDecomp,
-    Plane,
-    Pointed2,
-    Ray,
-    Line,
-    Zero,
-    hpoly,
-)
+from .poly2 import Cone, HPoly, MWDecomp, hpoly
 
 HEADER = "slc v1"
 
@@ -144,19 +133,9 @@ def _rat_str(x) -> str:
     return str(x)  # Fraction prints n/d, integers print bare
 
 
-_CONE_KIND = {
-    Zero: "zero",
-    Ray: "ray",
-    Line: "line",
-    HalfPlane: "half-plane",
-    Pointed2: "wedge",
-    Plane: "plane",
-}
-
-
 def _cone_json(c: Cone) -> Dict[str, Any]:
     return {
-        "kind": _CONE_KIND[type(c)],
+        "kind": c.kind,
         "generators": [list(g) for g in c.generators()],
     }
 

@@ -7,7 +7,8 @@ the recession cone is classified into one of six shapes (zero, ray,
 line, half-plane, pointed wedge, plane) with primitive integer
 generators.  `decompose` returns a Minkowski-Weyl pair (vertex list,
 cone) such that the polyhedron equals conv(vertices) + cone as a set of
-real points.
+real points; a vertex is an end of a boundary line clipped by the rows.
+Every one-variable bound from the rows goes through `bound_1d`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rat = Fraction
 
@@ -24,6 +25,7 @@ Rat = Fraction
 Point = Tuple[Rat, Rat]
 # An integer direction vector.
 IVec = Tuple[int, int]
+Extent = Tuple[bool, Optional[Rat], Optional[Rat]]  # (empty, lo, hi)
 
 
 class EmptyPolyhedronError(ValueError):
@@ -65,7 +67,9 @@ def hpoly(rows: Sequence[Sequence[int]]) -> HPoly:
 
 
 class ConeClass:
-    """Marker base for recession-cone shapes."""
+    """Marker base for recession-cone shapes; `kind` names the shape in reports."""
+
+    kind: str
 
     def generators(self) -> Tuple[IVec, ...]:
         raise NotImplementedError
@@ -73,12 +77,15 @@ class ConeClass:
 
 @dataclass(frozen=True)
 class Zero(ConeClass):
+    kind = "zero"
+
     def generators(self) -> Tuple[IVec, ...]:
         return ()
 
 
 @dataclass(frozen=True)
 class Ray(ConeClass):
+    kind = "ray"
     v: IVec
 
     def generators(self) -> Tuple[IVec, ...]:
@@ -87,6 +94,7 @@ class Ray(ConeClass):
 
 @dataclass(frozen=True)
 class Line(ConeClass):
+    kind = "line"
     # Normalized: v[0] >= 0, and if v[0] == 0 then v == (0, 1).
     v: IVec
 
@@ -96,6 +104,7 @@ class Line(ConeClass):
 
 @dataclass(frozen=True)
 class HalfPlane(ConeClass):
+    kind = "half-plane"
     boundary: IVec
     interior_witness: IVec
 
@@ -105,6 +114,7 @@ class HalfPlane(ConeClass):
 
 @dataclass(frozen=True)
 class Pointed2(ConeClass):
+    kind = "wedge"
     # Non-collinear, neither the negation of the other; emitted with
     # cross(v1, v2) > 0 but membership accepts either order.
     v1: IVec
@@ -116,6 +126,8 @@ class Pointed2(ConeClass):
 
 @dataclass(frozen=True)
 class Plane(ConeClass):
+    kind = "plane"
+
     def generators(self) -> Tuple[IVec, ...]:
         return ((1, 0), (0, 1), (-1, -1))
 
@@ -196,44 +208,44 @@ def halfplane_normal(c: HalfPlane) -> IVec:
 
 
 # ---------------------------------------------------------------------------
-# emptiness via elimination
+# one-variable bounds; emptiness via elimination
 # ---------------------------------------------------------------------------
 
 
-def x_extent(p: HPoly) -> Tuple[bool, Optional[Rat], Optional[Rat]]:
+def bound_1d(pairs: Iterable[Tuple[Union[int, Rat], Union[int, Rat]]]) -> Extent:
+    """Solve {t : c*t <= d for every (c, d)} exactly.
+
+    Returns (empty, lo, hi) with None for an unbounded side.  Bounds are
+    compared by cross-multiplication and become Fractions only at the end.
+    """
+    lo = hi = None  # (num, den) with den > 0
+    for c, d in pairs:
+        if c > 0:
+            if hi is None or d * hi[1] < hi[0] * c:
+                hi = (d, c)
+        elif c < 0:
+            if lo is None or d * lo[1] < lo[0] * c:
+                lo = (-d, -c)
+        elif d < 0:
+            return True, None, None
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return True, None, None
+    return False, lo and Fraction(*lo), hi and Fraction(*hi)
+
+
+def x_extent(p: HPoly) -> Extent:
     """Project onto x1 by eliminating x2.
 
     Returns (empty, lo, hi) with None for an unbounded side.  Exact for
-    real points (Fourier-Motzkin on non-strict rows).
+    real points: Fourier-Motzkin on non-strict rows, combining each lower
+    row l with each upper row u as (-l2)*u + u2*l.
     """
-    uppers = []  # x2 <= c0 + c1*x1
-    lowers = []  # x2 >= c0 + c1*x1
-    one_d = []  # (c, d): c*x1 <= d
-    for a1, a2, b in p.rows:
-        if a2 > 0:
-            uppers.append((Fraction(b, a2), Fraction(-a1, a2)))
-        elif a2 < 0:
-            lowers.append((Fraction(b, a2), Fraction(-a1, a2)))
-        else:
-            one_d.append((Fraction(a1), Fraction(b)))
-    for l0, l1 in lowers:
-        for u0, u1 in uppers:
-            # l0 + l1*x <= u0 + u1*x
-            one_d.append((l1 - u1, u0 - l0))
-    lo: Optional[Rat] = None
-    hi: Optional[Rat] = None
-    for c, d in one_d:
-        if c > 0:
-            v = d / c
-            hi = v if hi is None else min(hi, v)
-        elif c < 0:
-            v = d / c
-            lo = v if lo is None else max(lo, v)
-        elif d < 0:
-            return True, None, None
-    if lo is not None and hi is not None and lo > hi:
-        return True, None, None
-    return False, lo, hi
+    uppers = [r for r in p.rows if r.a2 > 0]
+    lowers = [r for r in p.rows if r.a2 < 0]
+    pairs = [(a1, b) for a1, a2, b in p.rows if a2 == 0]
+    pairs += [(u2 * l1 - l2 * u1, u2 * lb - l2 * ub)
+              for l1, l2, lb in lowers for u1, u2, ub in uppers]
+    return bound_1d(pairs)
 
 
 def is_empty(p: HPoly) -> bool:
@@ -328,20 +340,24 @@ def recession_cone(p: HPoly) -> Cone:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_candidates(p: HPoly) -> list[Point]:
-    rows = p.rows
+def _vertices(p: HPoly) -> list[Point]:
+    """Every feasible intersection of two non-parallel row boundaries, sorted.
+
+    Each line a.x = b, parametrised as (b*a + s*(-a2, a1)) / |a|^2, is
+    clipped by every row.  Where the lines of a and c meet, the one with
+    cross(a, c) > 0 ends there, so the upper ends are the vertices: O(k^2).
+    """
     found = set()
-    for i in range(len(rows)):
-        a1, a2, b1 = rows[i]
-        for j in range(i + 1, len(rows)):
-            c1, c2, b2 = rows[j]
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            x = Fraction(b1 * c2 - a2 * b2, det)
-            y = Fraction(a1 * b2 - b1 * c1, det)
-            if contains(p, (x, y)):
-                found.add((x, y))
+    for a1, a2, b in p.rows:
+        nn = a1 * a1 + a2 * a2
+        if nn == 0:
+            continue
+        # c.(point(s)) <= bc  <=>  s*cross(a, c) <= bc*|a|^2 - b*dot(a, c)
+        _, _, s = bound_1d(
+            (a1 * c2 - a2 * c1, bc * nn - b * (a1 * c1 + a2 * c2)) for c1, c2, bc in p.rows
+        )
+        if s is not None:
+            found.add(((a1 * b - s * a2) / nn, (a2 * b + s * a1) / nn))
     return sorted(found)
 
 
@@ -351,22 +367,10 @@ def _collinear_profile(p: HPoly) -> Tuple[IVec, Optional[Rat], Optional[Rat]]:
     Returns (n, lo, hi) with the point set equal to {lo <= n.x <= hi}
     for the canonically signed primitive normal n.
     """
-    n: Optional[IVec] = None
-    lo: Optional[Rat] = None
-    hi: Optional[Rat] = None
-    for a1, a2, b in p.rows:
-        if a1 == 0 and a2 == 0:
-            continue
-        d = primitive((a1, a2))
-        if n is None:
-            n = d if (d[0] > 0 or (d[0] == 0 and d[1] > 0)) else (-d[0], -d[1])
-        scale = a1 // n[0] if n[0] != 0 else a2 // n[1]
-        bound = Fraction(b, scale)
-        if scale > 0:
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            lo = bound if lo is None else max(lo, bound)
-    assert n is not None
+    a = next((a1, a2) for a1, a2, _ in p.rows if a1 != 0 or a2 != 0)
+    n = _norm_line_dir(primitive(a))
+    i = 0 if n[0] != 0 else 1
+    _, lo, hi = bound_1d((r[i] // n[i], r.b) for r in p.rows)
     return n, lo, hi
 
 
@@ -381,16 +385,17 @@ def decompose(p: HPoly) -> MWDecomp:
     """Minkowski-Weyl decomposition with a canonical vertex list.
 
     Pointed cones (Zero/Ray/Pointed2): the vertex list is every feasible
-    intersection of two non-parallel constraint boundaries, which covers
-    all true vertices.  Cones with lineality have no vertices; the list
-    holds one canonical anchor per finite bound of the (collinear)
-    constraint profile so the sum still reproduces p exactly.
+    intersection of two non-parallel constraint boundaries, found as the
+    upper ends of the boundary lines clipped by the rows; it covers all
+    true vertices.  Cones with lineality have no vertices; the list holds
+    one canonical anchor per finite bound of the (collinear) constraint
+    profile so the sum still reproduces p exactly.
     """
     if is_empty(p):
         raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     cone = _classify_cone(p)
     if isinstance(cone, (Zero, Ray, Pointed2)):
-        verts = _vertex_candidates(p)
+        verts = _vertices(p)
     elif isinstance(cone, Plane):
         verts = [(Fraction(0), Fraction(0))]
     else:

@@ -6,8 +6,9 @@ with a fixed point, pair swaps 0 and 1.
 """
 
 import random
+from fractions import Fraction
 
-from slcterm import hpoly
+from slcterm.poly2 import contains, hpoly
 
 SEED = 20260814
 
@@ -112,3 +113,22 @@ def box_integer_point(p, lo=-1000, hi=1000):
         if span is not None:
             return (x, span[0])
     return None
+
+
+def pairwise_vertices(p):
+    """Every feasible intersection of two non-parallel row boundaries,
+    sorted: the O(k^3) reference for `decompose`'s vertex list."""
+    rows = p.rows
+    found = set()
+    for i in range(len(rows)):
+        a1, a2, b1 = rows[i]
+        for j in range(i + 1, len(rows)):
+            c1, c2, b2 = rows[j]
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            x = Fraction(b1 * c2 - a2 * b2, det)
+            y = Fraction(a1 * b2 - b1 * c1, det)
+            if contains(p, (x, y)):
+                found.add((x, y))
+    return sorted(found)

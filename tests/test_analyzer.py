@@ -295,3 +295,16 @@ def test_decide_deterministic():
     for _ in range(50):
         p = random_slc(rng)
         assert decide(p) == decide(p)
+
+
+@pytest.mark.parametrize("e", [10, 20])
+def test_far_translated_thick_loop(e):
+    # thick with every state moved by -c (row b becomes b - (a1 + a2)*c):
+    # its integer-point searches have column windows of ~c/3 columns
+    c = 10**e
+    p = hpoly([(a1, a2, b - (a1 + a2) * c) for a1, a2, b in thick_loop().rows])
+    v = decide(p)
+    assert (v.kind, str(v.label)) == ("non-terminating", "L5.3.1")
+    trace = witness_trace(p, v, 200)
+    assert len(trace) == 200
+    verify_states(p, trace)

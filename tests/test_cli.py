@@ -219,3 +219,9 @@ def test_exit_code_3_on_scan_limit():
     # with the default limit the same loop resolves
     code, out, _ = run_cli("decide", "-", stdin=HALFINT)
     assert code == 0 and out == "terminating L5.3.8\n"
+    # a thin wedge whose column window spans ~10^12 columns stops at the
+    # limit instead of building the window
+    k = 10**6
+    wedge = f"slc v1\n{k + 1} {-k} 0\n{-k} {k - 1} 0\n-1 0 -1\n"
+    code, out, err = run_cli("decide", "-", "--scan-limit", "1000", stdin=wedge)
+    assert code == 3 and out == "" and "scan" in err

@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slcterm import (
+from slcterm.lattice import (
     Height,
     Interval,
     ScanLimitExceededError,
     VerticalRecessionError,
     column,
     count_fractions,
-    decompose,
     height,
-    hpoly,
     integer_bounds,
     integer_point_1d,
     integer_point_2d,
 )
-from slcterm.poly2 import contains
+from slcterm.poly2 import contains, decompose, hpoly
 from conftest import (
     SEED,
     bounded_corpus,

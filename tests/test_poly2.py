@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slcterm import (
+from slcterm.poly2 import (
     EmptyPolyhedronError,
     HalfPlane,
     Line,
@@ -16,6 +16,7 @@ from slcterm import (
     Ray,
     Zero,
     ZeroVectorError,
+    bound_1d,
     cone_contains,
     contains,
     cross,
@@ -32,12 +33,15 @@ from slcterm import (
 )
 from conftest import (
     SEED,
+    bounded_corpus,
     halfplane_loop,
     inc_loop,
     pair_loop,
+    pairwise_vertices,
     quad_loop,
     random_slc,
     slab_loop,
+    thin_loop,
 )
 
 F = Fraction
@@ -74,6 +78,15 @@ def test_cross_dot():
     assert cross((1, 0), (0, 1)) == 1
     assert cross((2, 3), (4, 6)) == 0
     assert dot((2, 3), (4, -1)) == 5
+
+
+def test_bound_1d():
+    assert bound_1d([]) == (False, None, None)
+    assert bound_1d([(2, 3), (-3, 1), (0, 0)]) == (False, F(-1, 3), F(3, 2))
+    assert bound_1d([(4, 2), (2, 1), (-6, -3)]) == (False, F(1, 2), F(1, 2))
+    assert bound_1d([(1, 0), (-1, -1)]) == (True, None, None)  # t <= 0, t >= 1
+    assert bound_1d([(0, -1), (1, 5)]) == (True, None, None)  # 0 <= -1
+    assert bound_1d([(3, F(1, 2))]) == (False, None, F(1, 6))
 
 
 def test_x_extent():
@@ -176,6 +189,60 @@ def test_decompose_anchor_cases():
 def test_decompose_rejects_empty():
     with pytest.raises(EmptyPolyhedronError):
         decompose(hpoly([(0, 0, -2)]))
+
+
+def _check_pointed_vertices(loops):
+    # the pointed cones' vertex lists equal the pairwise reference; returns
+    # how many loops were compared
+    compared = 0
+    for p in loops:
+        if is_empty(p):
+            continue
+        d = decompose(p)
+        if isinstance(d.cone, (Zero, Ray, Pointed2)):
+            assert list(d.vertices) == pairwise_vertices(p), p.rows
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("coeff", [1, 3, 9, 40])
+def test_vertices_match_pairwise_reference_random(coeff):
+    rng = random.Random(SEED + coeff)
+    loops = [
+        hpoly([tuple(rng.randint(-coeff, coeff) for _ in range(3)) for _ in range(rng.randint(0, 7))])
+        for _ in range(400)
+    ]
+    assert _check_pointed_vertices(loops) >= 100
+
+
+def test_vertices_match_pairwise_reference_degenerate():
+    loops = [
+        thin_loop(),
+        intersect(pair_loop(), hpoly([(-1, 0, 0)])),  # ray along x + x' = 1
+        intersect(pair_loop(), hpoly([(-1, 0, 0), (1, 0, 4)])),  # segment
+        hpoly([(1, 2, 3), (-1, -2, -3), (2, -1, 1), (-2, 1, -1)]),  # two equalities: a point
+        hpoly([(1, 0, 2), (-1, 0, -2), (0, 1, 5), (0, -1, 1)]),  # vertical segment x = 2
+        hpoly([(0, 1, 0), (0, -1, 0), (-1, 0, 0)]),  # ray along the x1-axis
+        hpoly([(1, 0, 1), (0, 1, 1), (-1, -1, 0), (1, 1, 2), (0, 0, 3)]),  # three rows through (1, 1)
+        hpoly([(1, 1, 0), (-1, 1, 0), (0, -1, 0), (1, -1, 0), (-1, -1, 0)]),  # only the origin
+    ]
+    assert _check_pointed_vertices(loops) == len(loops)
+
+
+def test_vertices_match_pairwise_reference_redundant_rows():
+    # polygons and random loops with scaled duplicates and loosened copies
+    # of some rows, so several rows share a boundary or touch one vertex
+    rng = random.Random(SEED + 41)
+    bases = bounded_corpus(n=150, seed=SEED + 43) + [random_slc(rng) for _ in range(300)]
+    loops = []
+    for p in bases:
+        rows = list(p.rows)
+        for a1, a2, b in rng.sample(rows, min(3, len(rows))):
+            m = rng.randint(2, 5)
+            rows += [(m * a1, m * a2, m * b), (a1, a2, b + rng.randint(0, 3))]
+        rng.shuffle(rows)
+        loops.append(hpoly(rows))
+    assert _check_pointed_vertices(loops) >= 250
 
 
 def _closure_samples(rng, p, d, n):
