@@ -21,12 +21,11 @@ from typing import Optional, Tuple, Union
 
 from .lattice import (
     DEFAULT_SCAN_LIMIT,
-    Interval,
     column,
     height,
-    integer_bounds,
     integer_point_1d,
     integer_point_2d,
+    integer_slice,
 )
 from .poly2 import (
     Cone,
@@ -38,7 +37,6 @@ from .poly2 import (
     Pointed2,
     Ray,
     Zero,
-    bound_1d,
     cone_contains,
     contains,
     cross,
@@ -129,8 +127,7 @@ class SelfAvoiding:
 
 def cycle1(p: HPoly) -> Optional[int]:
     """Integer fixed point x with (x, x) in p, or None."""
-    empty, lo, hi = bound_1d((a1 + a2, b) for a1, a2, b in p.rows)
-    return None if empty else integer_point_1d(Interval(lo, hi))
+    return integer_point_1d(integer_slice((a1 + a2, b) for a1, a2, b in p.rows))
 
 
 def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
@@ -260,9 +257,10 @@ def _band_states(p: HPoly, a: int, b: int, length: int) -> list[int]:
 
 
 def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
-    lo, hi, empty = integer_bounds(column(p, s))
-    if empty:
+    span = column(p, s)
+    if span is None:
         return None
+    lo, hi = span
     if mode == "ascend":
         y = s + 1 if lo is None else max(lo, s + 1)
         return y if hi is None or y <= hi else None
@@ -421,9 +419,9 @@ def decide_self_avoiding(
         h = height(p, d, 1).value
         assert h is not None
         if h >= 2:
-            lo, hi, empty = integer_bounds(column(p, 0))
-            assert not empty and lo is not None and hi is not None
-            return SelfAvoiding("yes", _L("L5.4", 8), _make_seed(p, "band", (lo, hi), scan_limit))
+            span = column(p, 0)
+            assert span is not None and None not in span
+            return SelfAvoiding("yes", _L("L5.4", 8), _make_seed(p, "band", span, scan_limit))
         return SelfAvoiding("no", _L("L5.4", 9))
     # 0 < p < |q|
     h = height(p, d, pp).value

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analyzer import (
+    EMPTY,
     CycleWitness,
     cycle1,
     cycle2,
@@ -38,7 +39,7 @@ from .loopio import (
     parse_text,
 )
 from .oracle import build_graph, find_cycle, find_escape
-from .poly2 import Cone, HalfPlane, HPoly, decompose, is_empty
+from .poly2 import Cone, EmptyPolyhedronError, HalfPlane, HPoly, decompose
 
 
 def _read_loop(path: str) -> HPoly:
@@ -73,7 +74,7 @@ def _cmd_decide(args) -> int:
     p = _read_loop(args.file)
     v = decide(p, assume_conjecture=args.assume_reachability, scan_limit=args.scan_limit)
     if args.json:
-        d = None if is_empty(p) else decompose(p)
+        d = None if v.label == EMPTY else decompose(p)
         print(emit_report(v, d, args.assume_reachability))
         return 0
     print(f"{v.kind} {v.label}")
@@ -94,11 +95,11 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    p = _read_loop(args.file)
-    if is_empty(p):
+    try:
+        d = decompose(_read_loop(args.file))
+    except EmptyPolyhedronError:
         print("empty")
         return 0
-    d = decompose(p)
     print("vertices: " + " ".join(_fmt_pt(v) for v in d.vertices))
     print(f"cone: {_fmt_cone(d.cone)}")
     print(f"bound: {d.vertex_bound}")
@@ -151,19 +152,7 @@ def _build_map(args):
     return WeakCollatz(args.d, args.m, args.a)
 
 
-def _cmd_orbit(args) -> int:
-    res = orbit(_build_map(args), args.start, args.steps, args.abs_bound)
-    print(f"orbit: {_ints(res.prefix)}")
-    if res.outcome == "entered-cycle":
-        print(f"outcome: entered-cycle first={res.first_index} period={res.period}")
-    else:
-        print(f"outcome: {res.outcome}")
-    return 0
-
-
-def _cmd_reach(args) -> int:
-    t = WeakCollatz(args.d, args.m, args.a)
-    res = reachability_scan(t, args.start, args.steps, args.abs_bound)
+def _print_orbit(res) -> int:
     print(f"orbit: {_ints(res.prefix)}")
     if res.outcome == "reached-target":
         print(f"outcome: reached-target k={res.k}")
@@ -172,6 +161,15 @@ def _cmd_reach(args) -> int:
     else:
         print(f"outcome: {res.outcome}")
     return 0
+
+
+def _cmd_orbit(args) -> int:
+    return _print_orbit(orbit(_build_map(args), args.start, args.steps, args.abs_bound))
+
+
+def _cmd_reach(args) -> int:
+    t = WeakCollatz(args.d, args.m, args.a)
+    return _print_orbit(reachability_scan(t, args.start, args.steps, args.abs_bound))
 
 
 def _cmd_hist(args) -> int:
@@ -306,10 +304,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScanLimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (LoopFormatError, SchemaMismatchError, ValueError) as e:
+    except (OSError, LoopFormatError, SchemaMismatchError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .poly2 import HPoly, hpoly
 
@@ -94,34 +94,36 @@ def as_generalized(t: WeakCollatz) -> GenCollatz:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    outcome: str  # "entered-cycle" | "exceeded-bound" | "exceeded-steps"
-    prefix: Tuple[int, ...]
-    first_index: Optional[int] = None
-    period: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ReachResult:
     outcome: str  # "reached-target" | "entered-cycle" | "exceeded-bound" | "exceeded-steps"
     prefix: Tuple[int, ...]
-    k: Optional[int] = None
     first_index: Optional[int] = None
     period: Optional[int] = None
+    k: Optional[int] = None
 
 
-def orbit(t: Mapping, n: int, max_steps: int, abs_bound: int) -> OrbitResult:
-    """Iterate until a repeated value, a bound escape, or step exhaustion.
+def orbit(
+    t: Mapping, n: int, max_steps: int, abs_bound: int,
+    target: Optional[Callable[[int], bool]] = None,
+) -> OrbitResult:
+    """Iterate until a target value, a repeated value, a bound escape, or
+    step exhaustion.
 
     The prefix lists every computed value in order; on a repeat it ends
-    with the second occurrence.
+    with the second occurrence.  `target` is tested on the start and on
+    each new value before the repeat and bound checks; a hit reports its
+    index as k.
     """
     values = [n]
     seen = {n: 0}
+    if target is not None and target(n):
+        return OrbitResult("reached-target", tuple(values), k=0)
     if abs(n) > abs_bound:
         return OrbitResult("exceeded-bound", tuple(values))
     for _ in range(max_steps):
         v = apply_map(t, values[-1])
         values.append(v)
+        if target is not None and target(v):
+            return OrbitResult("reached-target", tuple(values), k=len(values) - 1)
         if v in seen:
             first = seen[v]
             return OrbitResult("entered-cycle", tuple(values), first, len(values) - 1 - first)
@@ -131,28 +133,9 @@ def orbit(t: Mapping, n: int, max_steps: int, abs_bound: int) -> OrbitResult:
     return OrbitResult("exceeded-steps", tuple(values))
 
 
-def reachability_scan(t: WeakCollatz, n: int, max_steps: int, abs_bound: int) -> ReachResult:
+def reachability_scan(t: WeakCollatz, n: int, max_steps: int, abs_bound: int) -> OrbitResult:
     """Search the orbit for k with m * T^k(n) = a (mod d)."""
-    values = [n]
-    seen = {n: 0}
-    if (t.m * n - t.a) % t.d == 0:
-        return ReachResult("reached-target", tuple(values), k=0)
-    if abs(n) > abs_bound:
-        return ReachResult("exceeded-bound", tuple(values))
-    for _ in range(max_steps):
-        v = weak_apply(t, values[-1])
-        values.append(v)
-        if (t.m * v - t.a) % t.d == 0:
-            return ReachResult("reached-target", tuple(values), k=len(values) - 1)
-        if v in seen:
-            first = seen[v]
-            return ReachResult(
-                "entered-cycle", tuple(values), first_index=first, period=len(values) - 1 - first
-            )
-        seen[v] = len(values) - 1
-        if abs(v) > abs_bound:
-            return ReachResult("exceeded-bound", tuple(values))
-    return ReachResult("exceeded-steps", tuple(values))
+    return orbit(t, n, max_steps, abs_bound, lambda v: (t.m * v - t.a) % t.d == 0)
 
 
 def residue_histogram(t: Mapping, n: int, steps: int, alpha: int = 1) -> Dict[int, int]:

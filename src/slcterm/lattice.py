@@ -1,12 +1,14 @@
 """Integer points and fractional heights of 2D polyhedra.
 
-Vertical slices of a polyhedron are exact rational intervals.  The
-p-height of a polyhedron is the supremum over integer columns of the
-number of points of (1/p)Z inside the slice; the recession cone makes
-that supremum computable from finitely many columns.  `integer_point_2d`
-decides whether the polyhedron contains an integer point at all, again
-by reducing to a finite column window via the cone's translation
-periodicity.
+Column z of a polyhedron is the span of integers y with (z, y) inside,
+found from the rows in integer arithmetic alone.  The p-height of a
+polyhedron is the supremum over integer columns of the number of points
+of (1/p)Z in the column; those points are the integers of the same
+column of the rows scaled to (p*a1, a2, p*b), and the recession cone
+makes the supremum computable from finitely many columns.
+`integer_point_2d` decides whether the polyhedron contains an integer
+point at all, again by reducing to a finite column window via the
+cone's translation periodicity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .poly2 import (
     EmptyPolyhedronError,
@@ -22,12 +24,11 @@ from .poly2 import (
     Line,
     MWDecomp,
     Plane,
-    Rat,
     Ray,
     Zero,
-    bound_1d,
     cone_contains,
     decompose,
+    hpoly,
 )
 
 
@@ -43,96 +44,55 @@ DEFAULT_SCAN_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Closed rational interval; None bounds mean unbounded."""
-
-    lo: Optional[Rat]
-    hi: Optional[Rat]
-    empty: bool = False
-
-    @staticmethod
-    def nothing() -> "Interval":
-        return Interval(None, None, True)
-
-    @staticmethod
-    def of(lo: Optional[Rat], hi: Optional[Rat]) -> "Interval":
-        if lo is not None and hi is not None and lo > hi:
-            return Interval.nothing()
-        return Interval(lo, hi, False)
-
-    def contains(self, x) -> bool:
-        if self.empty:
-            return False
-        x = Fraction(x)
-        if self.lo is not None and x < self.lo:
-            return False
-        if self.hi is not None and x > self.hi:
-            return False
-        return True
-
-
-@dataclass(frozen=True)
 class Height:
     """A column count: a natural number, or None for unbounded."""
 
     value: Optional[int]
 
-    @property
-    def finite(self) -> bool:
-        return self.value is not None
 
-    def as_number(self):
-        return self.value if self.value is not None else math.inf
+# The integers of a slice: (lo, hi) with None for an unbounded side, or
+# None when no integer fits.
+Span = Optional[Tuple[Optional[int], Optional[int]]]
 
 
-def column(p: HPoly, z) -> Interval:
-    """The slice {y : (z, y) in p} as an exact interval."""
-    empty, lo, hi = bound_1d((a2, b - a1 * z) for a1, a2, b in p.rows)
-    return Interval.nothing() if empty else Interval(lo, hi)
+def integer_slice(pairs: Iterable[Tuple[int, int]]) -> Span:
+    """The integers t with c*t <= d for every integer pair (c, d).
 
-
-def _ceil(x: Rat) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Rat) -> int:
-    return x.numerator // x.denominator
-
-
-def integer_bounds(iv: Interval) -> Tuple[Optional[int], Optional[int], bool]:
-    """Integer endpoints (lo, hi, empty) of iv intersected with Z."""
-    if iv.empty:
-        return None, None, True
-    lo = _ceil(iv.lo) if iv.lo is not None else None
-    hi = _floor(iv.hi) if iv.hi is not None else None
+    Each row is rounded on its own, which gives the same span as rounding
+    the exact rational bounds.
+    """
+    lo = hi = None
+    for c, d in pairs:
+        if c > 0:
+            t = d // c
+            if hi is None or t < hi:
+                hi = t
+        elif c < 0:
+            t = -(d // -c)
+            if lo is None or t > lo:
+                lo = t
+        elif d < 0:
+            return None
     if lo is not None and hi is not None and lo > hi:
-        return None, None, True
-    return lo, hi, False
-
-
-def integer_point_1d(iv: Interval) -> Optional[int]:
-    """Some integer in iv, or None; smallest |k|, nonnegative preferred."""
-    lo, hi, empty = integer_bounds(iv)
-    if empty:
         return None
-    if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-        return 0
+    return lo, hi
+
+
+def column(p: HPoly, z: int) -> Span:
+    """The integers y with (z, y) in p."""
+    return integer_slice((a2, b - a1 * z) for a1, a2, b in p.rows)
+
+
+def integer_point_1d(span: Span) -> Optional[int]:
+    """Some integer of span, or None; smallest |k|, nonnegative preferred."""
+    if span is None:
+        return None
+    lo, hi = span
     if lo is not None and lo > 0:
         return lo
-    return hi
-
-
-def count_fractions(iv: Interval, p: int) -> Height:
-    """|iv intersect (1/p)Z|; unbounded nonempty intervals count as infinite."""
-    if p < 1:
-        raise ValueError("denominator p must be >= 1")
-    if iv.empty:
-        return Height(0)
-    if iv.lo is None or iv.hi is None:
-        return Height(None)
-    lo = _ceil(iv.lo * p)
-    hi = _floor(iv.hi * p)
-    return Height(max(0, hi - lo + 1))
+    if hi is not None and hi < 0:
+        return hi
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -140,26 +100,35 @@ def count_fractions(iv: Interval, p: int) -> Height:
 # ---------------------------------------------------------------------------
 
 
-def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
-    """sup over integer z of |column(p, z) intersect (1/pp)Z|.
+def _count(q: HPoly, z: int) -> Optional[int]:
+    # integers in column z of q; None when the column is unbounded
+    span = column(q, z)
+    if span is None:
+        return 0
+    lo, hi = span
+    return None if lo is None or hi is None else hi - lo + 1
 
-    Evaluation uses the recession cone: a Zero cone needs only the
-    columns across the vertex hull; a Line cone makes every column carry
-    the same count; a Ray cone's counts are monotone along the ray and
-    stabilize past the vertex bound, so one far column suffices.
+
+def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
+    """sup over integer z of |column z of p intersect (1/pp)Z|.
+
+    y lies in (1/pp)Z and in column z of p exactly when pp*y is an
+    integer in column z of the scaled rows (pp*a1, a2, pp*b), so each
+    count is the length of an integer span.  Evaluation uses the
+    recession cone: a Zero cone needs only the columns across the vertex
+    hull; a Line cone makes every column carry the same count; a Ray
+    cone's counts are monotone along the ray and stabilize past the
+    vertex bound, so one far column suffices.
     """
     if pp < 1:
         raise ValueError("denominator pp must be >= 1")
+    q = hpoly([(pp * a1, a2, pp * b) for a1, a2, b in p.rows])
     cone = d.cone
     if isinstance(cone, Zero):
         xs = [v[0] for v in d.vertices]
-        lo, hi = _ceil(min(xs)), _floor(max(xs))
-        best = 0
-        for z in range(lo, hi + 1):
-            c = count_fractions(column(p, z), pp)
-            assert c.value is not None, "bounded polyhedron has bounded slices"
-            best = max(best, c.value)
-        return Height(best)
+        counts = [_count(q, z) for z in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)]
+        assert None not in counts, "bounded polyhedron has bounded slices"
+        return Height(max(counts, default=0))
     if isinstance(cone, (Ray, Line)):
         a = cone.v[0]
         if a == 0:
@@ -167,8 +136,8 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
         if isinstance(cone, Line):
             z0 = 0
         else:
-            z0 = _ceil(d.vertex_bound) if a > 0 else -_ceil(d.vertex_bound)
-        return count_fractions(column(p, z0), pp)
+            z0 = math.ceil(d.vertex_bound) if a > 0 else -math.ceil(d.vertex_bound)
+        return Height(_count(q, z0))
     raise VerticalRecessionError("two-dimensional recession cone: height is infinite")
 
 
@@ -219,20 +188,20 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
 
     if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
         xs = [v[0] for v in d.vertices]
-        lo, hi = _ceil(min(xs)), _floor(max(xs))
+        lo, hi = math.ceil(min(xs)), math.floor(max(xs))
         if lo > hi:
             return None
         return _scan(p, _window_order(lo, hi), scan_limit)
 
     if isinstance(cone, Ray):
         a, _ = cone.v
-        m = _ceil(d.vertex_bound)
+        m = math.ceil(d.vertex_bound)
         xs = [v[0] for v in d.vertices]
         # columns past the vertex bound repeat with period |a| (shift v[1])
         if a > 0:
-            lo, hi = _ceil(min(xs)), m + a - 1
+            lo, hi = math.ceil(min(xs)), m + a - 1
         else:
-            lo, hi = -m + a + 1, _floor(max(xs))
+            lo, hi = -m + a + 1, math.floor(max(xs))
         return _scan(p, _window_order(lo, hi), scan_limit)
 
     if isinstance(cone, Line):
@@ -243,12 +212,12 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     # 2D cone: far columns are unbounded (vertical direction inside the
     # cone) or widen at the generators' slope gap until they must hold
     # an integer
-    m = _ceil(d.vertex_bound)
+    m = math.ceil(d.vertex_bound)
     if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
         extra = 1
     else:
         # no vertical direction: a <180-degree wedge strictly on one side
         slopes = sorted(Fraction(g[1], g[0]) for g in cone.generators())
-        extra = _ceil(Fraction(1) / (slopes[-1] - slopes[0])) + 1
+        extra = math.ceil(1 / (slopes[-1] - slopes[0])) + 1
     limit = m + extra
     return _scan(p, _window_order(-limit, limit), scan_limit)

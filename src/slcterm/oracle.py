@@ -3,8 +3,10 @@
 Restrict the transition relation to integer states in [-B, B] and treat
 it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
-non-termination.  Runs in plain integer arithmetic so it shares no code
-path with the geometric decision procedure.
+non-termination.  Runs in plain integer arithmetic.  The one routine it
+shares with the geometric decision procedure is `lattice.column`, which
+reads each state's integer successors off the rows; it uses no
+decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .lattice import column, integer_bounds
+from .lattice import column
 from .poly2 import HPoly
 
 
@@ -50,9 +52,10 @@ class TransGraph:
 def build_graph(p: HPoly, bound: int) -> TransGraph:
     span: Dict[int, Tuple[int, int]] = {}
     for x in range(-bound, bound + 1):
-        lo, hi, empty = integer_bounds(column(p, x))
-        if empty:
+        col = column(p, x)
+        if col is None:
             continue
+        lo, hi = col
         lo2 = -bound if lo is None else max(lo, -bound)
         hi2 = bound if hi is None else min(hi, bound)
         if lo2 <= hi2:
@@ -95,9 +98,10 @@ def find_cycle(g: TransGraph) -> Optional[List[int]]:
 
 
 def _escapes(p: HPoly, bound: int, x: int) -> bool:
-    lo, hi, empty = integer_bounds(column(p, x))
-    if empty:
+    span = column(p, x)
+    if span is None:
         return False
+    lo, hi = span
     if hi is None or hi > bound:
         return True
     return lo is None or lo < -bound

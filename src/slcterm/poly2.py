@@ -8,7 +8,8 @@ line, half-plane, pointed wedge, plane) with primitive integer
 generators.  `decompose` returns a Minkowski-Weyl pair (vertex list,
 cone) such that the polyhedron equals conv(vertices) + cone as a set of
 real points; a vertex is an end of a boundary line clipped by the rows.
-Every one-variable bound from the rows goes through `bound_1d`.
+Every rational one-variable bound from the rows goes through `bound_1d`;
+`lattice.integer_slice` gives the integer ones.
 """
 
 from __future__ import annotations

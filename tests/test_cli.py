@@ -197,6 +197,9 @@ def test_to_slc_pipes_into_decide():
 def test_exit_code_2_on_bad_input(tmp_path):
     code, out, err = run_cli("decide", str(tmp_path / "missing.txt"))
     assert code == 2 and out == "" and "error:" in err
+    # a directory is not a loop file
+    code, out, err = run_cli("decide", str(tmp_path))
+    assert code == 2 and out == "" and "error" in err
     code, _, err = run_cli("decide", "-", stdin="slc v2\n1 2 3\n")
     assert code == 2 and "header" in err
     code, _, err = run_cli("decide", "-", stdin="slc v1\n1 x 3\n")

@@ -155,6 +155,20 @@ def test_reach_limits():
     assert res.outcome == "exceeded-bound" and res.prefix == (101,)
 
 
+def test_orbit_target():
+    # reachability_scan is orbit with the exact-division target
+    t = WeakCollatz(2, 5, 0)
+    res = orbit(t, 3, 100, 10**12, target=lambda v: v % 2 == 0)
+    assert res == reachability_scan(t, 3, 100, 10**12)
+    assert res.outcome == "reached-target" and res.k == 3
+    # a new value is tested against the target before the bound
+    res = orbit(t, 3, 100, 20, target=lambda v: v % 2 == 0)
+    assert res.outcome == "reached-target" and res.prefix == (3, 7, 17, 42)
+    # without a target the same orbit runs on to the bound
+    res = orbit(t, 3, 100, 10**12)
+    assert res.outcome == "exceeded-bound" and res.k is None
+
+
 def test_residue_histogram_golden():
     assert residue_histogram(CLASSICAL, 7, 12) == {0: 6, 1: 6}
     assert residue_histogram(CLASSICAL, 7, 12, alpha=2) == {0: 3, 1: 4, 2: 3, 3: 2}

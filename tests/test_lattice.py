@@ -1,5 +1,6 @@
-"""Lattice queries: columns, fraction counts, heights, 2D feasibility."""
+"""Lattice queries: integer slices, columns, heights, 2D feasibility."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,21 +10,20 @@ from hypothesis import strategies as st
 
 from slcterm.lattice import (
     Height,
-    Interval,
     ScanLimitExceededError,
     VerticalRecessionError,
     column,
-    count_fractions,
     height,
-    integer_bounds,
     integer_point_1d,
     integer_point_2d,
+    integer_slice,
 )
-from slcterm.poly2 import contains, decompose, hpoly
+from slcterm.poly2 import EmptyPolyhedronError, contains, decompose, hpoly
 from conftest import (
     SEED,
     bounded_corpus,
     box_integer_point,
+    column_span,
     empty_loop,
     halfint_loop,
     halfplane_loop,
@@ -38,59 +38,123 @@ from conftest import (
 F = Fraction
 
 
+def rational_column(p, z):
+    """Exact bounds (lo, hi) of column z of p with None for an unbounded
+    side, or None when a row without x' fails."""
+    lo = hi = None
+    for a1, a2, b in p.rows:
+        if a2 == 0:
+            if a1 * z > b:
+                return None
+            continue
+        t = F(b - a1 * z, a2)
+        if a2 > 0:
+            hi = t if hi is None else min(hi, t)
+        else:
+            lo = t if lo is None else max(lo, t)
+    return lo, hi
+
+
+def fraction_count(col, pp):
+    """|col intersect (1/pp)Z| by enumerating k/pp; None when unbounded."""
+    if col is None:
+        return 0
+    lo, hi = col
+    if lo is None or hi is None:
+        return None
+    # k/pp lies in [lo, hi] iff ln/ld <= k <= hn/hd for these fractions
+    (ln, ld), (hn, hd) = (lo * pp).as_integer_ratio(), (hi * pp).as_integer_ratio()
+    return sum(1 for k in range(ln // ld - 1, hn // hd + 2) if ln <= k * ld and k * hd <= hn)
+
+
 def test_column_golden():
-    iv = column(slab_loop(), 3)
-    assert (iv.lo, iv.hi, iv.empty) == (F(10, 3), F(11, 3), False)
-    assert column(slab_loop(), 2).empty
-    iv = column(halfplane_loop(), 5)
-    assert iv.lo == 6 and iv.hi is None
+    assert column(slab_loop(), 3) is None  # 10/3 <= y <= 11/3
+    assert column(slab_loop(), 4) == (5, 5)
+    assert column(slab_loop(), 2) is None  # x >= 3 fails
+    assert column(halfplane_loop(), 5) == (6, None)
 
 
-def test_interval_basics():
-    assert Interval.of(F(3), F(2)).empty
-    iv = Interval.of(F(1, 2), F(5, 2))
-    assert iv.contains(F(2)) and not iv.contains(F(3))
-    assert Interval.nothing().empty
-
-
-def test_integer_bounds():
-    assert integer_bounds(Interval.of(F(1, 2), F(5, 2))) == (1, 2, False)
-    assert integer_bounds(Interval.of(F(-5, 2), None)) == (-2, None, False)
-    assert integer_bounds(Interval.of(F(1, 3), F(2, 3))) == (None, None, True)
-    assert integer_bounds(Interval.nothing())[2]
-
-
-def test_integer_point_1d_tie_break():
-    assert integer_point_1d(Interval.of(F(-2), F(2))) == 0
-    assert integer_point_1d(Interval.of(F(-3), F(-1))) == -1
-    assert integer_point_1d(Interval.of(F(1, 2), F(7, 2))) == 1
-    assert integer_point_1d(Interval.of(F(-1), F(1))) == 0
-    assert integer_point_1d(Interval.of(F(1, 3), F(2, 3))) is None
-    # nonnegative wins the |k| tie
-    assert integer_point_1d(Interval.of(F(-1), F(-1))) == -1
-    assert integer_point_1d(Interval.of(None, F(-4))) == -4
-    assert integer_point_1d(Interval.of(F(4), None)) == 4
-
-
-def test_count_fractions_golden():
-    assert count_fractions(Interval.of(F(10, 3), F(11, 3)), 3) == Height(2)
-    assert count_fractions(Interval.of(F(1, 9), F(2, 9)), 3) == Height(0)
-    assert count_fractions(Interval.of(F(0), F(2)), 1) == Height(3)
-    assert count_fractions(Interval.nothing(), 5) == Height(0)
-    assert count_fractions(Interval.of(F(0), None), 2) == Height(None)
-    assert not count_fractions(Interval.of(F(0), None), 2).finite
+def test_integer_slice_golden():
+    assert integer_slice([]) == (None, None)
+    # each row rounds on its own: t <= 5/2, t >= -1/3
+    assert integer_slice([(2, 5), (-3, 1)]) == (0, 2)
+    assert integer_slice([(2, 5), (4, 9), (-3, 1), (-1, 2)]) == (0, 2)
+    assert integer_slice([(3, 2), (-3, -1)]) is None  # 1/3 <= t <= 2/3
+    assert integer_slice([(1, 0), (-1, -1)]) is None  # t <= 0, t >= 1
+    assert integer_slice([(0, -1), (1, 5)]) is None  # 0 <= -1
+    assert integer_slice([(0, 0), (-2, 5)]) == (-2, None)
+    assert integer_slice([(7, -15)]) == (None, -3)
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 7),
-    st.fractions(min_value=-8, max_value=8),
-    st.fractions(min_value=-8, max_value=8),
-)
-def test_count_fractions_brute(p, lo, hi):
-    got = count_fractions(Interval.of(lo, hi), p)
-    want = sum(1 for k in range(-100, 101) if lo <= F(k, p) <= hi)
-    assert got == Height(want)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-60, 60)), max_size=6))
+def test_integer_slice_matches_rational_rounding(pairs):
+    lo = [F(d, c) for c, d in pairs if c < 0]
+    hi = [F(d, c) for c, d in pairs if c > 0]
+    ilo = math.ceil(max(lo)) if lo else None
+    ihi = math.floor(min(hi)) if hi else None
+    empty = any(c == 0 and d < 0 for c, d in pairs) or (
+        ilo is not None and ihi is not None and ilo > ihi
+    )
+    assert integer_slice(pairs) == (None if empty else (ilo, ihi))
+
+
+@pytest.mark.parametrize("coeff,zmax", [(7, 40), (10**30, 10**25)])
+def test_column_matches_integer_reference(coeff, zmax):
+    clip = 10**80  # beyond every finite bound below
+    rng = random.Random(SEED + 4)
+    hits = 0
+    for _ in range(300):
+        p = random_slc(rng, max_rows=7, coeff=coeff)
+        for _ in range(4):
+            z = rng.randint(-zmax, zmax)
+            got = column(p, z)
+            want = column_span(p, z, -clip, clip)
+            if got is not None:
+                lo, hi = got
+                got = (-clip if lo is None else lo, clip if hi is None else hi)
+                hits += 1
+            assert got == want
+    assert hits > 50
+
+
+def test_integer_point_1d_tie_break():
+    assert integer_point_1d((-2, 2)) == 0
+    assert integer_point_1d((-3, -1)) == -1
+    assert integer_point_1d((1, 3)) == 1
+    assert integer_point_1d((-1, 1)) == 0
+    assert integer_point_1d(None) is None
+    assert integer_point_1d((-1, -1)) == -1
+    assert integer_point_1d((None, -4)) == -4
+    assert integer_point_1d((4, None)) == 4
+    assert integer_point_1d((None, None)) == 0
+    # nonnegative wins the |k| tie
+    assert integer_point_1d((None, 0)) == 0 and integer_point_1d((0, None)) == 0
+
+
+def test_height_counts_golden():
+    # line loops c <= 3*(x' - x) <= e: every column is [c/3, e/3]
+    for lo3, hi3, pp, want in ((10, 11, 3, 2), (10, 11, 1, 0), (1, 2, 3, 2), (0, 6, 1, 3), (0, 6, 2, 5)):
+        p = hpoly([(-3, 3, hi3), (3, -3, -lo3)])
+        assert height(p, decompose(p), pp) == Height(want)
+    # [1/9, 2/9] holds no point of (1/3)Z
+    p = hpoly([(-9, 9, 2), (9, -9, -1)])
+    assert height(p, decompose(p), 3) == Height(0)
+
+
+def test_height_brute():
+    # bounded_corpus boxes lie inside [-15, 15]^2
+    checked = 0
+    for p in bounded_corpus():
+        try:
+            d = decompose(p)
+        except EmptyPolyhedronError:
+            continue
+        checked += 1
+        cols = [rational_column(p, z) for z in range(-15, 16)]
+        for pp in range(1, 8):
+            assert height(p, d, pp) == Height(max(fraction_count(c, pp) for c in cols))
+    assert checked > 100
 
 
 def test_height_golden():
@@ -118,9 +182,9 @@ def test_height_constant_beyond_vertex_bound():
         p = build()
         d = decompose(p)
         z0 = 4  # above vertex_bound 11/3
-        counts = {count_fractions(column(p, z), 3) for z in range(z0, z0 + 10)}
+        counts = {fraction_count(rational_column(p, z), 3) for z in range(z0, z0 + 10)}
         assert len(counts) == 1
-        assert counts.pop() == height(p, d, 3)
+        assert Height(counts.pop()) == height(p, d, 3)
 
 
 # ---------------------------------------------------------------------------
