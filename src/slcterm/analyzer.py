@@ -21,6 +21,7 @@ from typing import Optional, Tuple, Union
 
 from .lattice import (
     DEFAULT_SCAN_LIMIT,
+    ScanLimitExceededError,
     column,
     height,
     integer_point_1d,
@@ -95,8 +96,8 @@ class TraceSeed:
 
     mode 'shift' walks x -> x + (b - a) from the seed transition (a, b);
     mode 'band' alternates around the band a <= x + x' <= b; the growth
-    modes ('ascend', 'descend', 'outward') re-run the greedy extension.
-    The prefix holds the first verified states for reporting.
+    modes ('ascend', 'descend', 'outward') re-run the greedy extension,
+    reseeding farther out on a stall.  The prefix holds the first states.
     """
 
     mode: str
@@ -223,7 +224,6 @@ def region_feasible(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT)
 # trace generation
 # ---------------------------------------------------------------------------
 
-_MAX_RESTARTS = 10_000
 _PREFIX_LEN = 10
 
 
@@ -282,23 +282,27 @@ def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     return up if up <= -down else down
 
 
-def _growth_query(p: HPoly, mode: str, t: int) -> HPoly:
-    if mode == "ascend":
-        extra = _IP_ROWS + ((-1, 0, -t),)
-    elif mode == "descend":
-        extra = _IM_ROWS + ((1, 0, -t),)
-    else:
-        extra = ((-1, 0, -t),)
-    return intersect(p, hpoly(extra))
-
-
 def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]:
-    t = 1
-    for _ in range(_MAX_RESTARTS):
-        seed = integer_point_2d(_growth_query(p, mode, t), scan_limit)
-        if seed is None:
+    # Greedy growth.  Ascend/descend start at the region's point nearest the
+    # origin: one query, which reaches a far-off region at once.  Every other
+    # seed is the first column from t on with a successor (outward: nonempty);
+    # a stall moves t past the last state.  scan_limit bounds all the walking.
+    step = -1 if mode == "descend" else 1
+    t, walked, trace = 1, 0, []
+    if mode != "outward":
+        pt = _region_point(p, "I+" if step > 0 else "I-", scan_limit)
+        if pt is None:
             raise ExtensionFailedError("growth seed query came back empty")
-        trace = [seed[0]]
+        trace = [pt[0]]
+    while True:
+        s = step * t
+        while not trace:
+            walked += 1
+            if walked > scan_limit:
+                raise ScanLimitExceededError(f"growth walk exceeded {scan_limit} columns")
+            if (column(p, s) if mode == "outward" else _next_state(p, s, mode)) is not None:
+                trace = [s]
+            s += step
         while len(trace) < length:
             nxt = _next_state(p, trace[-1], mode)
             if nxt is None:
@@ -307,9 +311,8 @@ def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]
         if len(trace) >= length:
             _verify(p, trace)
             return trace
-        # stall below the growth threshold: reseed strictly farther out
         t = max(t + 1, abs(trace[-1]) + 1)
-    raise ExtensionFailedError("growth trace failed to stabilize")
+        trace = []
 
 
 def _seed_states(p: HPoly, seed: TraceSeed, length: int, scan_limit: int) -> list[int]:

@@ -203,7 +203,7 @@ def _add_scan_limit(sp) -> None:
         "--scan-limit",
         type=int,
         default=DEFAULT_SCAN_LIMIT,
-        help="max lattice columns to scan before giving up (default %(default)s)",
+        help="max columns per integer-point query, and in total per growth-seed walk (default %(default)s)",
     )
 
 

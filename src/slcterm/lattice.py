@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .poly2 import (
@@ -27,6 +26,7 @@ from .poly2 import (
     Ray,
     Zero,
     cone_contains,
+    cross,
     decompose,
     hpoly,
 )
@@ -216,8 +216,7 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
         extra = 1
     else:
-        # no vertical direction: a <180-degree wedge strictly on one side
-        slopes = sorted(Fraction(g[1], g[0]) for g in cone.generators())
-        extra = math.ceil(1 / (slopes[-1] - slopes[0])) + 1
+        # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
+        extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
     limit = m + extra
     return _scan(p, _window_order(-limit, limit), scan_limit)

@@ -193,10 +193,8 @@ def cone_contains(c: Cone, v: Sequence[int]) -> bool:
         return dot(halfplane_normal(c), (vx, vy)) <= 0
     assert isinstance(c, Pointed2)
     det = cross(c.v1, c.v2)
-    # v = alpha*v1 + beta*v2 with alpha, beta >= 0
-    alpha = Fraction(cross((vx, vy), c.v2), det)
-    beta = Fraction(cross(c.v1, (vx, vy)), det)
-    return alpha >= 0 and beta >= 0
+    # v = alpha*v1 + beta*v2 with alpha, beta >= 0: signs of the numerators times det
+    return cross((vx, vy), c.v2) * det >= 0 and cross(c.v1, (vx, vy)) * det >= 0
 
 
 def halfplane_normal(c: HalfPlane) -> IVec:

@@ -8,7 +8,9 @@ with a fixed point, pair swaps 0 and 1.
 import random
 from fractions import Fraction
 
-from slcterm.poly2 import contains, hpoly
+from slcterm.analyzer import _IM_ROWS, _IP_ROWS, _next_state
+from slcterm.lattice import DEFAULT_SCAN_LIMIT, integer_point_2d
+from slcterm.poly2 import contains, hpoly, intersect
 
 SEED = 20260814
 
@@ -56,6 +58,22 @@ def halfint_loop():
 def empty_loop():
     # x <= 0 and x >= 1
     return hpoly([(1, 0, 0), (-1, 0, -1)])
+
+
+def wedge_loop(k):
+    # (k+1)x/k <= x' <= kx/(k-1), x >= 1: columns hold an integer only
+    # from about x = k*k on, so a growth trace stalls many times first
+    return hpoly([(k + 1, -k, 0), (-k, k - 1, 0), (-1, 0, -1)])
+
+
+def translated(p, c):
+    """p with every state moved by -c: row b becomes b - (a1 + a2)*c."""
+    return hpoly([(a1, a2, b - (a1 + a2) * c) for a1, a2, b in p.rows])
+
+
+def reflected(p):
+    """p with every state negated."""
+    return hpoly([(-a1, -a2, b) for a1, a2, b in p.rows])
 
 
 def random_slc(rng, max_rows=6, coeff=7):
@@ -132,3 +150,30 @@ def pairwise_vertices(p):
             if contains(p, (x, y)):
                 found.add((x, y))
     return sorted(found)
+
+
+def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
+    """A growth witness by the restart loop: each seed is a fresh
+    `integer_point_2d` query on p cut to the growth region from column t
+    on, and each stall moves t past the last state.  The reference for
+    the column walk behind `witness_trace`'s growth modes."""
+    t = 1
+    for _ in range(10_000):
+        if mode == "ascend":
+            extra = _IP_ROWS + ((-1, 0, -t),)
+        elif mode == "descend":
+            extra = _IM_ROWS + ((1, 0, -t),)
+        else:
+            extra = ((-1, 0, -t),)
+        seed = integer_point_2d(intersect(p, hpoly(extra)), scan_limit)
+        assert seed is not None, "growth seed query came back empty"
+        trace = [seed[0]]
+        while len(trace) < length:
+            nxt = _next_state(p, trace[-1], mode)
+            if nxt is None:
+                break
+            trace.append(nxt)
+        if len(trace) >= length:
+            return trace
+        t = max(t + 1, abs(trace[-1]) + 1)
+    raise AssertionError("growth trace failed to stabilize")

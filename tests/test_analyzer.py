@@ -21,6 +21,7 @@ from slcterm.analyzer import (
     region_feasible,
     witness_trace,
 )
+from slcterm.lattice import ScanLimitExceededError
 from slcterm.poly2 import (
     HalfPlane,
     Line,
@@ -41,9 +42,14 @@ from conftest import (
     pair_loop,
     quad_loop,
     random_slc,
+    reflected,
+    restarting_growth_states,
     slab_loop,
+    slc_corpus,
     thick_loop,
     thin_loop,
+    translated,
+    wedge_loop,
 )
 
 
@@ -297,14 +303,64 @@ def test_decide_deterministic():
         assert decide(p) == decide(p)
 
 
-@pytest.mark.parametrize("e", [10, 20])
-def test_far_translated_thick_loop(e):
-    # thick with every state moved by -c (row b becomes b - (a1 + a2)*c):
-    # its integer-point searches have column windows of ~c/3 columns
-    c = 10**e
-    p = hpoly([(a1, a2, b - (a1 + a2) * c) for a1, a2, b in thick_loop().rows])
+@pytest.mark.parametrize("c", [10**10, 10**20, -10**12], ids=["10", "20", "-12"])
+def test_far_translated_thick_loop(c):
+    # thick with every state moved by -c (ids: the signed exponent of c).
+    # For c > 0 its integer-point searches have column windows of ~c/3
+    # columns; for c < 0 the states start at 3 - c, which the growth trace
+    # must reach without walking there from column 1
+    p = translated(thick_loop(), c)
     v = decide(p)
     assert (v.kind, str(v.label)) == ("non-terminating", "L5.3.1")
     trace = witness_trace(p, v, 200)
     assert len(trace) == 200
     verify_states(p, trace)
+    if c < 0:
+        assert trace[:2] == [3 - c, 4 - c]
+
+
+def _growth_cases():
+    # (name, loop, label, seed) for every growth-mode seed the reference
+    # test covers
+    cases = []
+    loops = [(f"wedge{k}", wedge_loop(k)) for k in range(2, 31)]
+    loops += [(f"wedge-{k}", reflected(wedge_loop(k))) for k in range(2, 31)]
+    loops.append(("halfplane", halfplane_loop()))
+    loops += [(f"thick{c:+}", translated(thick_loop(), c)) for c in (10**3, -10**3, 10**6, -10**6)]
+    loops += [(f"slc{i}", p) for i, p in enumerate(slc_corpus(1000))]
+    for name, p in loops:
+        v = decide(p)
+        if isinstance(v.witness, TraceSeed) and v.witness.mode in ("ascend", "descend", "outward"):
+            cases.append((name, p, v.label, v.witness))
+    for rows, _, label in DIRECT_GOLDEN:
+        if label == "L5.4.1":
+            p = hpoly(rows)
+            res = decide_self_avoiding(p, decompose(p))
+            cases.append((f"direct{rows}", p, res.label, res.seed))
+    return cases
+
+
+def test_growth_witness_matches_restart_reference():
+    cases = _growth_cases()
+    modes = {seed.mode for _, _, _, seed in cases}
+    assert modes == {"ascend", "descend", "outward"}
+    assert sum(name.startswith("slc") for name, _, _, _ in cases) > 0
+    for name, p, label, seed in cases:
+        v = Verdict("non-terminating", label, seed)
+        for n in (1, 2, 10, 50, 200):
+            assert witness_trace(p, v, n) == restarting_growth_states(p, seed.mode, n), (name, n)
+
+
+def test_scan_limit_bounds_the_growth_walk_in_total():
+    # wedge(100) stalls many times before its columns hold an integer.  The
+    # walk to each next seed needs 2689 columns in all; a fresh window query
+    # per stall (restarting_growth_states) needs more than 5000 each
+    for p in (wedge_loop(100), reflected(wedge_loop(100))):
+        v = decide(p, scan_limit=5000)
+        assert (v.kind, str(v.label)) == ("non-terminating", "L5.2.1")
+        trace = witness_trace(p, v, 200, scan_limit=5000)
+        assert len(set(trace)) == 200
+        verify_states(p, trace)
+    # ... and the walk stops at the limit in total
+    with pytest.raises(ScanLimitExceededError, match="growth walk"):
+        decide(wedge_loop(100), scan_limit=2000)
