@@ -10,8 +10,11 @@ cone of the transition polyhedron: the cone's shape, the primitive
 generator (p, q), and the p-height of the polyhedron select a case
 whose label is reported alongside the verdict.
 
-Case labels are stable strings: L5.2.x (pointed wedge), L5.3.x (ray),
-L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and EMPTY.
+A verdict is terminating, non-terminating (with a cycle or a trace seed
+as witness) or unknown (the conjecture-dependent cases L5.3.3 and
+L5.4.2).  Case labels are plain strings: L5.2.x (pointed wedge), L5.3.x
+(ray), L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and
+EMPTY.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .lattice import (
 )
 from .poly2 import (
     Cone,
+    EmptyPolyhedronError,
     HalfPlane,
     HPoly,
     Line,
@@ -42,11 +46,8 @@ from .poly2 import (
     contains,
     cross,
     decompose,
-    dot,
-    halfplane_normal,
     hpoly,
     intersect,
-    is_empty,
     swap,
 )
 
@@ -64,23 +65,8 @@ class ExtensionFailedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    lemma: str
-    index: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.index is None:
-            return self.lemma
-        return f"{self.lemma}.{self.index}"
-
-
-CYCLE = CaseLabel("CYCLE")
-EMPTY = CaseLabel("EMPTY")
-
-
-def _L(lemma: str, index: int) -> CaseLabel:
-    return CaseLabel(lemma, index)
+CYCLE = "CYCLE"
+EMPTY = "EMPTY"
 
 
 @dataclass(frozen=True)
@@ -108,17 +94,8 @@ class TraceSeed:
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # "terminating" | "non-terminating" | "unknown"
-    label: CaseLabel
+    label: str
     witness: Union[CycleWitness, TraceSeed, None] = None
-
-
-@dataclass(frozen=True)
-class SelfAvoiding:
-    """Answer to 'does an infinite self-avoiding trace exist'."""
-
-    kind: str  # "yes" | "no" | "conjecture-no"
-    label: CaseLabel
-    seed: Optional[TraceSeed] = None
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +139,12 @@ _IP = ((1, 1), (0, 1))  # I+ directions: the open arc between the diagonal and v
 _IM = ((-1, -1), (0, -1))
 
 
-def _strictly_between(lo, hi, g) -> bool:
-    return cross(lo, g) > 0 and cross(g, hi) > 0
-
-
 def _meets_open_arc(c: Cone, lo, hi) -> bool:
-    if isinstance(c, Zero):
-        return False
-    if isinstance(c, Plane):
-        return True
-    if isinstance(c, Ray):
-        return _strictly_between(lo, hi, c.v)
-    if isinstance(c, Line):
-        v = c.v
-        return _strictly_between(lo, hi, v) or _strictly_between(lo, hi, (-v[0], -v[1]))
-    if isinstance(c, HalfPlane):
-        n = halfplane_normal(c)
-        return dot(n, lo) < 0 or dot(n, hi) < 0
-    assert isinstance(c, Pointed2)
-    return (
-        _strictly_between(lo, hi, c.v1)
-        or _strictly_between(lo, hi, c.v2)
-        or (cone_contains(c, lo) and cone_contains(c, hi))
+    # The arc spans less than a half-turn, so a cone meets its interior
+    # exactly when a generator lies strictly inside it or the cone holds
+    # both ends (a cone edge crossing the arc is a generator).
+    return any(cross(lo, g) > 0 and cross(g, hi) > 0 for g in c.generators()) or (
+        cone_contains(c, lo) and cone_contains(c, hi)
     )
 
 
@@ -206,9 +167,7 @@ _IP_ROWS = ((-1, 0, -1), (1, -1, -1))
 _IM_ROWS = ((1, 0, -1), (-1, 1, -1))
 
 
-def _region_point(
-    p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> Optional[Tuple[int, int]]:
+def _region_point(p: HPoly, region: str, scan_limit: int) -> Optional[Tuple[int, int]]:
     rows = _IP_ROWS if region == "I+" else _IM_ROWS
     return integer_point_2d(intersect(p, hpoly(rows)), scan_limit)
 
@@ -316,19 +275,11 @@ def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]
 
 
 def _seed_states(p: HPoly, seed: TraceSeed, length: int, scan_limit: int) -> list[int]:
-    if length <= 0:
-        return []
     if seed.mode == "shift":
         return _shift_states(p, seed.data[0], seed.data[1], length)
     if seed.mode == "band":
         return _band_states(p, seed.data[0], seed.data[1], length)
     return _grow_states(p, seed.mode, length, scan_limit)
-
-
-def _make_seed(p: HPoly, mode: str, data: Tuple[int, ...], scan_limit: int) -> TraceSeed:
-    seed = TraceSeed(mode, data, ())
-    prefix = tuple(_seed_states(p, seed, _PREFIX_LEN, scan_limit))
-    return TraceSeed(mode, data, prefix)
 
 
 def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
@@ -351,112 +302,92 @@ def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_S
 # ---------------------------------------------------------------------------
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+def _seeded(p: HPoly, label: str, mode: str, data: Tuple[int, ...], scan_limit: int) -> Verdict:
+    prefix = _seed_states(p, TraceSeed(mode, data, ()), _PREFIX_LEN, scan_limit)
+    return Verdict("non-terminating", label, TraceSeed(mode, data, tuple(prefix)))
 
 
-def decide_self_avoiding(
-    p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> SelfAvoiding:
+def _shift_case(p: HPoly, regions, yes: str, no: str, scan_limit: int) -> Verdict:
+    # a transition (a, b) inside I+ or I- repeats along the diagonal recession
+    # direction as a -> b -> 2b - a -> ...; without one the loop terminates
+    for region in regions:
+        pt = _region_point(p, region, scan_limit)
+        if pt is not None:
+            return _seeded(p, yes, "shift", pt, scan_limit)
+    return Verdict("terminating", no)
+
+
+def _height_case(p: HPoly, d: MWDecomp, pp: int, mode: str, labels, scan_limit: int) -> Verdict:
+    # the p-height h of p decides: h >= p grows a trace, h = 0 and h = 1
+    # terminate, and 1 < h < p is the conjecture-dependent case
+    grows, h0, h1, conjectural = labels
+    h = height(p, d, pp).value
+    assert h is not None
+    if h >= pp:
+        return _seeded(p, grows, mode, (), scan_limit)
+    if h == 0:
+        return Verdict("terminating", h0)
+    if h == 1:
+        return Verdict("terminating", h1)
+    return Verdict("unknown", conjectural)
+
+
+def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Verdict:
     """Case analysis on the recession cone of a nonempty, cycle-free p.
 
-    Returns yes/no/conjecture-no with the selecting case label; yes
-    answers carry a trace seed.
+    Returns a non-terminating verdict with a trace seed, a terminating
+    verdict, or unknown for the conjecture-dependent cases L5.3.3 and
+    L5.4.2; the label names the case that decided.
     """
     cone = d.cone
 
-    if isinstance(cone, (HalfPlane, Plane)):
-        flags = cone_regions(cone)
-        assert flags.i_plus or flags.i_minus
-        mode = "ascend" if flags.i_plus else "descend"
-        return SelfAvoiding("yes", _L("L5.5", 1), _make_seed(p, mode, (), scan_limit))
-
     if isinstance(cone, Zero):
-        return SelfAvoiding("no", _L("L5.5", 2))
+        return Verdict("terminating", "L5.5.2")
 
-    if isinstance(cone, Pointed2):
-        return _dispatch_pointed2(p, d, scan_limit)
+    if isinstance(cone, (Pointed2, HalfPlane, Plane)):
+        flags = cone_regions(cone)
+        if flags.i_plus or flags.i_minus:
+            label = "L5.2.1" if isinstance(cone, Pointed2) else "L5.5.1"
+            return _seeded(p, label, "ascend" if flags.i_plus else "descend", (), scan_limit)
+        assert isinstance(cone, Pointed2), "a half-plane or plane cone meets I+ or I-"
+        if flags.delta_plus:
+            return _shift_case(p, ("I+",), "L5.2.3", "L5.2.6", scan_limit)
+        if flags.delta_minus:
+            return _shift_case(p, ("I-",), "L5.2.5", "L5.2.4", scan_limit)
+        return Verdict("terminating", "L5.2.2")
 
+    pp, q = cone.v
     if isinstance(cone, Ray):
-        pq = cone.v
-        pp, q = pq
-        if _sign(pp) != _sign(q):
-            return SelfAvoiding("no", _L("L5.3", 2))
+        if pp * q <= 0:
+            return Verdict("terminating", "L5.3.2")
         if abs(pp) > abs(q):
-            return SelfAvoiding("no", _L("L5.3", 6))
-        if pp == 1 and q == 1:
-            pt = _region_point(p, "I+", scan_limit)
-            if pt is not None:
-                return SelfAvoiding("yes", _L("L5.3", 7), _make_seed(p, "shift", pt, scan_limit))
-            return SelfAvoiding("no", _L("L5.3", 8))
-        if pp == -1 and q == -1:
-            pt = _region_point(p, "I-", scan_limit)
-            if pt is not None:
-                return SelfAvoiding("yes", _L("L5.3", 9), _make_seed(p, "shift", pt, scan_limit))
-            return SelfAvoiding("no", _L("L5.3", 10))
+            return Verdict("terminating", "L5.3.6")
+        if pp == q == 1:
+            return _shift_case(p, ("I+",), "L5.3.7", "L5.3.8", scan_limit)
+        if pp == q == -1:
+            return _shift_case(p, ("I-",), "L5.3.9", "L5.3.10", scan_limit)
         # same strict sign, |p| < |q|
-        h = height(p, d, abs(pp)).value
-        assert h is not None
-        if h >= abs(pp):
-            mode = "ascend" if pp > 0 else "descend"
-            return SelfAvoiding("yes", _L("L5.3", 1), _make_seed(p, mode, (), scan_limit))
-        if h == 0:
-            return SelfAvoiding("no", _L("L5.3", 5))
-        if h <= 1:
-            return SelfAvoiding("no", _L("L5.3", 4))  # here |p| > 1
-        return SelfAvoiding("conjecture-no", _L("L5.3", 3))
+        mode = "ascend" if pp > 0 else "descend"
+        return _height_case(p, d, abs(pp), mode, ("L5.3.1", "L5.3.5", "L5.3.4", "L5.3.3"), scan_limit)
 
     assert isinstance(cone, Line)
-    pp, q = cone.v
     if pp == 0:
-        return SelfAvoiding("no", _L("L5.4", 10))
+        return Verdict("terminating", "L5.4.10")
     if pp > abs(q):
-        return SelfAvoiding("no", _L("L5.4", 5))
+        return Verdict("terminating", "L5.4.5")
     if pp == q:  # the diagonal line (1, 1)
-        for region in ("I+", "I-"):
-            pt = _region_point(p, region, scan_limit)
-            if pt is not None:
-                return SelfAvoiding("yes", _L("L5.4", 6), _make_seed(p, "shift", pt, scan_limit))
-        return SelfAvoiding("no", _L("L5.4", 7))
+        return _shift_case(p, ("I+", "I-"), "L5.4.6", "L5.4.7", scan_limit)
     if pp == -q:  # the anti-diagonal line (1, -1)
         h = height(p, d, 1).value
         assert h is not None
         if h >= 2:
             span = column(p, 0)
             assert span is not None and None not in span
-            return SelfAvoiding("yes", _L("L5.4", 8), _make_seed(p, "band", span, scan_limit))
-        return SelfAvoiding("no", _L("L5.4", 9))
+            return _seeded(p, "L5.4.8", "band", span, scan_limit)
+        return Verdict("terminating", "L5.4.9")
     # 0 < p < |q|
-    h = height(p, d, pp).value
-    assert h is not None
-    if h >= pp:
-        mode = "ascend" if q > 0 else "outward"
-        return SelfAvoiding("yes", _L("L5.4", 1), _make_seed(p, mode, (), scan_limit))
-    if h == 0:
-        return SelfAvoiding("no", _L("L5.4", 4))
-    if h <= 1:
-        return SelfAvoiding("no", _L("L5.4", 3))  # here p > 1
-    return SelfAvoiding("conjecture-no", _L("L5.4", 2))
-
-
-def _dispatch_pointed2(p: HPoly, d: MWDecomp, scan_limit: int) -> SelfAvoiding:
-    cone = d.cone
-    assert isinstance(cone, Pointed2)
-    flags = cone_regions(cone)
-    if flags.i_plus or flags.i_minus:
-        mode = "ascend" if flags.i_plus else "descend"
-        return SelfAvoiding("yes", _L("L5.2", 1), _make_seed(p, mode, (), scan_limit))
-    if not (flags.delta_plus or flags.delta_minus):
-        return SelfAvoiding("no", _L("L5.2", 2))
-    if flags.delta_plus:
-        pt = _region_point(p, "I+", scan_limit)
-        if pt is not None:
-            return SelfAvoiding("yes", _L("L5.2", 3), _make_seed(p, "shift", pt, scan_limit))
-        return SelfAvoiding("no", _L("L5.2", 6))
-    pt = _region_point(p, "I-", scan_limit)
-    if pt is not None:
-        return SelfAvoiding("yes", _L("L5.2", 5), _make_seed(p, "shift", pt, scan_limit))
-    return SelfAvoiding("no", _L("L5.2", 4))
+    mode = "ascend" if q > 0 else "outward"
+    return _height_case(p, d, pp, mode, ("L5.4.1", "L5.4.4", "L5.4.3", "L5.4.2"), scan_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +398,22 @@ def _dispatch_pointed2(p: HPoly, d: MWDecomp, scan_limit: int) -> SelfAvoiding:
 def decide(
     p: HPoly, assume_conjecture: bool = False, scan_limit: int = DEFAULT_SCAN_LIMIT
 ) -> Verdict:
-    """Full analysis: emptiness, cycles, then the self-avoiding dispatch."""
-    if is_empty(p):
-        return Verdict("terminating", EMPTY)
+    """Full analysis: cycles, emptiness, then the self-avoiding dispatch.
+
+    A fixed point proves p nonempty, so `cycle1` runs first and p is
+    decomposed once, for the emptiness test and the dispatch alike.
+    """
     s = cycle1(p)
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
+        return Verdict("terminating", EMPTY)
     pair = cycle2(p, scan_limit)
     if pair is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness(pair))
-    res = decide_self_avoiding(p, decompose(p), scan_limit)
-    if res.kind == "yes":
-        return Verdict("non-terminating", res.label, res.seed)
-    if res.kind == "no":
-        return Verdict("terminating", res.label)
-    if assume_conjecture:
-        return Verdict("terminating", res.label)
-    return Verdict("unknown", res.label)
+    v = decide_self_avoiding(p, d, scan_limit)
+    if v.kind == "unknown" and assume_conjecture:
+        return Verdict("terminating", v.label)
+    return v

@@ -198,10 +198,17 @@ def _int_list(text: str):
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _add_scan_limit(sp) -> None:
     sp.add_argument(
         "--scan-limit",
-        type=int,
+        type=_count,
         default=DEFAULT_SCAN_LIMIT,
         help="max columns per integer-point query, and in total per growth-seed walk (default %(default)s)",
     )
@@ -244,14 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("witness", help="print a verified non-termination trace")
     sp.add_argument("file", help="loop file, or - for stdin")
-    sp.add_argument("--length", type=int, required=True, help="number of states to emit")
+    sp.add_argument("--length", type=_count, required=True, help="number of states to emit")
     _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_witness)
 
     sp = sub.add_parser("oracle", help="brute-force the loop on a bounded state window")
     sp.add_argument("file", help="loop file, or - for stdin")
-    sp.add_argument("--bound", type=int, default=64, help="state window is [-B, B] (default %(default)s)")
-    sp.add_argument("--trace-cap", type=int, default=1000,
+    sp.add_argument("--bound", type=_count, default=64, help="state window is [-B, B] (default %(default)s)")
+    sp.add_argument("--trace-cap", type=_count, default=1000,
                     help="max states in an escape trace (default %(default)s)")
     sp.add_argument("--compare", action="store_true",
                     help="also run the analyzer and cross-check; exit 4 on disagreement")

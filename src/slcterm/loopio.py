@@ -153,7 +153,7 @@ def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: boo
     obj: Dict[str, Any] = {
         "report": "v1",
         "verdict": v.kind,
-        "case": str(v.label),
+        "case": v.label,
         "witness": _witness_json(v),
         "decomposition": None,
         "assumptions": {"assume_reachability": assume_reachability},

@@ -10,7 +10,21 @@ from fractions import Fraction
 
 from slcterm.analyzer import _IM_ROWS, _IP_ROWS, _next_state
 from slcterm.lattice import DEFAULT_SCAN_LIMIT, integer_point_2d
-from slcterm.poly2 import contains, hpoly, intersect
+from slcterm.poly2 import (
+    HalfPlane,
+    Line,
+    Plane,
+    Pointed2,
+    Ray,
+    Zero,
+    cone_contains,
+    contains,
+    cross,
+    dot,
+    halfplane_normal,
+    hpoly,
+    intersect,
+)
 
 SEED = 20260814
 
@@ -177,3 +191,30 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
             return trace
         t = max(t + 1, abs(trace[-1]) + 1)
     raise AssertionError("growth trace failed to stabilize")
+
+
+def _strictly_between(lo, hi, g):
+    return cross(lo, g) > 0 and cross(g, hi) > 0
+
+
+def meets_open_arc(c, lo, hi):
+    """Does the cone meet the open arc of directions from lo to hi?  One
+    rule per cone class: the reference for `analyzer.cone_regions`."""
+    if isinstance(c, Zero):
+        return False
+    if isinstance(c, Plane):
+        return True
+    if isinstance(c, Ray):
+        return _strictly_between(lo, hi, c.v)
+    if isinstance(c, Line):
+        v = c.v
+        return _strictly_between(lo, hi, v) or _strictly_between(lo, hi, (-v[0], -v[1]))
+    if isinstance(c, HalfPlane):
+        n = halfplane_normal(c)
+        return dot(n, lo) < 0 or dot(n, hi) < 0
+    assert isinstance(c, Pointed2)
+    return (
+        _strictly_between(lo, hi, c.v1)
+        or _strictly_between(lo, hi, c.v2)
+        or (cone_contains(c, lo) and cone_contains(c, hi))
+    )

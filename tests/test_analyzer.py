@@ -23,12 +23,14 @@ from slcterm.analyzer import (
 )
 from slcterm.lattice import ScanLimitExceededError
 from slcterm.poly2 import (
+    EmptyPolyhedronError,
     HalfPlane,
     Line,
     Plane,
     Pointed2,
     Ray,
     Zero,
+    cross,
     decompose,
     hpoly,
 )
@@ -39,6 +41,7 @@ from conftest import (
     halfint_loop,
     halfplane_loop,
     inc_loop,
+    meets_open_arc,
     pair_loop,
     quad_loop,
     random_slc,
@@ -99,6 +102,34 @@ def test_cone_regions_golden():
     assert cone_regions(HalfPlane((1, 1), (0, 1))) == RegionFlags(True, False, True, True)
     assert cone_regions(Pointed2((1, 0), (0, 1))) == RegionFlags(True, False, True, False)
     assert cone_regions(Pointed2((1, -2), (2, -1))) == RegionFlags(False, False, False, False)
+
+
+def _grid_cones(r=4):
+    vecs = [(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if (x, y) != (0, 0)]
+    yield Zero()
+    yield Plane()
+    for v in vecs:
+        yield Ray(v)
+        if v[0] > 0 or v == (0, 1):
+            yield Line(v)
+        for w in vecs:
+            if cross(v, w) != 0:
+                yield HalfPlane(v, w)
+                yield Pointed2(v, w)
+
+
+def test_cone_regions_match_per_class_reference():
+    cones = list(_grid_cones())
+    for p in slc_corpus(1000):
+        try:
+            cones.append(decompose(p).cone)
+        except EmptyPolyhedronError:
+            pass
+    assert {type(c) for c in cones} == {Zero, Plane, Ray, Line, HalfPlane, Pointed2}
+    for c in cones:
+        flags = cone_regions(c)
+        assert flags.i_plus == meets_open_arc(c, (1, 1), (0, 1)), c
+        assert flags.i_minus == meets_open_arc(c, (-1, -1), (0, -1)), c
 
 
 def test_region_feasible_golden():
@@ -162,6 +193,8 @@ DECIDE_GOLDEN = [
     (((1, 1, 1), (-1, -1, -1)), "non-terminating", "CYCLE"),
     # contradictory rows
     (((1, 0, 0), (-1, 0, -1)), "terminating", "EMPTY"),
+    # x' = x - 1: the diagonal line reached through I- (I+ is infeasible)
+    (((1, -1, 1), (-1, 1, -1)), "non-terminating", "L5.4.6"),
 ]
 
 
@@ -207,7 +240,8 @@ def test_cycle_witness_states():
 # dispatch cases shadowed by diagonal cycles: every instance below has a
 # fixed point, so decide() answers CYCLE and the case is only exercised by
 # calling decide_self_avoiding directly.  The case analysis itself does not
-# depend on cycle-freeness.
+# depend on cycle-freeness.  The middle column answers "does an infinite
+# self-avoiding trace exist" (SA_KIND maps it to the verdict kind).
 DIRECT_GOLDEN = [
     # 0 <= x + x' <= 1: band of width 2, alternating trace
     (((-1, -1, 0), (1, 1, 1)), "yes", "L5.4.8"),
@@ -228,36 +262,52 @@ DIRECT_GOLDEN = [
 ]
 
 
+SA_KIND = {"yes": "non-terminating", "no": "terminating", "conjecture-no": "unknown"}
+
+# the witness prefix of each DIRECT_GOLDEN verdict, in order (None: no witness)
+DIRECT_PREFIXES = [
+    (1, -1, 2, -2, 3, -3, 4, -4, 5, -5),
+    None,
+    (1, 2, 3, 5, 8, 12, 18, 27, 41, 62),
+    (2, -3, 5, -7, 11, -16, 24, -36, 54, -81),
+    None,
+    None,
+    (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+    (-1, -2, -3, -4, -5, -6, -7, -8, -9, -10),
+]
+
+
 @pytest.mark.parametrize("rows,kind,label", DIRECT_GOLDEN)
 def test_self_avoiding_direct(rows, kind, label):
     p = hpoly(rows)
     assert decide(p).label == CYCLE
-    res = decide_self_avoiding(p, decompose(p))
-    assert res.kind == kind
-    assert str(res.label) == label
+    v = decide_self_avoiding(p, decompose(p))
+    assert v.kind == SA_KIND[kind]
+    assert v.label == label
+    prefix = DIRECT_PREFIXES[DIRECT_GOLDEN.index((rows, kind, label))]
+    assert (v.witness and v.witness.prefix) == prefix
     if kind == "yes":
-        assert res.seed is not None
+        assert isinstance(v.witness, TraceSeed)
         # the seed replays to a genuine self-avoiding trace
-        v = Verdict("non-terminating", res.label, res.seed)
         trace = witness_trace(p, v, 40)
         assert len(set(trace)) == 40
         verify_states(p, trace)
     else:
-        assert res.seed is None
+        assert v.witness is None
 
 
 def test_seed_modes_cover_band_and_outward():
     # band: 0 <= x + x' <= 1 alternates 1, -1, 2, -2, ...
     p = hpoly([(-1, -1, 0), (1, 1, 1)])
-    res = decide_self_avoiding(p, decompose(p))
-    assert res.seed.mode == "band"
-    assert res.seed.prefix[:6] == (1, -1, 2, -2, 3, -3)
+    v = decide_self_avoiding(p, decompose(p))
+    assert v.witness.mode == "band"
+    assert v.witness.prefix[:6] == (1, -1, 2, -2, 3, -3)
     # outward: line (2, -3) flips sign while |x| grows
     p = hpoly([(-3, -2, 0), (3, 2, 1)])
-    res = decide_self_avoiding(p, decompose(p))
-    assert res.seed.mode == "outward"
-    mags = [abs(s) for s in res.seed.prefix]
-    assert mags == sorted(mags) and len(set(res.seed.prefix)) == len(res.seed.prefix)
+    v = decide_self_avoiding(p, decompose(p))
+    assert v.witness.mode == "outward"
+    mags = [abs(s) for s in v.witness.prefix]
+    assert mags == sorted(mags) and len(set(v.witness.prefix)) == len(v.witness.prefix)
 
 
 def test_witness_trace_rejects_non_nt():
@@ -335,8 +385,8 @@ def _growth_cases():
     for rows, _, label in DIRECT_GOLDEN:
         if label == "L5.4.1":
             p = hpoly(rows)
-            res = decide_self_avoiding(p, decompose(p))
-            cases.append((f"direct{rows}", p, res.label, res.seed))
+            v = decide_self_avoiding(p, decompose(p))
+            cases.append((f"direct{rows}", p, v.label, v.witness))
     return cases
 
 

@@ -8,8 +8,10 @@ import sys
 
 from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
+from slcterm.poly2 import hpoly
 
 from conftest import SEED, random_slc, slab_loop
+from test_analyzer import DECIDE_GOLDEN
 
 SLAB = "slc v1\n4 -3 2\n-4 3 -1\n-1 0 -3\n"
 THIN = "slc v1\n4 -3 1\n-4 3 -1\n-1 0 -3\n"
@@ -28,7 +30,10 @@ def run_cli(*argv, stdin=None):
         sys.stdin = io.StringIO(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as e:  # argparse rejects bad options this way
+                code = e.code
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
@@ -53,6 +58,208 @@ def test_decide_outputs(tmp_path):
     assert code == 0 and out == "non-terminating CYCLE\ncycle: 0 1\n"
     code, out, _ = run_cli("decide", "-", stdin=EMPTY)
     assert code == 0 and out == "terminating EMPTY\n"
+
+
+# stdout of `decide` and `decide --json` for each DECIDE_GOLDEN loop, in order
+DECIDE_BYTES = [
+    (  # L5.3.3
+        "unknown L5.3.3\n",
+        '{"report": "v1", "verdict": "unknown", "case": "L5.3.3", "witness": null, '
+        '"decomposition": {"vertices": [["3", "10/3"], ["3", "11/3"]], '
+        '"cone": {"kind": "ray", "generators": [[3, 4]]}, "vertex_bound": "11/3"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.4
+        "terminating L5.3.4\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.4", "witness": null, '
+        '"decomposition": {"vertices": [["3", "11/3"]], "cone": {"kind": "ray", '
+        '"generators": [[3, 4]]}, "vertex_bound": "11/3"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.1
+        "non-terminating L5.3.1\ntrace: 3 4 5 6 8 10 13 17 22 29\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.3.1", '
+        '"witness": {"type": "trace", "prefix": [3, 4, 5, 6, 8, 10, 13, 17, 22, 29]}, '
+        '"decomposition": {"vertices": [["3", "10/3"], ["3", "4"]], '
+        '"cone": {"kind": "ray", "generators": [[3, 4]]}, "vertex_bound": "4"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.6
+        "non-terminating L5.4.6\ntrace: 1 2 3 4 5 6 7 8 9 10\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.4.6", '
+        '"witness": {"type": "trace", "prefix": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}, '
+        '"decomposition": {"vertices": [["0", "1"]], "cone": {"kind": "line", '
+        '"generators": [[1, 1], [-1, -1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.5.1
+        "non-terminating L5.5.1\ntrace: 1 2 3 4 5 6 7 8 9 10\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.5.1", '
+        '"witness": {"type": "trace", "prefix": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}, '
+        '"decomposition": {"vertices": [["0", "1"]], "cone": {"kind": "half-plane", '
+        '"generators": [[1, 1], [-1, -1], [0, 1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.8
+        "terminating L5.3.8\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.8", "witness": null, '
+        '"decomposition": {"vertices": [["1", "5/2"]], "cone": {"kind": "ray", '
+        '"generators": [[1, 1]]}, "vertex_bound": "5/2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.5.2
+        "terminating L5.5.2\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.5.2", "witness": null, '
+        '"decomposition": {"vertices": [["3", "10"], ["3", "12"], ["5", "10"], ["5", '
+        '"12"]], "cone": {"kind": "zero", "generators": []}, "vertex_bound": "12"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.2
+        "terminating L5.3.2\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.2", "witness": null, '
+        '"decomposition": {"vertices": [["3", "5"]], "cone": {"kind": "ray", '
+        '"generators": [[0, 1]]}, "vertex_bound": "5"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.2
+        "terminating L5.3.2\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.2", "witness": null, '
+        '"decomposition": {"vertices": [["3", "-5/2"]], "cone": {"kind": "ray", '
+        '"generators": [[1, -1]]}, "vertex_bound": "3"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.6
+        "terminating L5.3.6\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.6", "witness": null, '
+        '"decomposition": {"vertices": [["4", "2"]], "cone": {"kind": "ray", '
+        '"generators": [[2, 1]]}, "vertex_bound": "4"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.7
+        "non-terminating L5.3.7\ntrace: 1 3 5 7 9 11 13 15 17 19\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.3.7", '
+        '"witness": {"type": "trace", "prefix": [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]}, '
+        '"decomposition": {"vertices": [["0", "2"]], "cone": {"kind": "ray", '
+        '"generators": [[1, 1]]}, "vertex_bound": "2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.9
+        "non-terminating L5.3.9\ntrace: -1 -3 -5 -7 -9 -11 -13 -15 -17 -19\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.3.9", '
+        '"witness": {"type": "trace", "prefix": [-1, -3, -5, -7, -9, -11, -13, -15, -17, '
+        '-19]}, "decomposition": {"vertices": [["0", "-2"]], "cone": {"kind": "ray", '
+        '"generators": [[-1, -1]]}, "vertex_bound": "2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.10
+        "terminating L5.3.10\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.10", "witness": null, '
+        '"decomposition": {"vertices": [["-1", "-5/2"]], "cone": {"kind": "ray", '
+        '"generators": [[-1, -1]]}, "vertex_bound": "5/2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.3.5
+        "terminating L5.3.5\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.3.5", "witness": null, '
+        '"decomposition": {"vertices": [["1", "13/9"], ["1", "14/9"]], '
+        '"cone": {"kind": "ray", "generators": [[3, 4]]}, "vertex_bound": "14/9"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.10
+        "terminating L5.4.10\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.4.10", "witness": null, '
+        '"decomposition": {"vertices": [["1/2", "0"]], "cone": {"kind": "line", '
+        '"generators": [[0, 1], [0, -1]]}, "vertex_bound": "1/2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.5
+        "terminating L5.4.5\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.4.5", "witness": null, '
+        '"decomposition": {"vertices": [["0", "-1/3"]], "cone": {"kind": "line", '
+        '"generators": [[3, 1], [-3, -1]]}, "vertex_bound": "1/3"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.4
+        "terminating L5.4.4\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.4.4", "witness": null, '
+        '"decomposition": {"vertices": [["0", "-1/4"]], "cone": {"kind": "line", '
+        '"generators": [[2, 3], [-2, -3]]}, "vertex_bound": "1/4"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.7
+        "terminating L5.4.7\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.4.7", "witness": null, '
+        '"decomposition": {"vertices": [["0", "1/3"], ["0", "2/3"]], '
+        '"cone": {"kind": "line", "generators": [[1, 1], [-1, -1]]}, '
+        '"vertex_bound": "2/3"}, "assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.2.1
+        "non-terminating L5.2.1\ntrace: 3 4 5 6 7 8 9 10 11 12\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.2.1", '
+        '"witness": {"type": "trace", "prefix": [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]}, '
+        '"decomposition": {"vertices": [["3", "4"]], "cone": {"kind": "wedge", '
+        '"generators": [[1, 1], [0, 1]]}, "vertex_bound": "4"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.2.2
+        "terminating L5.2.2\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.2.2", "witness": null, '
+        '"decomposition": {"vertices": [["4", "-4"]], "cone": {"kind": "wedge", '
+        '"generators": [[1, -2], [2, -1]]}, "vertex_bound": "4"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.2.4
+        "terminating L5.2.4\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.2.4", "witness": null, '
+        '"decomposition": {"vertices": [["-1", "0"]], "cone": {"kind": "wedge", '
+        '"generators": [[-1, 0], [-1, -1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.2.6
+        "terminating L5.2.6\n",
+        '{"report": "v1", "verdict": "terminating", "case": "L5.2.6", "witness": null, '
+        '"decomposition": {"vertices": [["1", "0"]], "cone": {"kind": "wedge", '
+        '"generators": [[1, 0], [1, 1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # CYCLE
+        "non-terminating CYCLE\ncycle: 0\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "CYCLE", '
+        '"witness": {"type": "cycle", "states": [0]}, '
+        '"decomposition": {"vertices": [["-5/2", "1/2"], ["-1", "2"], ["1/2", "-5/2"], '
+        '["2", "-1"]], "cone": {"kind": "zero", "generators": []}, "vertex_bound": "5/2"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # CYCLE
+        "non-terminating CYCLE\ncycle: 0 1\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "CYCLE", '
+        '"witness": {"type": "cycle", "states": [0, 1]}, '
+        '"decomposition": {"vertices": [["0", "1"]], "cone": {"kind": "line", '
+        '"generators": [[1, -1], [-1, 1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # EMPTY
+        "terminating EMPTY\n",
+        '{"report": "v1", "verdict": "terminating", "case": "EMPTY", "witness": null, '
+        '"decomposition": null, "assumptions": {"assume_reachability": false}}\n',
+    ),
+    (  # L5.4.6
+        "non-terminating L5.4.6\ntrace: -1 -2 -3 -4 -5 -6 -7 -8 -9 -10\n",
+        '{"report": "v1", "verdict": "non-terminating", "case": "L5.4.6", '
+        '"witness": {"type": "trace", "prefix": [-1, -2, -3, -4, -5, -6, -7, -8, -9, -10]}, '
+        '"decomposition": {"vertices": [["0", "-1"]], "cone": {"kind": "line", '
+        '"generators": [[1, 1], [-1, -1]]}, "vertex_bound": "1"}, '
+        '"assumptions": {"assume_reachability": false}}\n',
+    ),
+]
+
+
+def test_decide_bytes_pinned_for_every_golden():
+    assert len(DECIDE_BYTES) == len(DECIDE_GOLDEN)
+    for (rows, _, label), (text, report) in zip(DECIDE_GOLDEN, DECIDE_BYTES):
+        loop = emit_text(hpoly(rows))
+        assert run_cli("decide", "-", stdin=loop) == (0, text, ""), label
+        assert run_cli("decide", "-", "--json", stdin=loop) == (0, report, ""), label
 
 
 def test_decide_assume_reachability():
@@ -214,6 +421,13 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2 and "not both" in err
     code, _, err = run_cli("collatz", "to-slc", "--d", "3", "--m", "2", "--a", "0")
     assert code == 2 and "m > d" in err
+    # negative counts are usage errors that name the option
+    for argv in (("oracle", "-", "--bound", "-5", "--compare"),
+                 ("oracle", "-", "--trace-cap", "-1"),
+                 ("witness", "-", "--length", "-3"),
+                 ("decide", "-", "--scan-limit", "-1")):
+        code, out, err = run_cli(*argv, stdin=INC)
+        assert code == 2 and out == "" and f"argument {argv[2]}: must be >= 0" in err
 
 
 def test_exit_code_3_on_scan_limit():
