@@ -19,7 +19,7 @@ EMPTY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from .lattice import (
@@ -33,7 +33,6 @@ from .lattice import (
 )
 from .poly2 import (
     Cone,
-    EmptyPolyhedronError,
     HalfPlane,
     HPoly,
     Line,
@@ -48,6 +47,7 @@ from .poly2 import (
     decompose,
     hpoly,
     intersect,
+    is_empty,
     swap,
 )
 
@@ -96,6 +96,8 @@ class Verdict:
     kind: str  # "terminating" | "non-terminating" | "unknown"
     label: str
     witness: Union[CycleWitness, TraceSeed, None] = None
+    # the loop's decomposition when `decide` made one, for reports
+    decomposition: Optional[MWDecomp] = field(default=None, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +400,21 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
 def decide(
     p: HPoly, assume_conjecture: bool = False, scan_limit: int = DEFAULT_SCAN_LIMIT
 ) -> Verdict:
-    """Full analysis: cycles, emptiness, then the self-avoiding dispatch.
+    """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
-    A fixed point proves p nonempty, so `cycle1` runs first and p is
-    decomposed once, for the emptiness test and the dispatch alike.
+    Emptiness is `x_extent`'s test on the raw rows, which is cheap on a
+    handful of rows; p is then decomposed once, for the dispatch and the
+    verdict's `decomposition`.
     """
+    if is_empty(p):
+        return Verdict("terminating", EMPTY)
     s = cycle1(p)
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
-    try:
-        d = decompose(p)
-    except EmptyPolyhedronError:
-        return Verdict("terminating", EMPTY)
+    d = decompose(p)
     pair = cycle2(p, scan_limit)
     if pair is not None:
-        return Verdict("non-terminating", CYCLE, CycleWitness(pair))
+        return Verdict("non-terminating", CYCLE, CycleWitness(pair), d)
     v = decide_self_avoiding(p, d, scan_limit)
-    if v.kind == "unknown" and assume_conjecture:
-        return Verdict("terminating", v.label)
-    return v
+    kind = "terminating" if v.kind == "unknown" and assume_conjecture else v.kind
+    return Verdict(kind, v.label, v.witness, d)

@@ -74,7 +74,7 @@ def _cmd_decide(args) -> int:
     p = _read_loop(args.file)
     v = decide(p, assume_conjecture=args.assume_reachability, scan_limit=args.scan_limit)
     if args.json:
-        d = None if v.label == EMPTY else decompose(p)
+        d = v.decomposition or (None if v.label == EMPTY else decompose(p))
         print(emit_report(v, d, args.assume_reachability))
         return 0
     print(f"{v.kind} {v.label}")

@@ -125,8 +125,8 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
     q = hpoly([(pp * a1, a2, pp * b) for a1, a2, b in p.rows])
     cone = d.cone
     if isinstance(cone, Zero):
-        xs = [v[0] for v in d.vertices]
-        counts = [_count(q, z) for z in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)]
+        lo, hi = math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0])  # sorted by x
+        counts = [_count(q, z) for z in range(lo, hi + 1)]
         assert None not in counts, "bounded polyhedron has bounded slices"
         return Height(max(counts, default=0))
     if isinstance(cone, (Ray, Line)):
@@ -187,8 +187,7 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
         return (0, 0)
 
     if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
-        xs = [v[0] for v in d.vertices]
-        lo, hi = math.ceil(min(xs)), math.floor(max(xs))
+        lo, hi = math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0])  # sorted by x
         if lo > hi:
             return None
         return _scan(p, _window_order(lo, hi), scan_limit)
@@ -196,12 +195,11 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     if isinstance(cone, Ray):
         a, _ = cone.v
         m = math.ceil(d.vertex_bound)
-        xs = [v[0] for v in d.vertices]
         # columns past the vertex bound repeat with period |a| (shift v[1])
         if a > 0:
-            lo, hi = math.ceil(min(xs)), m + a - 1
+            lo, hi = math.ceil(d.vertices[0][0]), m + a - 1
         else:
-            lo, hi = -m + a + 1, math.floor(max(xs))
+            lo, hi = -m + a + 1, math.floor(d.vertices[-1][0])
         return _scan(p, _window_order(lo, hi), scan_limit)
 
     if isinstance(cone, Line):

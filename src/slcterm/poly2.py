@@ -2,21 +2,24 @@
 
 A polyhedron is a finite conjunction of rows a1*x1 + a2*x2 <= b with
 integer coefficients.  Everything here is exact: points are pairs of
-`fractions.Fraction`, emptiness is decided by variable elimination, and
-the recession cone is classified into one of six shapes (zero, ray,
-line, half-plane, pointed wedge, plane) with primitive integer
-generators.  `decompose` returns a Minkowski-Weyl pair (vertex list,
-cone) such that the polyhedron equals conv(vertices) + cone as a set of
-real points; a vertex is an end of a boundary line clipped by the rows.
-Every rational one-variable bound from the rows goes through `bound_1d`;
-`lattice.integer_slice` gives the integer ones.
+`fractions.Fraction`, and the recession cone is classified into one of
+six shapes (zero, ray, line, half-plane, pointed wedge, plane) with
+primitive integer generators.  `decompose` returns a Minkowski-Weyl pair
+(vertex list, cone) such that the polyhedron equals conv(vertices) +
+cone as a set of real points.  It reads everything off one canonical
+edge list, built in O(k log k) for k rows: the tightest row of each
+primitive normal, sorted by angle, then cut to the rows that touch the
+polygon by a deque half-plane intersection.  An emptiness test of the
+raw rows alone is `x_extent`'s variable elimination, O(k^2) but cheaper
+on a handful of rows.  Every rational one-variable bound from the rows
+goes through `bound_1d`; `lattice.integer_slice` gives the integer ones.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -268,143 +271,161 @@ def swap(p: HPoly) -> HPoly:
 
 
 # ---------------------------------------------------------------------------
-# recession cone
+# the canonical edge list: recession cone and decomposition
 # ---------------------------------------------------------------------------
 
 _AXES: Tuple[IVec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _effective_normals(p: HPoly) -> list[IVec]:
-    normals: list[IVec] = []
-    seen = set()
-    for a1, a2, _ in p.rows:
+def _sort_ccw(rows: list) -> list:
+    # rows of distinct normal directions by angle from (1, 0), keyed by the
+    # pseudo-angle (s - a1)/s in the upper half-turn and (3s + a1)/s in the
+    # lower one, s = |a1| + |a2|, times 2^k and floored.  Two pseudo-angles
+    # n/s != n'/s' differ by at least 1/(s*s') > 2^-k, so no two keys tie
+    # (a float key would tie normals of 10^17) and the order is exact.
+    k = 2 * max(max(abs(r[0]), abs(r[1])) for r in rows).bit_length() + 2 if rows else 0
+
+    def key(r):
+        s = abs(r[0]) + abs(r[1])
+        lower = r[1] < 0 or (r[1] == 0 and r[0] < 0)
+        return ((3 * s + r[0] if lower else s - r[0]) << k) // s
+
+    return sorted(rows, key=key)
+
+
+def _edges(p: HPoly) -> Optional[list]:
+    """The canonical edge list: the tightest row (least b / gcd) of each
+    primitive normal, in angle order; None if a zero row reads 0 <= b < 0."""
+    best: dict = {}
+    for r in p.rows:
+        a1, a2, b = r
         if a1 == 0 and a2 == 0:
+            if b < 0:
+                return None
             continue
-        n = primitive((a1, a2))
-        if n not in seen:
-            seen.add(n)
-            normals.append(n)
-    return normals
+        g = gcd(a1, a2)
+        kept = best.get((a1 // g, a2 // g))
+        if kept is None or b * kept[0] < kept[1][2] * g:
+            best[a1 // g, a2 // g] = (g, r)
+    return _sort_ccw([r for _, r in best.values()])
 
 
-def _classify_cone(p: HPoly) -> Cone:
-    normals = _effective_normals(p)
-    if not normals:
+def _cone(es: list) -> Cone:
+    # {v : a.v <= 0 for each edge}: the widest angular gap between
+    # consecutive normals gives the shape, and its two ends the generators
+    if not es:
         return Plane()
-
-    # candidate extreme directions lie on some constraint boundary
-    cands: list[IVec] = []
-    cseen = set()
-    for n in normals:
-        for d in ((-n[1], n[0]), (n[1], -n[0])):
-            if d not in cseen:
-                cseen.add(d)
-                cands.append(d)
-    feas = [d for d in cands if all(dot(n, d) <= 0 for n in normals)]
-    if not feas:
-        return Zero()
-    if len(feas) == 1:
-        return Ray(feas[0])
-
-    if all(cross(feas[0], d) == 0 for d in feas[1:]):
-        # both directions of one boundary line survive, so every normal is
-        # perpendicular to it: a line (normals on both sides) or a closed
-        # half-plane (single effective normal)
-        d = _norm_line_dir(feas[0])
-        if len(normals) == 1:
-            n0 = normals[0]
-            w = next(w for w in _AXES if dot(n0, w) < 0)
-            return HalfPlane(boundary=d, interior_witness=w)
-        return Line(d)
-
-    # pointed wedge: feasible directions span < 180 degrees, so the
-    # cross product gives a total angular order; take the extremes
-    order = sorted(feas, key=cmp_to_key(lambda u, v: -1 if cross(u, v) > 0 else 1))
-    return Pointed2(order[0], order[-1])
+    if len(es) == 1:
+        n = primitive(es[0])
+        return HalfPlane(_norm_line_dir((-n[1], n[0])), next(w for w in _AXES if dot(n, w) < 0))
+    for u, v in zip(es, es[1:] + es[:1]):
+        c = cross(u, v)
+        if c <= 0:
+            (u1, u2), (v1, v2) = primitive(u), primitive(v)
+            if c < 0:  # the normals span less than a half-turn, from v to u
+                return Pointed2((-u2, u1), (v2, -v1))
+            # v = -u: alone, a line; else the others lie beyond u's line
+            return Line(_norm_line_dir((-u2, u1))) if len(es) == 2 else Ray((-u2, u1))
+    return Zero()
 
 
-def recession_cone(p: HPoly) -> Cone:
-    """Classify {v : a1*v1 + a2*v2 <= 0 for every row}.
+def _meet(r: Constraint, s: Constraint) -> Tuple[int, int, int]:
+    # where the lines of r and s meet, as (x, y, det): the point (x/det, y/det)
+    (r1, r2, rb), (s1, s2, sb) = r, s
+    return rb * s2 - r2 * sb, r1 * sb - rb * s1, r1 * s2 - r2 * s1
 
-    Requires p nonempty; the classification depends only on the rows'
-    normal vectors.
+
+def _outside(h: Constraint, v: Tuple[int, int, int]) -> bool:
+    # the meet v of two rows, with det = cross > 0, lies strictly outside h
+    return h[0] * v[0] + h[1] * v[1] > h[2] * v[2]
+
+
+def _polygon(es: list, cone: Cone) -> Optional[list[Point]]:
+    """The sorted vertices of a pointed polyhedron from its edges; None if empty.
+
+    The deque half-plane intersection keeps the rows that touch; the
+    vertices are the meets of consecutive rows.  Every test is the sign of
+    a cross product or a 3x3 determinant.  A bounded polygon (Zero cone)
+    closes up; an unbounded one is an open chain of rows, from the end of
+    the widest gap between normals to its start, so nothing wraps round.
     """
-    if is_empty(p):
-        raise EmptyPolyhedronError("recession cone of an empty polyhedron")
-    return _classify_cone(p)
+    closed = isinstance(cone, Zero)
+    if not closed:
+        i = next(i for i in range(len(es)) if cross(es[i - 1], es[i]) <= 0)
+        es = es[i:] + es[:i]
+    dq: deque = deque()  # (row, its meet with the row before it)
+    for h in es:
+        while len(dq) > 1 and _outside(h, dq[-1][1]):
+            dq.pop()
+        while len(dq) > 1 and _outside(h, dq[1][1]):
+            dq.popleft()
+        if dq and cross(dq[-1][0], h) <= 0:
+            return None
+        dq.append((h, _meet(dq[-1][0], h) if dq else None))
+    if closed:
+        while len(dq) > 2 and _outside(dq[0][0], dq[-1][1]):
+            dq.pop()
+        while len(dq) > 2 and _outside(dq[-1][0], dq[1][1]):
+            dq.popleft()
+        if len(dq) < 3 or cross(dq[-1][0], dq[0][0]) <= 0:
+            return None
+        dq[0] = (dq[0][0], _meet(dq[-1][0], dq[0][0]))
+    found = {}
+    for _, (x, y, det) in list(dq)[not closed:]:
+        gx, gy = gcd(x, det), gcd(y, det)
+        found[x // gx, det // gx, y // gy, det // gy] = None
+    # in (x, y) order by floor(2^k * coordinate): distinct coordinates
+    # differ by at least 1/den^2 > 2^-k, so the keys are exact
+    k = 2 * max((max(v[1], v[3]) for v in found), default=1).bit_length() + 1
+    pts = sorted(found, key=lambda v: ((v[0] << k) // v[1], (v[2] << k) // v[3]))
+    return [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in pts]
 
 
-# ---------------------------------------------------------------------------
-# decomposition
-# ---------------------------------------------------------------------------
-
-
-def _vertices(p: HPoly) -> list[Point]:
-    """Every feasible intersection of two non-parallel row boundaries, sorted.
-
-    Each line a.x = b, parametrised as (b*a + s*(-a2, a1)) / |a|^2, is
-    clipped by every row.  Where the lines of a and c meet, the one with
-    cross(a, c) > 0 ends there, so the upper ends are the vertices: O(k^2).
-    """
-    found = set()
-    for a1, a2, b in p.rows:
-        nn = a1 * a1 + a2 * a2
-        if nn == 0:
-            continue
-        # c.(point(s)) <= bc  <=>  s*cross(a, c) <= bc*|a|^2 - b*dot(a, c)
-        _, _, s = bound_1d(
-            (a1 * c2 - a2 * c1, bc * nn - b * (a1 * c1 + a2 * c2)) for c1, c2, bc in p.rows
-        )
-        if s is not None:
-            found.add(((a1 * b - s * a2) / nn, (a2 * b + s * a1) / nn))
-    return sorted(found)
-
-
-def _collinear_profile(p: HPoly) -> Tuple[IVec, Optional[Rat], Optional[Rat]]:
-    """Bounds of a polyhedron whose nontrivial normals are all collinear.
-
-    Returns (n, lo, hi) with the point set equal to {lo <= n.x <= hi}
-    for the canonically signed primitive normal n.
-    """
-    a = next((a1, a2) for a1, a2, _ in p.rows if a1 != 0 or a2 != 0)
-    n = _norm_line_dir(primitive(a))
+def _anchors(es: list) -> Optional[list[Point]]:
+    # a line or half-plane cone: p is lo <= n.x <= hi for the canonically
+    # signed primitive normal n, read off the one or two opposite edges;
+    # the anchor on n.x = c is (0, c/n2), or (c/n1, 0) when n2 = 0
+    n = _norm_line_dir(primitive(es[0]))
     i = 0 if n[0] != 0 else 1
-    _, lo, hi = bound_1d((r[i] // n[i], r.b) for r in p.rows)
-    return n, lo, hi
-
-
-def _anchor_on(n: IVec, c: Rat) -> Point:
-    # canonical point on the line n.x = c
-    if n[1] != 0:
-        return (Fraction(0), Fraction(c) / n[1])
-    return (Fraction(c) / n[0], Fraction(0))
+    empty, lo, hi = bound_1d((r[i] // n[i], r.b) for r in es)
+    zero = Fraction(0)
+    anchors = {(zero, c / n[1]) if n[1] else (c / n[0], zero) for c in (lo, hi) if c is not None}
+    return None if empty else sorted(anchors)
 
 
 def decompose(p: HPoly) -> MWDecomp:
     """Minkowski-Weyl decomposition with a canonical vertex list.
 
-    Pointed cones (Zero/Ray/Pointed2): the vertex list is every feasible
-    intersection of two non-parallel constraint boundaries, found as the
-    upper ends of the boundary lines clipped by the rows; it covers all
-    true vertices.  Cones with lineality have no vertices; the list holds
-    one canonical anchor per finite bound of the (collinear) constraint
-    profile so the sum still reproduces p exactly.
+    Read off the canonical edge list (`_edges`, O(k log k)): the cone from
+    its angular gaps; for pointed cones (Zero/Ray/Pointed2), emptiness and
+    the true vertices from a deque half-plane intersection, O(k).  Cones
+    with lineality have no vertices: the list holds one canonical anchor
+    per finite bound of the edges.  Emptiness alone is `x_extent`'s test.
     """
-    if is_empty(p):
+    es = _edges(p)
+    if es is None:
         raise EmptyPolyhedronError("decomposition of an empty polyhedron")
-    cone = _classify_cone(p)
-    if isinstance(cone, (Zero, Ray, Pointed2)):
-        verts = _vertices(p)
-    elif isinstance(cone, Plane):
-        verts = [(Fraction(0), Fraction(0))]
+    cone = _cone(es)
+    if isinstance(cone, Plane):
+        verts: Optional[list[Point]] = [(Fraction(0), Fraction(0))]
+    elif isinstance(cone, (Line, HalfPlane)):
+        verts = _anchors(es)
     else:
-        n, lo, hi = _collinear_profile(p)
-        anchors = []
-        if lo is not None:
-            anchors.append(_anchor_on(n, lo))
-        if hi is not None and hi != lo:
-            anchors.append(_anchor_on(n, hi))
-        verts = sorted(anchors)
+        verts = _polygon(es, cone)
+    if verts is None:
+        raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     assert verts, "nonempty pointed polyhedron must expose a vertex"
-    bound = max(max(abs(x), abs(y)) for x, y in verts)
-    return MWDecomp(tuple(verts), cone, bound)
+    bn, bd = 0, 1  # max |coordinate|, compared by cross-multiplication
+    for c in (c for v in verts for c in v):
+        if abs(c.numerator) * bd > bn * c.denominator:
+            bn, bd = abs(c.numerator), c.denominator
+    return MWDecomp(tuple(verts), cone, Fraction(bn, bd))
+
+
+def recession_cone(p: HPoly) -> Cone:
+    """Classify {v : a1*v1 + a2*v2 <= 0 for every row} of a nonempty p.
+
+    The shape depends only on the rows' normals (see `_cone`); an empty p
+    raises EmptyPolyhedronError.
+    """
+    return decompose(p).cone

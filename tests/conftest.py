@@ -5,6 +5,7 @@ varying column thickness, inc is x' = x + 1, quad is a small polytope
 with a fixed point, pair swaps 0 and 1.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -83,6 +84,31 @@ def wedge_loop(k):
 def translated(p, c):
     """p with every state moved by -c: row b becomes b - (a1 + a2)*c."""
     return hpoly([(a1, a2, b - (a1 + a2) * c) for a1, a2, b in p.rows])
+
+
+def scaled(p, s):
+    """p with every row multiplied by s > 0: the same point set."""
+    return hpoly([(s * a1, s * a2, s * b) for a1, a2, b in p.rows])
+
+
+def tangent_polygon(rng, k, r=5):
+    """k rows around a disk of radius r at a random centre.  About four
+    fifths are tangents with normals spread round the circle, so the
+    polygon is bounded; the rest repeat a tangent, scaled, or loosen it."""
+    cx, cy = rng.randint(-20, 20), rng.randint(-20, 20)
+    tangents = max(8, k - k // 5)
+    rows = []
+    for j in range(tangents):
+        theta = 2 * math.pi * (j + rng.uniform(-0.3, 0.3)) / tangents
+        size = rng.randint(4, 24)
+        n1, n2 = round(size * math.cos(theta)), round(size * math.sin(theta))
+        rows.append((n1, n2, n1 * cx + n2 * cy + math.isqrt(r * r * (n1 * n1 + n2 * n2) - 1) + 1))
+    while len(rows) < k:
+        n1, n2, b = rng.choice(rows[:tangents])
+        s = rng.randint(1, 3)
+        rows.append((s * n1, s * n2, s * b) if rng.random() < 0.5 else (n1, n2, b + rng.randint(1, 40)))
+    rng.shuffle(rows)
+    return hpoly(rows)
 
 
 def reflected(p):

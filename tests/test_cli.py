@@ -6,6 +6,7 @@ import json
 import random
 import sys
 
+from slcterm import poly2
 from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
 from slcterm.poly2 import hpoly
@@ -279,6 +280,25 @@ def test_decide_json_report():
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "terminating" and obj["decomposition"] is None
+
+
+def test_decide_json_reuses_the_verdicts_decomposition(monkeypatch):
+    # the box 3 <= x <= 5, -5 <= x' <= -3: decide decomposes p, and cycle2
+    # p with its swap; the report reuses the first.  Counted at every
+    # module global that refers to poly2.decompose.
+    real, calls = poly2.decompose, []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("slcterm")]:
+        if getattr(mod, "decompose", None) is real:
+            monkeypatch.setattr(mod, "decompose", counted)
+    code, out, _ = run_cli("decide", "-", "--json", stdin="slc v1\n1 0 5\n-1 0 -3\n0 1 -3\n0 -1 5\n")
+    assert code == 0 and json.loads(out)["case"] == "L5.5.2"
+    assert json.loads(out)["decomposition"]["vertices"] == [["3", "-5"], ["3", "-3"], ["5", "-5"], ["5", "-3"]]
+    assert len(calls) == 2
 
 
 def test_decide_reads_json_loops():

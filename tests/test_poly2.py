@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slcterm.poly2 import (
@@ -34,14 +34,19 @@ from slcterm.poly2 import (
 from conftest import (
     SEED,
     bounded_corpus,
+    halfint_loop,
     halfplane_loop,
     inc_loop,
     pair_loop,
     pairwise_vertices,
     quad_loop,
     random_slc,
+    scaled,
     slab_loop,
+    tangent_polygon,
+    thick_loop,
     thin_loop,
+    translated,
 )
 
 F = Fraction
@@ -245,6 +250,66 @@ def test_vertices_match_pairwise_reference_redundant_rows():
     assert _check_pointed_vertices(loops) >= 250
 
 
+@pytest.mark.parametrize("k", [64, 128])
+def test_vertices_match_pairwise_reference_tangent_polygons(k):
+    # many rows, with duplicate, scaled and loosened copies of tangents
+    rng = random.Random(SEED + k)
+    loops = [tangent_polygon(rng, k) for _ in range(2)]
+    assert _check_pointed_vertices(loops) == len(loops)
+    for p in loops:
+        assert recession_cone(p) == Zero()
+
+
+GOLDENS = [slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop, halfplane_loop, halfint_loop]
+
+
+@pytest.mark.parametrize("build", GOLDENS)
+def test_goldens_scaled_and_translated_far(build):
+    # rows scaled by 10^30 keep the point set; a shift by 2^64 moves the
+    # vertices with it.  Checked against the pairwise reference as well.
+    base = build()
+    d = decompose(base)
+    c = 2**64
+    for p in (scaled(base, 10**30), translated(base, c), translated(scaled(base, 10**30), -c)):
+        assert recession_cone(p) == d.cone
+        assert _check_pointed_vertices([p]) == isinstance(d.cone, (Zero, Ray, Pointed2))
+        assert all(contains(p, w) for w in decompose(p).vertices)
+    assert decompose(scaled(base, 10**30)) == d
+    if isinstance(d.cone, (Zero, Ray, Pointed2)):
+        assert decompose(translated(base, c)).vertices == tuple((x - c, y - c) for x, y in d.vertices)
+
+
+@pytest.mark.parametrize("n", [10**15, 10**17, 10**30])
+def test_near_parallel_normals(n):
+    # the normals (n, n+1), (n+1, n+2), (n+2, n+3) are a hair apart: a
+    # float angle key would tie or swap them, in either row order
+    u, v, w = (n, n + 1), (n + 1, n + 2), (n + 2, n + 3)
+    big = 10**6 * n
+    box = [(1, 0, big), (-1, 0, big), (0, 1, big), (0, -1, big)]
+    for rows in (
+        [(*u, 3), (*v, 5)] + box,
+        [(*v, 5), (*u, 3)] + box,
+        [(*w, 1), (*u, 3), (*v, 5), (-1, 0, 4)] + box,
+        [(*u, 0), (*v, 0), (*w, 0)],
+        [(*w, 0), (*v, 0), (*u, 0)],
+        [(*u, 7), (-u[0], -u[1], -7), (*v, 0)],
+    ):
+        p = hpoly(rows)
+        assert _check_pointed_vertices([p]) == 1, rows
+    # the wedge below the three lines through the origin: its edges are
+    # perpendicular to the extreme normals u and w
+    assert recession_cone(hpoly([(*v, 0), (*u, 0), (*w, 0)])) == Pointed2((-u[1], u[0]), (w[1], -w[0]))
+    assert recession_cone(hpoly([(*u, 7), (-u[0], -u[1], -7), (*v, 0)])) == Ray((-u[1], u[0]))
+
+
+def test_vertex_order_below_float_resolution():
+    # the triangle (0, 1), (2^-70, 0), (1, 0): the first two vertices are
+    # closer in x than a float, or floor(2^64 x), can tell apart
+    p = hpoly([(0, -1, 0), (1, 1, 1), (-(2**70), -1, -1)])
+    assert decompose(p).vertices == ((F(0), F(1)), (F(1, 2**70), F(0)), (F(1), F(0)))
+    assert _check_pointed_vertices([p]) == 1
+
+
 def _closure_samples(rng, p, d, n):
     gens = d.cone.generators()
     for _ in range(n):
@@ -358,3 +423,33 @@ def test_decompose_invariants_random(rows):
     if isinstance(d.cone, (Line, HalfPlane)):
         v = d.cone.v if isinstance(d.cone, Line) else d.cone.boundary
         assert v[0] > 0 or v == (0, 1)
+
+
+def _decomposed(p):
+    try:
+        return decompose(p)
+    except EmptyPolyhedronError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows_strategy, st.randoms(use_true_random=False))
+@example([(0, 0, 1)], random.Random(0))  # plane
+@example([(1, -1, -1)], random.Random(1))  # half-plane
+@example([(1, -1, -1), (-1, 1, 1)], random.Random(2))  # line
+@example([(4, -3, 2), (-4, 3, -1), (-1, 0, -3)], random.Random(3))  # ray
+@example([(-1, 0, 0), (0, -1, 0)], random.Random(4))  # wedge
+@example([(1, 1, 1), (-1, -1, 2), (1, -1, 3), (-1, 1, 3)], random.Random(5))  # zero
+@example([(1, 0, 0), (-1, 0, -1)], random.Random(6))  # empty
+def test_decompose_metamorphic(rows, rnd):
+    # the same decomposition under row permutation, duplication, positive
+    # row scaling and an added loosened copy of a row
+    d = _decomposed(hpoly(rows))
+    permuted = rnd.sample(rows, len(rows))
+    duplicated = rows + [rnd.choice(rows) for _ in range(3)]
+    scaled_rows = [(s * a1, s * a2, s * b) for (a1, a2, b), s in ((r, rnd.randint(1, 9)) for r in rows)]
+    a1, a2, b = rnd.choice(rows)
+    loose = (a1, a2, b + rnd.randint(1, 9))
+    mixed = rnd.sample(scaled_rows + [loose], len(rows) + 1)
+    for variant in (permuted, duplicated, scaled_rows, rows + [loose], mixed):
+        assert _decomposed(hpoly(variant)) == d, variant
