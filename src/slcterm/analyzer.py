@@ -169,16 +169,12 @@ _IP_ROWS = ((-1, 0, -1), (1, -1, -1))
 _IM_ROWS = ((1, 0, -1), (-1, 1, -1))
 
 
-def _region_point(p: HPoly, region: str, scan_limit: int) -> Optional[Tuple[int, int]]:
-    rows = _IP_ROWS if region == "I+" else _IM_ROWS
-    return integer_point_2d(intersect(p, hpoly(rows)), scan_limit)
-
-
-def region_feasible(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> bool:
-    """Does p contain an integer pair inside the open region I+ or I-?"""
+def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
+    """An integer pair of p inside the open region I+ or I-, or None."""
     if region not in ("I+", "I-"):
         raise ValueError("region must be 'I+' or 'I-'")
-    return _region_point(p, region, scan_limit) is not None
+    rows = _IP_ROWS if region == "I+" else _IM_ROWS
+    return integer_point_2d(intersect(p, hpoly(rows)), scan_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +182,6 @@ def region_feasible(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT)
 # ---------------------------------------------------------------------------
 
 _PREFIX_LEN = 10
-
-
-def _verify(p: HPoly, states) -> None:
-    for a, b in zip(states, states[1:]):
-        if not contains(p, (a, b)):
-            raise ExtensionFailedError(f"invalid transition ({a}, {b}) in generated trace")
-
-
-def _cycle_states(p: HPoly, states: Tuple[int, ...], length: int) -> list[int]:
-    out = [states[i % len(states)] for i in range(length)]
-    _verify(p, out)
-    return out
-
-
-def _shift_states(p: HPoly, a: int, b: int, length: int) -> list[int]:
-    step = b - a
-    out = [a + i * step for i in range(length)]
-    _verify(p, out)
-    return out
-
-
-def _band_states(p: HPoly, a: int, b: int, length: int) -> list[int]:
-    # walk the band a <= x + x' <= b: odd steps land on sum a, even on sum b
-    out = [2 * abs(a) if a != 0 else 1]
-    while len(out) < length:
-        i = len(out)
-        out.append((a if i % 2 == 1 else b) - out[-1])
-    _verify(p, out)
-    return out
 
 
 def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
@@ -251,7 +218,7 @@ def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]
     step = -1 if mode == "descend" else 1
     t, walked, trace = 1, 0, []
     if mode != "outward":
-        pt = _region_point(p, "I+" if step > 0 else "I-", scan_limit)
+        pt = region_point(p, "I+" if step > 0 else "I-", scan_limit)
         if pt is None:
             raise ExtensionFailedError("growth seed query came back empty")
         trace = [pt[0]]
@@ -270,18 +237,30 @@ def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]
                 break
             trace.append(nxt)
         if len(trace) >= length:
-            _verify(p, trace)
             return trace
         t = max(t + 1, abs(trace[-1]) + 1)
         trace = []
 
 
-def _seed_states(p: HPoly, seed: TraceSeed, length: int, scan_limit: int) -> list[int]:
-    if seed.mode == "shift":
-        return _shift_states(p, seed.data[0], seed.data[1], length)
-    if seed.mode == "band":
-        return _band_states(p, seed.data[0], seed.data[1], length)
-    return _grow_states(p, seed.mode, length, scan_limit)
+def _states(p: HPoly, witness: Union[CycleWitness, TraceSeed], length: int, scan_limit: int) -> list[int]:
+    # the first `length` states of any witness, each transition re-checked
+    if isinstance(witness, CycleWitness):
+        out = [witness.states[i % len(witness.states)] for i in range(length)]
+    elif witness.mode == "shift":
+        a, b = witness.data
+        out = [a + i * (b - a) for i in range(length)]
+    elif witness.mode == "band":
+        # walk the band a <= x + x' <= b: odd steps land on sum a, even on sum b
+        a, b = witness.data
+        out = [2 * abs(a) if a != 0 else 1]
+        while len(out) < length:
+            out.append((a if len(out) % 2 == 1 else b) - out[-1])
+    else:
+        out = _grow_states(p, witness.mode, length, scan_limit)
+    for x, y in zip(out, out[1:]):
+        if not contains(p, (x, y)):
+            raise ExtensionFailedError(f"invalid transition ({x}, {y}) in generated trace")
+    return out
 
 
 def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
@@ -294,9 +273,7 @@ def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_S
         raise NotNonTerminatingError("witness traces exist only for non-terminating verdicts")
     if length <= 0:
         return []
-    if isinstance(v.witness, CycleWitness):
-        return _cycle_states(p, v.witness.states, length)
-    return _seed_states(p, v.witness, length, scan_limit)
+    return _states(p, v.witness, length, scan_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +282,7 @@ def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_S
 
 
 def _seeded(p: HPoly, label: str, mode: str, data: Tuple[int, ...], scan_limit: int) -> Verdict:
-    prefix = _seed_states(p, TraceSeed(mode, data, ()), _PREFIX_LEN, scan_limit)
+    prefix = _states(p, TraceSeed(mode, data, ()), _PREFIX_LEN, scan_limit)
     return Verdict("non-terminating", label, TraceSeed(mode, data, tuple(prefix)))
 
 
@@ -313,7 +290,7 @@ def _shift_case(p: HPoly, regions, yes: str, no: str, scan_limit: int) -> Verdic
     # a transition (a, b) inside I+ or I- repeats along the diagonal recession
     # direction as a -> b -> 2b - a -> ...; without one the loop terminates
     for region in regions:
-        pt = _region_point(p, region, scan_limit)
+        pt = region_point(p, region, scan_limit)
         if pt is not None:
             return _seeded(p, yes, "shift", pt, scan_limit)
     return Verdict("terminating", no)
@@ -380,11 +357,9 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
     if pp == q:  # the diagonal line (1, 1)
         return _shift_case(p, ("I+", "I-"), "L5.4.6", "L5.4.7", scan_limit)
     if pp == -q:  # the anti-diagonal line (1, -1)
-        h = height(p, d, 1).value
-        assert h is not None
-        if h >= 2:
-            span = column(p, 0)
-            assert span is not None and None not in span
+        # every column is a translate of column 0, so its length is the 1-height
+        span = column(p, 0)
+        if span is not None and span[1] - span[0] >= 1:
             return _seeded(p, "L5.4.8", "band", span, scan_limit)
         return Verdict("terminating", "L5.4.9")
     # 0 < p < |q|

@@ -272,22 +272,22 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_weak_args(sp)
     _add_gen_args(sp)
     sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--abs-bound", type=int, default=10**18)
+    sp.add_argument("--steps", type=_count, default=1000)
+    sp.add_argument("--abs-bound", type=_count, default=10**18)
     sp.set_defaults(func=_cmd_orbit)
 
     sp = csub.add_parser("reach", help="scan a weak-map orbit for an exact-division point")
     _add_weak_args(sp)
     sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--abs-bound", type=int, default=10**18)
+    sp.add_argument("--steps", type=_count, default=1000)
+    sp.add_argument("--abs-bound", type=_count, default=10**18)
     sp.set_defaults(func=_cmd_reach)
 
     sp = csub.add_parser("hist", help="residue histogram of an orbit mod d**alpha")
     _add_weak_args(sp)
     _add_gen_args(sp)
     sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=int, default=1000)
+    sp.add_argument("--steps", type=_count, default=1000)
     sp.add_argument("--alpha", type=int, default=1)
     sp.set_defaults(func=_cmd_hist)
 
@@ -304,6 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # integers are arbitrary precision
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -182,39 +182,29 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     except EmptyPolyhedronError:
         return None
     cone = d.cone
-
+    m = math.ceil(d.vertex_bound)
     if isinstance(cone, Plane):
-        return (0, 0)
-
-    if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
+        lo = hi = 0
+    elif isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
         lo, hi = math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0])  # sorted by x
-        if lo > hi:
-            return None
-        return _scan(p, _window_order(lo, hi), scan_limit)
-
-    if isinstance(cone, Ray):
-        a, _ = cone.v
-        m = math.ceil(d.vertex_bound)
+    elif isinstance(cone, Ray):
         # columns past the vertex bound repeat with period |a| (shift v[1])
+        a = cone.v[0]
         if a > 0:
             lo, hi = math.ceil(d.vertices[0][0]), m + a - 1
         else:
             lo, hi = -m + a + 1, math.floor(d.vertices[-1][0])
-        return _scan(p, _window_order(lo, hi), scan_limit)
-
-    if isinstance(cone, Line):
+    elif isinstance(cone, Line):
         # every column is an exact integer translate of one of these
-        a = cone.v[0]
-        return _scan(p, range(0, a), scan_limit)
-
-    # 2D cone: far columns are unbounded (vertical direction inside the
-    # cone) or widen at the generators' slope gap until they must hold
-    # an integer
-    m = math.ceil(d.vertex_bound)
-    if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
-        extra = 1
+        lo, hi = 0, cone.v[0] - 1
     else:
-        # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
-        extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
-    limit = m + extra
-    return _scan(p, _window_order(-limit, limit), scan_limit)
+        # 2D cone: far columns are unbounded (vertical direction inside the
+        # cone) or widen at the generators' slope gap until they must hold
+        # an integer
+        if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
+            extra = 1
+        else:
+            # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
+            extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
+        lo, hi = -(m + extra), m + extra
+    return _scan(p, _window_order(lo, hi), scan_limit)

@@ -129,10 +129,6 @@ def emit_json(p: HPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rat_str(x) -> str:
-    return str(x)  # Fraction prints n/d, integers print bare
-
-
 def _cone_json(c: Cone) -> Dict[str, Any]:
     return {
         "kind": c.kind,
@@ -160,8 +156,8 @@ def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: boo
     }
     if decomp is not None:
         obj["decomposition"] = {
-            "vertices": [[_rat_str(x), _rat_str(y)] for x, y in decomp.vertices],
+            "vertices": [[str(x), str(y)] for x, y in decomp.vertices],
             "cone": _cone_json(decomp.cone),
-            "vertex_bound": _rat_str(decomp.vertex_bound),
+            "vertex_bound": str(decomp.vertex_bound),
         }
     return json.dumps(obj)

@@ -12,15 +12,10 @@ decomposition, recession cone, height or integer-point search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .lattice import column
 from .poly2 import HPoly
-
-
-class PreconditionSignError(ValueError):
-    """diagonal_collapse needs both endpoints on the same side of alpha."""
 
 
 @dataclass(frozen=True)
@@ -31,22 +26,11 @@ class TransGraph:
     bound: int
     span: Dict[int, Tuple[int, int]]
 
-    def states(self) -> List[int]:
-        return sorted(self.span)
-
     def succ(self, x: int) -> range:
         if x not in self.span:
             return range(0)
         lo, hi = self.span[x]
         return range(lo, hi + 1)
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return y in self.succ(x)
-
-    def edges(self) -> Iterator[Tuple[int, int]]:
-        for x in self.states():
-            for y in self.succ(x):
-                yield (x, y)
 
 
 def build_graph(p: HPoly, bound: int) -> TransGraph:
@@ -142,17 +126,3 @@ def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int
         if len(trace) <= limit:
             return trace
     return None
-
-
-def diagonal_collapse(
-    a: Union[int, Fraction], alpha: Union[int, Fraction], b: Union[int, Fraction]
-) -> Fraction:
-    """Collapse the segment between diagonal points (a, alpha) and
-    (alpha, b) onto the diagonal: the line through them crosses it at
-    (b*a - alpha^2) / (a + b - 2*alpha).  Endpoints must sit strictly on
-    the same side of alpha."""
-    a, alpha, b = Fraction(a), Fraction(alpha), Fraction(b)
-    da, db = a - alpha, b - alpha
-    if da == 0 or db == 0 or (da > 0) != (db > 0):
-        raise PreconditionSignError("a and b must lie strictly on one side of alpha")
-    return (b * a - alpha * alpha) / (a + b - 2 * alpha)

@@ -153,15 +153,12 @@ class MWDecomp:
 # ---------------------------------------------------------------------------
 
 
-def primitive(v: Sequence[Union[int, Rat]]) -> IVec:
-    """Unique primitive integer vector on the ray through v (v != 0)."""
-    x, y = Fraction(v[0]), Fraction(v[1])
-    if x == 0 and y == 0:
+def primitive(v: Sequence[int]) -> IVec:
+    """Unique primitive integer vector on the ray through integer v (v != 0)."""
+    g = gcd(v[0], v[1])
+    if g == 0:
         raise ZeroVectorError("zero vector has no direction")
-    den = (x.denominator * y.denominator) // gcd(x.denominator, y.denominator)
-    ix, iy = int(x * den), int(y * den)
-    g = gcd(abs(ix), abs(iy))
-    return (ix // g, iy // g)
+    return (v[0] // g, v[1] // g)
 
 
 def cross(u: Sequence[int], v: Sequence[int]) -> int:
@@ -420,12 +417,3 @@ def decompose(p: HPoly) -> MWDecomp:
         if abs(c.numerator) * bd > bn * c.denominator:
             bn, bd = abs(c.numerator), c.denominator
     return MWDecomp(tuple(verts), cone, Fraction(bn, bd))
-
-
-def recession_cone(p: HPoly) -> Cone:
-    """Classify {v : a1*v1 + a2*v2 <= 0 for every row} of a nonempty p.
-
-    The shape depends only on the rows' normals (see `_cone`); an empty p
-    raises EmptyPolyhedronError.
-    """
-    return decompose(p).cone

@@ -18,7 +18,7 @@ from slcterm.analyzer import (
     decide,
     decide_self_avoiding,
     has_cycle,
-    region_feasible,
+    region_point,
     witness_trace,
 )
 from slcterm.lattice import ScanLimitExceededError
@@ -133,13 +133,13 @@ def test_cone_regions_match_per_class_reference():
 
 
 def test_region_feasible_golden():
-    assert region_feasible(inc_loop(), "I+")
-    assert not region_feasible(inc_loop(), "I-")
-    assert not region_feasible(halfint_loop(), "I+")  # x' = x + 3/2 misses Z^2
-    assert not region_feasible(quad_loop(), "I+")  # 0 < x < x' forces x + x' >= 3
-    assert region_feasible(hpoly([(-1, 1, -2), (1, -1, 2), (1, 0, 0)]), "I-")
+    assert region_point(inc_loop(), "I+") is not None
+    assert region_point(inc_loop(), "I-") is None
+    assert region_point(halfint_loop(), "I+") is None  # x' = x + 3/2 misses Z^2
+    assert region_point(quad_loop(), "I+") is None  # 0 < x < x' forces x + x' >= 3
+    assert region_point(hpoly([(-1, 1, -2), (1, -1, 2), (1, 0, 0)]), "I-") is not None
     with pytest.raises(ValueError):
-        region_feasible(inc_loop(), "diag")
+        region_point(inc_loop(), "diag")
 
 
 # decide-level goldens: every dispatch label reachable from decide()

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 
 from slcterm import poly2
 from slcterm.cli import main
@@ -448,6 +450,43 @@ def test_exit_code_2_on_bad_input(tmp_path):
                  ("decide", "-", "--scan-limit", "-1")):
         code, out, err = run_cli(*argv, stdin=INC)
         assert code == 2 and out == "" and f"argument {argv[2]}: must be >= 0" in err
+    weak = ("--d", "3", "--m", "4", "--a", "0", "--start", "4")
+    for argv in (("collatz", "orbit", *weak, "--steps", "-1"),
+                 ("collatz", "orbit", *weak, "--abs-bound", "-1"),
+                 ("collatz", "reach", *weak, "--steps", "-1"),
+                 ("collatz", "reach", *weak, "--abs-bound", "-1"),
+                 ("collatz", "hist", *weak, "--steps", "-1")):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and f"argument {argv[-2]}: must be >= 0" in err
+
+
+def test_integers_past_the_int_str_digit_limit():
+    # CPython caps int <-> str conversion at 4,300 digits by default; the
+    # CLI lifts the cap, so loops and reports stay arbitrary precision
+    big = "1" + "0" * 4998 + "1"  # 5,000 digits, built without a conversion
+    want = "non-terminating CYCLE\ncycle: 0\n"
+    assert run_cli("decide", "-", stdin=f"slc v1\n1 0 {big}\n-1 1 0\n") == (0, want, "")
+    doc = '{"format": "slc-v1", "constraints": [["1", "0", "%s"], ["-1", "1", "0"]]}' % big
+    assert run_cli("decide", "-", stdin=doc) == (0, want, "")
+    # 2,500-digit rows whose vertices have about 5,000 digits
+    a, b = 10**2500 + 7, 3 * 10**2400 + 1
+    p = hpoly([(a, 1, b), (1, a, b + 2), (-1, 0, 0), (0, -1, 0)])
+    text = emit_text(p)
+    code, out, err = run_cli("decide", "-", stdin=text)
+    assert (code, out, err) == (0, want, "")
+    # the CLI has lifted the cap in this process, so the long fractions parse
+    want_vertices = poly2.decompose(p).vertices
+    code, out, err = run_cli("decide", "--json", "-", stdin=text)
+    assert code == 0 and err == ""
+    got = json.loads(out)["decomposition"]["vertices"]
+    assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
+    assert max(len(x) for v in got for x in v) > 4300
+    code, out, err = run_cli("decompose", "-", stdin=text)
+    assert code == 0 and err == ""
+    line = out.splitlines()[0]
+    assert line.startswith("vertices: ")
+    got = re.findall(r"\(([^,()]+), ([^,()]+)\)", line)
+    assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
 
 
 def test_exit_code_3_on_scan_limit():

@@ -30,9 +30,11 @@ from conftest import (
     pair_loop,
     quad_loop,
     random_slc,
+    reflected,
     slab_loop,
     thick_loop,
     thin_loop,
+    wedge_loop,
 )
 
 F = Fraction
@@ -207,6 +209,20 @@ def test_integer_point_2d_golden():
     # descending ray: the slab mirrored through the origin
     p = hpoly([(-4, 3, 2), (4, -3, -1), (1, 0, -3)])
     assert integer_point_2d(p) == (-4, -5)
+    # line cones: columns 0, 1, 2 in that order, so 3x' - x = 1 gives
+    # (2, 1) and not (-1, 0)
+    assert integer_point_2d(hpoly([(-1, 3, 1), (1, -3, -1)])) == (2, 1)
+    assert integer_point_2d(hpoly([(2, 3, 1), (-2, -3, -1)])) == (2, -1)  # line (3, -2)
+    assert integer_point_2d(hpoly([(2, 3, 7), (-2, -3, -7)])) == (2, 1)
+    # half-planes, both orientations
+    assert integer_point_2d(halfplane_loop()) == (0, 1)
+    assert integer_point_2d(hpoly([(-1, 1, -1)])) == (0, -1)
+    assert integer_point_2d(hpoly([(-2, -3, -7)])) == (0, 3)
+    assert integer_point_2d(hpoly([(2, 3, -7)])) == (0, -3)
+    # wedges: strictly on one side of the vertical, and holding (0, 1)
+    assert integer_point_2d(wedge_loop(5)) == (4, 5)
+    assert integer_point_2d(reflected(wedge_loop(5))) == (-4, -5)
+    assert integer_point_2d(hpoly([(2, -1, -3), (-1, -1, -5)])) == (0, 5)
 
 
 def test_integer_point_2d_scan_limit():
