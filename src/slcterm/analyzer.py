@@ -33,6 +33,7 @@ from .lattice import (
 )
 from .poly2 import (
     Cone,
+    EmptyPolyhedronError,
     HalfPlane,
     HPoly,
     Line,
@@ -67,6 +68,9 @@ class ExtensionFailedError(RuntimeError):
 
 CYCLE = "CYCLE"
 EMPTY = "EMPTY"
+# `decide` tests emptiness by `is_empty` up to this many rows; above, on an
+# empty loop, `decompose`'s edge list is the cheaper test (measured crossover)
+_FM_ROWS = 30
 
 
 @dataclass(frozen=True)
@@ -195,19 +199,14 @@ def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     if mode == "descend":
         y = s - 1 if hi is None else min(hi, s - 1)
         return y if lo is None or y >= lo else None
-    # outward: smallest |y| with |y| > |s|, nonnegative preferred
+    # outward: smallest |y| with |y| > |s|, nonnegative preferred; a column
+    # holding both signs holds |s| + 1 itself
     t = abs(s) + 1
-    up: Optional[int] = t if lo is None else max(lo, t)
-    if up is not None and hi is not None and up > hi:
-        up = None
-    down: Optional[int] = -t if hi is None else min(hi, -t)
-    if down is not None and lo is not None and down < lo:
-        down = None
-    if up is None:
-        return down
-    if down is None:
-        return up
-    return up if up <= -down else down
+    y = t if lo is None else max(lo, t)
+    if hi is None or y <= hi:
+        return y
+    y = min(hi, -t)
+    return y if lo is None or y >= lo else None
 
 
 def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]:
@@ -377,16 +376,19 @@ def decide(
 ) -> Verdict:
     """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
-    Emptiness is `x_extent`'s test on the raw rows, which is cheap on a
-    handful of rows; p is then decomposed once, for the dispatch and the
+    One emptiness test per loop answers EMPTY: `is_empty` on at most 30
+    rows, else `decompose`, which runs once, for the dispatch and the
     verdict's `decomposition`.
     """
-    if is_empty(p):
+    if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
     s = cycle1(p)
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
-    d = decompose(p)
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
+        return Verdict("terminating", EMPTY)
     pair = cycle2(p, scan_limit)
     if pair is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness(pair), d)

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 analysis completed, 2 bad input or usage, 3 scan limit
-exceeded, 4 oracle disagreement under --compare.
+Exit codes: 0 analysis completed, 2 bad input or usage, or out of
+memory, 3 scan limit exceeded, 4 oracle disagreement under --compare.
 """
 
 from __future__ import annotations
@@ -304,11 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # integers are arbitrary precision
+    # integers are arbitrary precision: lift the int/str digit cap while
+    # main runs (argument parsing too), and give the caller's cap back after
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ScanLimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -316,6 +318,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, LoopFormatError, SchemaMismatchError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

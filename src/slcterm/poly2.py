@@ -9,10 +9,12 @@ primitive integer generators.  `decompose` returns a Minkowski-Weyl pair
 cone as a set of real points.  It reads everything off one canonical
 edge list, built in O(k log k) for k rows: the tightest row of each
 primitive normal, sorted by angle, then cut to the rows that touch the
-polygon by a deque half-plane intersection.  An emptiness test of the
-raw rows alone is `x_extent`'s variable elimination, O(k^2) but cheaper
-on a handful of rows.  Every rational one-variable bound from the rows
-goes through `bound_1d`; `lattice.integer_slice` gives the integer ones.
+polygon by a deque half-plane intersection, and raises
+`EmptyPolyhedronError` where that finds p empty.  `is_empty` alone is
+`x_extent`'s variable elimination, O(k^2) but cheaper on a few rows:
+`analyzer.decide` answers EMPTY by it up to 30 rows, by `decompose`
+above.  Every rational one-variable bound from the rows goes through
+`bound_1d`; `lattice.integer_slice` gives the integer ones.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -237,14 +240,15 @@ def x_extent(p: HPoly) -> Extent:
 
     Returns (empty, lo, hi) with None for an unbounded side.  Exact for
     real points: Fourier-Motzkin on non-strict rows, combining each lower
-    row l with each upper row u as (-l2)*u + u2*l.
+    row l with each upper row u as (-l2)*u + u2*l.  The k^2/4 pairs are
+    streamed into `bound_1d`, so memory stays O(k).
     """
     uppers = [r for r in p.rows if r.a2 > 0]
     lowers = [r for r in p.rows if r.a2 < 0]
-    pairs = [(a1, b) for a1, a2, b in p.rows if a2 == 0]
-    pairs += [(u2 * l1 - l2 * u1, u2 * lb - l2 * ub)
-              for l1, l2, lb in lowers for u1, u2, ub in uppers]
-    return bound_1d(pairs)
+    return bound_1d(chain(
+        ((a1, b) for a1, a2, b in p.rows if a2 == 0),
+        ((u2 * l1 - l2 * u1, u2 * lb - l2 * ub) for l1, l2, lb in lowers for u1, u2, ub in uppers),
+    ))
 
 
 def is_empty(p: HPoly) -> bool:
@@ -290,15 +294,15 @@ def _sort_ccw(rows: list) -> list:
     return sorted(rows, key=key)
 
 
-def _edges(p: HPoly) -> Optional[list]:
+def _edges(p: HPoly) -> list:
     """The canonical edge list: the tightest row (least b / gcd) of each
-    primitive normal, in angle order; None if a zero row reads 0 <= b < 0."""
+    primitive normal, in angle order.  A zero row with b < 0 raises."""
     best: dict = {}
     for r in p.rows:
         a1, a2, b = r
         if a1 == 0 and a2 == 0:
             if b < 0:
-                return None
+                raise EmptyPolyhedronError("decomposition of an empty polyhedron")
             continue
         g = gcd(a1, a2)
         kept = best.get((a1 // g, a2 // g))
@@ -337,8 +341,8 @@ def _outside(h: Constraint, v: Tuple[int, int, int]) -> bool:
     return h[0] * v[0] + h[1] * v[1] > h[2] * v[2]
 
 
-def _polygon(es: list, cone: Cone) -> Optional[list[Point]]:
-    """The sorted vertices of a pointed polyhedron from its edges; None if empty.
+def _polygon(es: list, cone: Cone) -> list[Point]:
+    """The sorted vertices of a pointed polyhedron from its edges.
 
     The deque half-plane intersection keeps the rows that touch; the
     vertices are the meets of consecutive rows.  Every test is the sign of
@@ -357,15 +361,11 @@ def _polygon(es: list, cone: Cone) -> Optional[list[Point]]:
         while len(dq) > 1 and _outside(h, dq[1][1]):
             dq.popleft()
         if dq and cross(dq[-1][0], h) <= 0:
-            return None
+            raise EmptyPolyhedronError("decomposition of an empty polyhedron")
         dq.append((h, _meet(dq[-1][0], h) if dq else None))
-    if closed:
+    if closed:  # every meet kept lies inside each later row, so only the back is cut
         while len(dq) > 2 and _outside(dq[0][0], dq[-1][1]):
             dq.pop()
-        while len(dq) > 2 and _outside(dq[-1][0], dq[1][1]):
-            dq.popleft()
-        if len(dq) < 3 or cross(dq[-1][0], dq[0][0]) <= 0:
-            return None
         dq[0] = (dq[0][0], _meet(dq[-1][0], dq[0][0]))
     found = {}
     for _, (x, y, det) in list(dq)[not closed:]:
@@ -378,16 +378,17 @@ def _polygon(es: list, cone: Cone) -> Optional[list[Point]]:
     return [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in pts]
 
 
-def _anchors(es: list) -> Optional[list[Point]]:
+def _anchors(es: list) -> list[Point]:
     # a line or half-plane cone: p is lo <= n.x <= hi for the canonically
     # signed primitive normal n, read off the one or two opposite edges;
     # the anchor on n.x = c is (0, c/n2), or (c/n1, 0) when n2 = 0
     n = _norm_line_dir(primitive(es[0]))
     i = 0 if n[0] != 0 else 1
     empty, lo, hi = bound_1d((r[i] // n[i], r.b) for r in es)
+    if empty:
+        raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     zero = Fraction(0)
-    anchors = {(zero, c / n[1]) if n[1] else (c / n[0], zero) for c in (lo, hi) if c is not None}
-    return None if empty else sorted(anchors)
+    return sorted({(zero, c / n[1]) if n[1] else (c / n[0], zero) for c in (lo, hi) if c is not None})
 
 
 def decompose(p: HPoly) -> MWDecomp:
@@ -397,20 +398,16 @@ def decompose(p: HPoly) -> MWDecomp:
     its angular gaps; for pointed cones (Zero/Ray/Pointed2), emptiness and
     the true vertices from a deque half-plane intersection, O(k).  Cones
     with lineality have no vertices: the list holds one canonical anchor
-    per finite bound of the edges.  Emptiness alone is `x_extent`'s test.
+    per finite bound of the edges.  Raises `EmptyPolyhedronError` if p is empty.
     """
     es = _edges(p)
-    if es is None:
-        raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     cone = _cone(es)
     if isinstance(cone, Plane):
-        verts: Optional[list[Point]] = [(Fraction(0), Fraction(0))]
+        verts = [(Fraction(0), Fraction(0))]
     elif isinstance(cone, (Line, HalfPlane)):
         verts = _anchors(es)
     else:
         verts = _polygon(es, cone)
-    if verts is None:
-        raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     assert verts, "nonempty pointed polyhedron must expose a vertex"
     bn, bd = 0, 1  # max |coordinate|, compared by cross-multiplication
     for c in (c for v in verts for c in v):

@@ -9,7 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-from slcterm.analyzer import _IM_ROWS, _IP_ROWS, _next_state
 from slcterm.lattice import DEFAULT_SCAN_LIMIT, integer_point_2d
 from slcterm.poly2 import (
     HalfPlane,
@@ -111,6 +110,35 @@ def tangent_polygon(rng, k, r=5):
     return hpoly(rows)
 
 
+def large_loop(rng, family):
+    """A loop of 8 to 199 rows (log-uniform) for checking emptiness tests
+    against each other.  Family 0 is random rows, family 1 rows through a
+    common rational point with small offsets, now and then a negative one
+    (near-degenerate), family 2 a tangent polygon cut by one row.  Each is
+    empty in about a third to two thirds of cases.  Coefficients reach
+    10^6."""
+    k = int(8 * 25 ** rng.random())
+    c = rng.choice((3, 100, 10**6))
+    if family == 0:
+        # b reaches k/4 times c, so a few rows exclude the origin
+        return hpoly([(rng.randint(-c, c), rng.randint(-c, c), rng.randint(-c, k // 4 * c))
+                      for _ in range(k)])
+    if family == 1:
+        q, px, py = rng.randint(1, 7), rng.randint(-c, c), rng.randint(-c, c)
+        rows = []
+        for _ in range(k):
+            a1, a2 = rng.randint(-c, c), rng.randint(-c, c)
+            off = rng.randint(-2, -1) if rng.random() < 0.7 / k else rng.randint(0, 2)
+            rows.append((q * a1, q * a2, a1 * px + a2 * py + off))
+        return hpoly(rows)
+    p = tangent_polygon(rng, k - 1)
+    a1, a2 = rng.randint(-c, c), rng.randint(-c, c)
+    a1 = a1 or 1
+    rows = list(p.rows) + [(a1, a2, rng.randint(-30, 30) * (abs(a1) + abs(a2)))]
+    rng.shuffle(rows)
+    return hpoly(rows)
+
+
 def reflected(p):
     """p with every state negated."""
     return hpoly([(-a1, -a2, b) for a1, a2, b in p.rows])
@@ -147,8 +175,9 @@ def bounded_corpus(n=500, seed=SEED + 1, coeff=9):
 
 
 def column_span(p, x, lo, hi):
-    """Integer y-range of the column at x, clipped to [lo, hi], using
-    only integer arithmetic.  Returns None when empty."""
+    """Integer y-range of the column at x, clipped to [lo, hi] (either
+    may be infinite), using only integer arithmetic on the rows.  Returns
+    None when empty."""
     ylo, yhi = lo, hi
     for a1, a2, b in p.rows:
         c = b - a1 * x
@@ -192,6 +221,32 @@ def pairwise_vertices(p):
     return sorted(found)
 
 
+def growth_successor(p, s, mode):
+    """The next state of a growth trace from s, read off `column_span`:
+    ascend takes the least y > s, descend the greatest y < s, outward the
+    y of least |y| > |s|, the nonnegative one on a tie.  None if there is
+    none.  The reference for `analyzer`'s successor rule."""
+    t = abs(s) + 1
+    if mode == "ascend":
+        span = column_span(p, s, s + 1, math.inf)
+        return None if span is None else span[0]
+    if mode == "descend":
+        span = column_span(p, s, -math.inf, s - 1)
+        return None if span is None else span[1]
+    up = column_span(p, s, t, math.inf)
+    down = column_span(p, s, -math.inf, -t)
+    if up is None:
+        return None if down is None else down[1]
+    if down is None:
+        return up[0]
+    return up[0] if up[0] <= -down[1] else down[1]
+
+
+# the growth regions, tightened to integers: 0 < x < x' and x' < x < 0
+I_PLUS_ROWS = ((-1, 0, -1), (1, -1, -1))
+I_MINUS_ROWS = ((1, 0, -1), (-1, 1, -1))
+
+
 def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
     """A growth witness by the restart loop: each seed is a fresh
     `integer_point_2d` query on p cut to the growth region from column t
@@ -200,16 +255,16 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
     t = 1
     for _ in range(10_000):
         if mode == "ascend":
-            extra = _IP_ROWS + ((-1, 0, -t),)
+            extra = I_PLUS_ROWS + ((-1, 0, -t),)
         elif mode == "descend":
-            extra = _IM_ROWS + ((1, 0, -t),)
+            extra = I_MINUS_ROWS + ((1, 0, -t),)
         else:
             extra = ((-1, 0, -t),)
         seed = integer_point_2d(intersect(p, hpoly(extra)), scan_limit)
         assert seed is not None, "growth seed query came back empty"
         trace = [seed[0]]
         while len(trace) < length:
-            nxt = _next_state(p, trace[-1], mode)
+            nxt = growth_successor(p, trace[-1], mode)
             if nxt is None:
                 break
             trace.append(nxt)

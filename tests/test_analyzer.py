@@ -1,10 +1,15 @@
 """Cycle detection, the recession-cone dispatch, and witness traces."""
 
 import random
+import sys
+import tracemalloc
+from collections import Counter
 
 import pytest
 
+from slcterm import poly2
 from slcterm.analyzer import (
+    _FM_ROWS,
     CYCLE,
     EMPTY,
     CycleWitness,
@@ -49,6 +54,7 @@ from conftest import (
     restarting_growth_states,
     slab_loop,
     slc_corpus,
+    tangent_polygon,
     thick_loop,
     thin_loop,
     translated,
@@ -341,6 +347,49 @@ def test_unknown_verdicts_are_conjectural():
         assert v.kind in ("terminating", "non-terminating", "unknown")
         if v.kind == "unknown":
             assert str(v.label) in ("L5.3.3", "L5.4.2")
+
+
+def test_one_emptiness_test_per_loop(monkeypatch):
+    # x_extent's elimination runs on loops of at most _FM_ROWS rows, and
+    # decompose's edge list answers EMPTY above.  Counted at every module
+    # global that refers to x_extent, is_empty or decompose.
+    calls = Counter()
+    for name in ("x_extent", "is_empty", "decompose"):
+        real = getattr(poly2, name)
+
+        def counted(p, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(p)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("slcterm")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    # the centre of seed 1's polygons lies far off the diagonal: no cycle
+    small = tangent_polygon(random.Random(1), _FM_ROWS)
+    large = tangent_polygon(random.Random(1), _FM_ROWS + 1)
+    empty = hpoly(small.rows + ((1, 0, -100),))  # its x-range is [-17, -7]
+    for p, fm_calls in ((small, 1), (large, 0), (empty, 0)):
+        calls.clear()
+        v = decide(p)
+        assert calls["x_extent"] == calls["is_empty"] == fm_calls
+        if p is empty:
+            assert (v.kind, v.label, v.decomposition) == ("terminating", EMPTY, None)
+            assert calls["decompose"] == 1
+        else:
+            assert (v.kind, v.label) == ("terminating", "L5.5.2")
+
+
+def test_decide_on_many_rows_in_bounded_memory():
+    # 4,096 rows: elimination alone would build about four million pairs
+    p = tangent_polygon(random.Random(1), 4096)
+    tracemalloc.start()
+    try:
+        v = decide(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.kind, v.label) == ("terminating", "L5.5.2")
+    assert peak < 32 * 2**20
 
 
 def test_decide_deterministic():

@@ -3,12 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from slcterm import poly2
+import pytest
+
+import slcterm
+from slcterm import cli, poly2
+from slcterm.analyzer import Verdict
 from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
 from slcterm.poly2 import hpoly
@@ -358,6 +365,15 @@ def test_oracle_outputs():
     assert out == "cycle: none\nescape: none\nverdict: terminating EMPTY\ncompare: ok\n"
 
 
+def test_oracle_compare_mismatch_exits_4(monkeypatch):
+    # a terminating verdict on a loop whose bounded graph has a cycle
+    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: Verdict("terminating", "L5.5.2"))
+    code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=PAIR)
+    assert code == 4
+    assert out == ("cycle: 0 1\nescape: none\nverdict: terminating L5.5.2\n"
+                   "compare: mismatch (bounded graph has a cycle)\n")
+
+
 def test_oracle_compare_corpus():
     # a graph cycle always means a real cycle, so --compare never trips;
     # exit 4 is reserved for genuine analyzer bugs
@@ -441,6 +457,10 @@ def test_exit_code_2_on_bad_input(tmp_path):
     code, _, err = run_cli("collatz", "orbit", "--d", "2", "--m", "3", "--a", "0",
                            "--m-list", "1,3", "--r-list", "0,-1", "--start", "1")
     assert code == 2 and "not both" in err
+    code, _, err = run_cli("collatz", "orbit", "--d", "2", "--m-list", "1,3", "--start", "1")
+    assert code == 2 and "go together" in err
+    code, _, err = run_cli("collatz", "orbit", "--d", "2", "--start", "1")
+    assert code == 2 and "need --m and --a" in err
     code, _, err = run_cli("collatz", "to-slc", "--d", "3", "--m", "2", "--a", "0")
     assert code == 2 and "m > d" in err
     # negative counts are usage errors that name the option
@@ -460,9 +480,31 @@ def test_exit_code_2_on_bad_input(tmp_path):
         assert code == 2 and out == "" and f"argument {argv[-2]}: must be >= 0" in err
 
 
+@contextlib.contextmanager
+def no_digit_cap():
+    # lift CPython's int <-> str digit cap, and put the old one back
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap")
+def test_main_gives_the_digit_cap_back():
+    before = sys.get_int_max_str_digits()
+    for argv, stdin in ((("decide", "-"), INC), (("decide", "-"), "slc v2\n"), (("decide", "--bogus"), None)):
+        run_cli(*argv, stdin=stdin)
+        assert sys.get_int_max_str_digits() == before
+
+
 def test_integers_past_the_int_str_digit_limit():
     # CPython caps int <-> str conversion at 4,300 digits by default; the
-    # CLI lifts the cap, so loops and reports stay arbitrary precision
+    # CLI lifts the cap while it runs, so loops and reports stay arbitrary
+    # precision
     big = "1" + "0" * 4998 + "1"  # 5,000 digits, built without a conversion
     want = "non-terminating CYCLE\ncycle: 0\n"
     assert run_cli("decide", "-", stdin=f"slc v1\n1 0 {big}\n-1 1 0\n") == (0, want, "")
@@ -474,19 +516,21 @@ def test_integers_past_the_int_str_digit_limit():
     text = emit_text(p)
     code, out, err = run_cli("decide", "-", stdin=text)
     assert (code, out, err) == (0, want, "")
-    # the CLI has lifted the cap in this process, so the long fractions parse
+    # the long fractions parse here only with the cap lifted
     want_vertices = poly2.decompose(p).vertices
     code, out, err = run_cli("decide", "--json", "-", stdin=text)
     assert code == 0 and err == ""
     got = json.loads(out)["decomposition"]["vertices"]
-    assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
+    with no_digit_cap():
+        assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
     assert max(len(x) for v in got for x in v) > 4300
     code, out, err = run_cli("decompose", "-", stdin=text)
     assert code == 0 and err == ""
     line = out.splitlines()[0]
     assert line.startswith("vertices: ")
     got = re.findall(r"\(([^,()]+), ([^,()]+)\)", line)
-    assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
+    with no_digit_cap():
+        assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
 
 
 def test_exit_code_3_on_scan_limit():
@@ -501,3 +545,21 @@ def test_exit_code_3_on_scan_limit():
     wedge = f"slc v1\n{k + 1} {-k} 0\n{-k} {k - 1} 0\n-1 0 -1\n"
     code, out, err = run_cli("decide", "-", "--scan-limit", "1000", stdin=wedge)
     assert code == 3 and out == "" and "scan" in err
+
+
+def test_out_of_memory_exits_2():
+    # x' = x asks for a 2 * 10^8-state cycle trace; in a process capped at
+    # 512 MiB of address space, as the bench worker caps itself, that
+    # ends in a one-line error and exit 2, not a traceback
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(slcterm.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slcterm.cli", "witness", "-", "--length", "200000000"],
+        input="slc v1\n1 -1 0\n-1 1 0\n", capture_output=True, text=True, env=env,
+        preexec_fn=cap, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")

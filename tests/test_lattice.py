@@ -168,6 +168,12 @@ def test_height_golden():
     assert height(q, decompose(q), 1) == Height(4)
 
 
+def test_height_rejects_a_denominator_below_one():
+    p = slab_loop()
+    with pytest.raises(ValueError, match="pp must be >= 1"):
+        height(p, decompose(p), 0)
+
+
 def test_height_vertical_recession_rejected():
     p = hpoly([(1, 0, 3), (-1, 0, -3), (0, -1, -5)])  # vertical ray
     with pytest.raises(VerticalRecessionError):

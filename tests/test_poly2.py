@@ -1,6 +1,7 @@
 """Exact 2D polyhedron layer: predicates, cones, decomposition."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from conftest import (
     halfint_loop,
     halfplane_loop,
     inc_loop,
+    large_loop,
     pair_loop,
     pairwise_vertices,
     quad_loop,
@@ -109,6 +111,19 @@ def test_contains_and_swap():
     assert contains(swap(p), (F(10, 3), 3))
 
 
+def test_x_extent_memory_stays_linear_in_rows():
+    # 2,048 rows make about a million elimination pairs; none is kept
+    p = tangent_polygon(random.Random(SEED), 2048)
+    tracemalloc.start()
+    try:
+        empty, lo, hi = x_extent(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not empty and lo < hi
+    assert peak < 8 * 2**20
+
+
 def test_is_empty_degenerate_rows():
     assert is_empty(hpoly([(0, 0, -1)]))
     assert not is_empty(hpoly([(0, 0, 0)]))
@@ -158,6 +173,9 @@ def test_cone_contains():
     assert cone_contains(w, (2, 5))
     assert not cone_contains(w, (-1, 3))
     assert cone_contains(Plane(), (-9, 2))
+    # every cone holds the zero vector
+    for c in (r, Line((1, -1)), HalfPlane((1, 1), (0, 1)), w):
+        assert cone_contains(c, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +446,19 @@ def _decomposed(p):
         return decompose(p)
     except EmptyPolyhedronError:
         return None
+
+
+def test_edge_list_emptiness_matches_elimination_on_large_loops():
+    # above 30 rows `decide` answers EMPTY from decompose's edge list
+    # alone, so it must agree with x_extent's elimination
+    rng = random.Random(SEED + 8)
+    empties = 0
+    for i in range(2100):
+        p = large_loop(rng, i % 3)
+        empty = is_empty(p)
+        assert (_decomposed(p) is None) == empty, p.rows
+        empties += empty
+    assert 600 < empties < 1500
 
 
 @settings(max_examples=300, deadline=None)
