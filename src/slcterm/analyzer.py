@@ -4,11 +4,13 @@ A loop over one integer variable steps from x to x' whenever the pair
 (x, x') satisfies every constraint row.  The loop is non-terminating
 exactly when the transition relation admits a cycle or an infinite
 self-avoiding trace.  Cycles are complete at length <= 2 and are found
-by two integer feasibility queries.  Self-avoiding traces are decided
-(up to two conjecture-dependent cases) by a dispatch on the recession
-cone of the transition polyhedron: the cone's shape, the primitive
-generator (p, q), and the p-height of the polyhedron select a case
-whose label is reported alongside the verdict.
+by two integer feasibility queries.  A 2-cycle's midpoint lies on the
+diagonal, so a loop whose real diagonal slice is empty needs only an
+O(k) bound on that slice for the second query.  Self-avoiding traces
+are decided (up to two conjecture-dependent cases) by a dispatch on the
+recession cone of the transition polyhedron: the cone's shape, the
+primitive generator (p, q), and the p-height of the polyhedron select a
+case whose label is reported alongside the verdict.
 
 A verdict is terminating, non-terminating (with a cycle or a trace seed
 as witness) or unknown (the conjecture-dependent cases L5.3.3 and
@@ -42,6 +44,7 @@ from .poly2 import (
     Pointed2,
     Ray,
     Zero,
+    bound_1d,
     cone_contains,
     contains,
     cross,
@@ -116,7 +119,16 @@ def cycle1(p: HPoly) -> Optional[int]:
 
 
 def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
-    """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None."""
+    """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None.
+
+    If both pairs lie in the convex p, so does their midpoint, which sits
+    on the diagonal.  So a loop whose real diagonal slice
+    {t : (a1+a2)*t <= b for every row} is empty has no 2-cycle: that O(k)
+    test answers it without building or decomposing p intersected with
+    swap(p).
+    """
+    if bound_1d((a1 + a2, b) for a1, a2, b in p.rows)[0]:
+        return None
     pt = integer_point_2d(intersect(p, swap(p)), scan_limit)
     if pt is None:
         return None

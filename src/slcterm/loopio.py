@@ -20,11 +20,14 @@ import re
 from typing import Any, Dict, List, Optional
 
 from .analyzer import CycleWitness, TraceSeed, Verdict
-from .poly2 import Cone, HPoly, MWDecomp, hpoly
+from .poly2 import Cone, Constraint, HPoly, MWDecomp, hpoly
 
 HEADER = "slc v1"
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_INT = r"[+-]?[0-9]+"  # ASCII digits only
+_INT_RE = re.compile(_INT + r"\Z")
+# a constraint row: three integers separated by whitespace
+_ROW_RE = re.compile(rf"\s*({_INT})\s+({_INT})\s+({_INT})\s*")
 
 
 class LoopFormatError(ValueError):
@@ -55,26 +58,29 @@ class SchemaMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _bad_row(lineno: int, raw: str) -> BadTokenError:
+    # locate the fault of a nonblank line that is not three integers
+    tokens = list(re.finditer(r"\S+", raw))
+    for m in tokens:
+        if not _INT_RE.match(m.group(0)):
+            return BadTokenError(lineno, m.start() + 1, f"not an integer: {m.group(0)!r}")
+    column = tokens[3].start() + 1 if len(tokens) > 3 else len(raw) + 1
+    return BadTokenError(lineno, column, "expected 3 integers per row")
+
+
 def parse_text(data: str) -> HPoly:
     lines = data.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise BadHeaderError(lines[0].strip() if lines else "")
-    rows: List[tuple] = []
+    rows: List[Constraint] = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        tokens = []
-        for m in re.finditer(r"\S+", raw):
-            tok = m.group(0)
-            if not _INT_RE.match(tok):
-                raise BadTokenError(lineno, m.start() + 1, f"not an integer: {tok!r}")
-            tokens.append((int(tok), m.start() + 1))
-        if len(tokens) > 3:
-            raise BadTokenError(lineno, tokens[3][1], "expected 3 integers per row")
-        if len(tokens) < 3:
-            raise BadTokenError(lineno, len(raw) + 1, "expected 3 integers per row")
-        rows.append((tokens[0][0], tokens[1][0], tokens[2][0]))
-    return hpoly(rows)
+        m = _ROW_RE.fullmatch(raw)
+        if m is not None:
+            a1, a2, b = m.groups()
+            rows.append(Constraint(int(a1), int(a2), int(b)))
+        elif raw.strip():
+            raise _bad_row(lineno, raw)
+    return HPoly(tuple(rows))
 
 
 def emit_text(p: HPoly) -> str:

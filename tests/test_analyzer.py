@@ -26,7 +26,7 @@ from slcterm.analyzer import (
     region_point,
     witness_trace,
 )
-from slcterm.lattice import ScanLimitExceededError
+from slcterm.lattice import ScanLimitExceededError, integer_point_2d
 from slcterm.poly2 import (
     EmptyPolyhedronError,
     HalfPlane,
@@ -35,13 +35,18 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
+    bound_1d,
     cross,
     decompose,
     hpoly,
+    intersect,
+    is_empty,
+    swap,
 )
 
 from conftest import (
     SEED,
+    bounded_corpus,
     empty_loop,
     halfint_loop,
     halfplane_loop,
@@ -86,6 +91,23 @@ def test_cycle2_golden():
     assert cycle2(slab_loop()) is None
     assert cycle2(inc_loop()) is None
     assert cycle2(halfint_loop()) is None
+
+
+def test_cycle2_matches_the_unguarded_query():
+    # the diagonal check only skips queries that would come back empty: a
+    # 2-cycle's midpoint lies on the diagonal, so a loop that misses it has
+    # no real point in p with its swap
+    goldens = [hpoly(rows) for rows, _, _ in DECIDE_GOLDEN + DIRECT_GOLDEN]
+    loops = slc_corpus(1000) + bounded_corpus(500) + goldens
+    missed = 0
+    for p in loops:
+        both = intersect(p, swap(p))
+        ref = integer_point_2d(both)
+        assert cycle2(p) == ref
+        if bound_1d((a1 + a2, b) for a1, a2, b in p.rows)[0]:
+            assert ref is None and is_empty(both)
+            missed += 1
+    assert 0 < missed < len(loops)
 
 
 def test_has_cycle():

@@ -292,9 +292,10 @@ def test_decide_json_report():
 
 
 def test_decide_json_reuses_the_verdicts_decomposition(monkeypatch):
-    # the box 3 <= x <= 5, -5 <= x' <= -3: decide decomposes p, and cycle2
-    # p with its swap; the report reuses the first.  Counted at every
-    # module global that refers to poly2.decompose.
+    # the box 3 <= x <= 5, -5 <= x' <= -3: decide decomposes p once, the
+    # box misses the diagonal so cycle2 decomposes nothing, and the report
+    # reuses decide's.  Counted at every module global that refers to
+    # poly2.decompose.
     real, calls = poly2.decompose, []
 
     def counted(p):
@@ -307,7 +308,7 @@ def test_decide_json_reuses_the_verdicts_decomposition(monkeypatch):
     code, out, _ = run_cli("decide", "-", "--json", stdin="slc v1\n1 0 5\n-1 0 -3\n0 1 -3\n0 -1 5\n")
     assert code == 0 and json.loads(out)["case"] == "L5.5.2"
     assert json.loads(out)["decomposition"]["vertices"] == [["3", "-5"], ["3", "-3"], ["5", "-5"], ["5", "-3"]]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_decide_reads_json_loops():

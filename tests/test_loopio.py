@@ -46,6 +46,12 @@ def test_text_tolerates_layout():
     p = parse_text("slc v1\r\n\r\n  +1   -1    0  \r\n\r\n")
     assert p.rows == hpoly([(1, -1, 0)]).rows
     assert parse_text("slc v1\n\n\n").rows == ()
+    # Unicode whitespace separates tokens; a form feed (like a vertical
+    # tab) ends the line, so it may only lead or trail a row
+    p = parse_text("slc v1\n\xa0-1\xa0\xa02 \u3000+3\xa0\n1\u30002\u30003\n\x0c1 2 3\x0c\n")
+    assert p.rows == hpoly([(-1, 2, 3), (1, 2, 3), (1, 2, 3)]).rows
+    # leading zeros and a signed zero
+    assert parse_text("slc v1\n+0007 -0 0\n").rows == hpoly([(7, 0, 0)]).rows
 
 
 def test_bad_header():
@@ -71,6 +77,18 @@ def test_bad_token_positions():
     with pytest.raises(BadTokenError) as e:
         parse_text("slc v1\n1 2 3\n1 2.5 3\n")
     assert (e.value.line, e.value.column) == (3, 3)
+    # a non-ASCII digit, a sign inside a token, a letter after the last
+    # digit, and a form feed that cuts the row short
+    for row, column, message in (
+        ("\u0661 2 3", 1, "not an integer: '\u0661'"),
+        ("1+2 3 4", 1, "not an integer: '1+2'"),
+        ("1 2 3x", 5, "not an integer: '3x'"),
+        ("1\x0c2 3", 2, "expected 3 integers per row"),
+    ):
+        with pytest.raises(BadTokenError) as e:
+            parse_text(f"slc v1\n{row}\n")
+        assert (e.value.line, e.value.column) == (2, column)
+        assert str(e.value) == f"line 2, column {column}: {message}"
     assert issubclass(BadTokenError, LoopFormatError)
 
 
