@@ -3,10 +3,9 @@
 A loop over one integer variable steps from x to x' whenever the pair
 (x, x') satisfies every constraint row.  The loop is non-terminating
 exactly when the transition relation admits a cycle or an infinite
-self-avoiding trace.  Cycles are complete at length <= 2 and are found
-by two integer feasibility queries.  A 2-cycle's midpoint lies on the
-diagonal, so a loop whose real diagonal slice is empty needs only an
-O(k) bound on that slice for the second query.  Self-avoiding traces
+self-avoiding trace.  Cycles are complete at length <= 2, and two
+one-variable integer slices decide them: a loop cycles exactly when it
+has a fixed point or an adjacent pair v <-> v+1.  Self-avoiding traces
 are decided (up to two conjecture-dependent cases) by a dispatch on the
 recession cone of the transition polyhedron: the cone's shape, the
 primitive generator (p, q), and the p-height of the polyhedron select a
@@ -44,7 +43,6 @@ from .poly2 import (
     Pointed2,
     Ray,
     Zero,
-    bound_1d,
     cone_contains,
     contains,
     cross,
@@ -118,27 +116,34 @@ def cycle1(p: HPoly) -> Optional[int]:
     return integer_point_1d(integer_slice((a1 + a2, b) for a1, a2, b in p.rows))
 
 
+def _adjacent_pairs(p: HPoly) -> bool:
+    # some v with both (v, v+1) and (v+1, v) in p
+    return integer_slice((a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows) is not None
+
+
+def has_cycle(p: HPoly) -> bool:
+    """True iff the loop has a cycle, decided without a search.
+
+    If (s1, s2) and (s2, s1) both lie in the convex p, so do the integer
+    points (s1 + t, s2 - t) between them: for s2 - s1 even one of them is
+    a fixed point, for s2 - s1 odd two of them are an adjacent pair
+    (v, v+1), (v+1, v).  So a loop cycles iff one of two integer slices,
+    (a1+a2)*t <= b and (a1+a2)*v <= b - max(a1, a2), is nonempty.
+    """
+    return cycle1(p) is not None or _adjacent_pairs(p)
+
+
 def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
     """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None.
 
-    If both pairs lie in the convex p, so does their midpoint, which sits
-    on the diagonal.  So a loop whose real diagonal slice
-    {t : (a1+a2)*t <= b for every row} is empty has no 2-cycle: that O(k)
-    test answers it without building or decomposing p intersected with
-    swap(p).
+    None exactly when `has_cycle` is False; otherwise the first integer
+    point of p intersected with swap(p), which `has_cycle` proves exists.
     """
-    if bound_1d((a1 + a2, b) for a1, a2, b in p.rows)[0]:
+    if not has_cycle(p):
         return None
     pt = integer_point_2d(intersect(p, swap(p)), scan_limit)
-    if pt is None:
-        return None
-    s1, s2 = pt
-    assert contains(p, (s1, s2)) and contains(p, (s2, s1))
-    return (s1, s2)
-
-
-def has_cycle(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> bool:
-    return cycle1(p) is not None or cycle2(p, scan_limit) is not None
+    assert pt is not None and contains(p, pt) and contains(p, pt[::-1])
+    return pt
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +395,21 @@ def decide(
     """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
     One emptiness test per loop answers EMPTY: `is_empty` on at most
-    `_FM_ROWS` rows, else `decompose`, which runs once, for the dispatch
-    and the verdict's `decomposition`.
+    `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, so
+    `decompose` runs once, on cycle-free loops only, for the dispatch and
+    the verdict's `decomposition`.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
     s = cycle1(p)
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
+    if _adjacent_pairs(p):
+        return Verdict("non-terminating", CYCLE, CycleWitness(cycle2(p, scan_limit)))
     try:
         d = decompose(p)
     except EmptyPolyhedronError:
         return Verdict("terminating", EMPTY)
-    pair = cycle2(p, scan_limit)
-    if pair is not None:
-        return Verdict("non-terminating", CYCLE, CycleWitness(pair), d)
     v = decide_self_avoiding(p, d, scan_limit)
     kind = "terminating" if v.kind == "unknown" and assume_conjecture else v.kind
     return Verdict(kind, v.label, v.witness, d)

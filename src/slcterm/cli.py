@@ -30,8 +30,6 @@ from .collatz import (
 )
 from .lattice import DEFAULT_SCAN_LIMIT, ScanLimitExceededError
 from .loopio import (
-    LoopFormatError,
-    SchemaMismatchError,
     emit_json,
     emit_report,
     emit_text,
@@ -315,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScanLimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OSError, LoopFormatError, SchemaMismatchError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -278,37 +278,30 @@ def swap(p: HPoly) -> HPoly:
 _AXES: Tuple[IVec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _sort_ccw(rows: list) -> list:
-    # rows of distinct normal directions by angle from (1, 0), keyed by the
-    # pseudo-angle (s - a1)/s in the upper half-turn and (3s + a1)/s in the
-    # lower one, s = |a1| + |a2|, times 2^k and floored.  Two pseudo-angles
-    # n/s != n'/s' differ by at least 1/(s*s') > 2^-k, so no two keys tie
-    # (a float key would tie normals of 10^17) and the order is exact.
-    k = 2 * max(max(abs(r[0]), abs(r[1])) for r in rows).bit_length() + 2 if rows else 0
-
-    def key(r):
-        s = abs(r[0]) + abs(r[1])
-        lower = r[1] < 0 or (r[1] == 0 and r[0] < 0)
-        return ((3 * s + r[0] if lower else s - r[0]) << k) // s
-
-    return sorted(rows, key=key)
-
-
 def _edges(p: HPoly) -> list:
-    """The canonical edge list: the tightest row (least b / gcd) of each
-    primitive normal, in angle order.  A zero row with b < 0 raises."""
-    best: dict = {}
+    """The canonical edge list: the tightest row (least b/s, s = |a1| + |a2|)
+    of each normal direction, in angle order.  A zero row with b < 0 raises.
+
+    The angle key is the pseudo-angle (s - a1)/s in the upper half-turn or
+    (3s + a1)/s in the lower one, times 2^k and floored: parallel rows
+    share it, and distinct pseudo-angles differ by at least 1/(s*s') > 2^-k,
+    so never tie (a float key would tie normals of 10^17).
+    """
+    k = 2 * max((max(abs(r[0]), abs(r[1])) for r in p.rows), default=0).bit_length() + 2
+    best: dict = {}  # key -> (s, row)
     for r in p.rows:
         a1, a2, b = r
-        if a1 == 0 and a2 == 0:
+        s = abs(a1) + abs(a2)
+        if s == 0:
             if b < 0:
                 raise EmptyPolyhedronError("decomposition of an empty polyhedron")
             continue
-        g = gcd(a1, a2)
-        kept = best.get((a1 // g, a2 // g))
-        if kept is None or b * kept[0] < kept[1][2] * g:
-            best[a1 // g, a2 // g] = (g, r)
-    return _sort_ccw([r for _, r in best.values()])
+        lower = a2 < 0 or (a2 == 0 and a1 < 0)
+        key = ((3 * s + a1 if lower else s - a1) << k) // s
+        kept = best.get(key)
+        if kept is None or b * kept[0] < kept[1][2] * s:
+            best[key] = (s, r)
+    return [best[key][1] for key in sorted(best)]
 
 
 def _cone(es: list) -> Cone:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from slcterm import poly2
+from slcterm import analyzer, poly2
 from slcterm.analyzer import (
     _FM_ROWS,
     CYCLE,
@@ -35,12 +35,10 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
-    bound_1d,
     cross,
     decompose,
     hpoly,
     intersect,
-    is_empty,
     swap,
 )
 
@@ -93,21 +91,53 @@ def test_cycle2_golden():
     assert cycle2(halfint_loop()) is None
 
 
-def test_cycle2_matches_the_unguarded_query():
-    # the diagonal check only skips queries that would come back empty: a
-    # 2-cycle's midpoint lies on the diagonal, so a loop that misses it has
-    # no real point in p with its swap
+def _cycle_corpus():
     goldens = [hpoly(rows) for rows, _, _ in DECIDE_GOLDEN + DIRECT_GOLDEN]
-    loops = slc_corpus(1000) + bounded_corpus(500) + goldens
-    missed = 0
+    return slc_corpus(1000) + bounded_corpus(500) + goldens
+
+
+def test_cycle2_matches_the_unguarded_query():
+    # cycle2 returns the first integer point of p with its swap, and runs
+    # that query only where has_cycle holds: where has_cycle is False the
+    # query comes back empty, and where it is True the query hits
+    loops = _cycle_corpus()
+    cyclic = 0
     for p in loops:
-        both = intersect(p, swap(p))
-        ref = integer_point_2d(both)
+        ref = integer_point_2d(intersect(p, swap(p)))
         assert cycle2(p) == ref
-        if bound_1d((a1 + a2, b) for a1, a2, b in p.rows)[0]:
-            assert ref is None and is_empty(both)
-            missed += 1
-    assert 0 < missed < len(loops)
+        assert has_cycle(p) == (ref is not None)
+        cyclic += ref is not None
+    assert 0 < cyclic < len(loops)
+
+
+def test_has_cycle_makes_no_search(monkeypatch):
+    # a loop cycles iff p with its swap holds an integer point; has_cycle
+    # decides that from two integer slices, and cycle2 searches only the
+    # loops that cycle.  Counted at analyzer's integer_point_2d global.
+    real, calls = analyzer.integer_point_2d, []
+
+    def counted(q, *args):
+        calls.append(q)
+        return real(q, *args)
+
+    monkeypatch.setattr(analyzer, "integer_point_2d", counted)
+    for p in _cycle_corpus():
+        ref = real(intersect(p, swap(p)))
+        calls.clear()
+        assert has_cycle(p) == (ref is not None)
+        assert not calls
+        if cycle2(p) is None:
+            assert not calls
+
+
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**30])
+def test_segment_without_integer_points(n):
+    # 2x + 2x' = 1 inside |x|, |x'| <= n: its real points are all 2-cycles,
+    # but none is an integer pair, and no column of the box is scanned
+    p = hpoly([(2, 2, 1), (-2, -2, -1), (1, 0, n), (-1, 0, n), (0, 1, n), (0, -1, n)])
+    v = decide(p)
+    assert (v.kind, v.label) == ("terminating", "L5.5.2")
+    assert cycle1(p) is None and cycle2(p) is None
 
 
 def test_has_cycle():

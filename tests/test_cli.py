@@ -293,7 +293,7 @@ def test_decide_json_report():
 
 def test_decide_json_reuses_the_verdicts_decomposition(monkeypatch):
     # the box 3 <= x <= 5, -5 <= x' <= -3: decide decomposes p once, the
-    # box misses the diagonal so cycle2 decomposes nothing, and the report
+    # box has no cycle so p with its swap is never searched, and the report
     # reuses decide's.  Counted at every module global that refers to
     # poly2.decompose.
     real, calls = poly2.decompose, []
@@ -329,6 +329,15 @@ def test_cycles_outputs():
     assert code == 0 and out == "cycle1: none\ncycle2: 0 1\n"
     code, out, _ = run_cli("cycles", "-", stdin=SLAB)
     assert code == 0 and out == "cycle1: none\ncycle2: none\n"
+
+
+def test_segment_without_integer_points_is_answered():
+    # 2x + 2x' = 1 inside |x|, |x'| <= 10^30: every real point is a 2-cycle,
+    # but no integer pair is, and both commands answer without a column scan
+    n = 10**30
+    seg = f"slc v1\n2 2 1\n-2 -2 -1\n1 0 {n}\n-1 0 {n}\n0 1 {n}\n0 -1 {n}\n"
+    assert run_cli("decide", "-", stdin=seg) == (0, "terminating L5.5.2\n", "")
+    assert run_cli("cycles", "-", stdin=seg) == (0, "cycle1: none\ncycle2: none\n", "")
 
 
 def test_decompose_outputs():
