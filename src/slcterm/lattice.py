@@ -8,12 +8,11 @@ column of the rows scaled to (p*a1, a2, p*b), and the recession cone
 makes the supremum computable from finitely many columns.
 `integer_point_2d` decides whether the polyhedron contains an integer
 point at all, again by reducing to a finite column window via the
-cone's translation periodicity.
+cone's translation periodicity.  Windows come from `MWDecomp`'s integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
@@ -125,8 +124,7 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
     q = hpoly([(pp * a1, a2, pp * b) for a1, a2, b in p.rows])
     cone = d.cone
     if isinstance(cone, Zero):
-        lo, hi = math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0])  # sorted by x
-        counts = [_count(q, z) for z in range(lo, hi + 1)]
+        counts = [_count(q, z) for z in range(d.x_lo, d.x_hi + 1)]
         assert None not in counts, "bounded polyhedron has bounded slices"
         return Height(max(counts, default=0))
     if isinstance(cone, (Ray, Line)):
@@ -136,7 +134,7 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
         if isinstance(cone, Line):
             z0 = 0
         else:
-            z0 = math.ceil(d.vertex_bound) if a > 0 else -math.ceil(d.vertex_bound)
+            z0 = d.bound if a > 0 else -d.bound
         return Height(_count(q, z0))
     raise VerticalRecessionError("two-dimensional recession cone: height is infinite")
 
@@ -182,18 +180,17 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     except EmptyPolyhedronError:
         return None
     cone = d.cone
-    m = math.ceil(d.vertex_bound)
     if isinstance(cone, Plane):
         lo = hi = 0
     elif isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
-        lo, hi = math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0])  # sorted by x
+        lo, hi = d.x_lo, d.x_hi
     elif isinstance(cone, Ray):
         # columns past the vertex bound repeat with period |a| (shift v[1])
         a = cone.v[0]
         if a > 0:
-            lo, hi = math.ceil(d.vertices[0][0]), m + a - 1
+            lo, hi = d.x_lo, d.bound + a - 1
         else:
-            lo, hi = -m + a + 1, math.floor(d.vertices[-1][0])
+            lo, hi = -d.bound + a + 1, d.x_hi
     elif isinstance(cone, Line):
         # every column is an exact integer translate of one of these
         lo, hi = 0, cone.v[0] - 1
@@ -206,5 +203,5 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
         else:
             # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
             extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
-        lo, hi = -(m + extra), m + extra
+        lo, hi = -(d.bound + extra), d.bound + extra
     return _scan(p, _window_order(lo, hi), scan_limit)

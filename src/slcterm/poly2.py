@@ -1,20 +1,21 @@
 """Exact geometry of 2D rational polyhedra in constraint form.
 
 A polyhedron is a finite conjunction of rows a1*x1 + a2*x2 <= b with
-integer coefficients.  Everything here is exact: points are pairs of
-`fractions.Fraction`, and the recession cone is classified into one of
-six shapes (zero, ray, line, half-plane, pointed wedge, plane) with
-primitive integer generators.  `decompose` returns a Minkowski-Weyl pair
-(vertex list, cone) such that the polyhedron equals conv(vertices) +
-cone as a set of real points.  It reads everything off one canonical
-edge list, built in O(k log k) for k rows: the tightest row of each
-primitive normal, sorted by angle, then cut to the rows that touch the
-polygon by a deque half-plane intersection, and raises
-`EmptyPolyhedronError` where that finds p empty.  `is_empty` alone is
-`x_extent`'s variable elimination, O(k^2) but cheaper on a few rows;
-`analyzer.decide` runs it only up to `analyzer._FM_ROWS` rows.  Every
-rational one-variable bound from the rows goes through `bound_1d`;
-`lattice.integer_slice` gives the integer ones.
+integer coefficients.  Everything here is exact, and the recession cone
+is classified into one of six shapes (zero, ray, line, half-plane,
+pointed wedge, plane) with primitive integer generators.  `decompose`
+returns a Minkowski-Weyl pair (vertex list, cone) such that the
+polyhedron equals conv(vertices) + cone as a set of real points.  It
+works in integers, each vertex a meet (x, y, det) of two rows; pairs of
+`fractions.Fraction` are built only for reports, by `MWDecomp.vertices`.
+It reads everything off one canonical edge list, built in O(k log k) for
+k rows: the tightest row of each primitive normal, sorted by angle, then
+cut to the rows that touch the polygon by a deque half-plane
+intersection, and raises `EmptyPolyhedronError` where that finds p empty.
+`is_empty` alone is `x_extent`'s variable elimination, O(k^2) but cheaper
+on a few rows; `analyzer.decide` runs it only up to `analyzer._FM_ROWS`
+rows.  Every rational one-variable bound from the rows goes through
+`bound_1d`; `lattice.integer_slice` gives the integer ones.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -32,6 +34,7 @@ Rat = Fraction
 Point = Tuple[Rat, Rat]
 # An integer direction vector.
 IVec = Tuple[int, int]
+Meet = Tuple[int, int, int]  # (x, y, det) with det > 0: the point (x/det, y/det)
 Extent = Tuple[bool, Optional[Rat], Optional[Rat]]  # (empty, lo, hi)
 
 
@@ -144,11 +147,34 @@ Cone = Union[Zero, Ray, Line, HalfPlane, Pointed2, Plane]
 
 @dataclass(frozen=True)
 class MWDecomp:
-    """Minkowski-Weyl pair: p = conv(vertices) + cone."""
+    """Minkowski-Weyl pair: p = conv(vertices) + cone.
 
-    vertices: Tuple[Point, ...]
+    `meets` are the vertices, unreduced and maybe repeated; `lattice` reads
+    x_lo = ceil(min x), x_hi = floor(max x) and bound = ceil(vertex_bound).
+    `vertices` (reduced, distinct, in (x, y) order) and `vertex_bound` (max
+    |coordinate|) are the Fraction view for reports, built on first use;
+    equality compares the view and the cone.
+    """
+
+    meets: Tuple[Meet, ...]
     cone: Cone
-    vertex_bound: Rat  # max |coordinate| over vertices
+    x_lo: int
+    x_hi: int
+    bound: int
+
+    @cached_property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(sorted({(Fraction(x, det), Fraction(y, det)) for x, y, det in self.meets}))
+
+    @property
+    def vertex_bound(self) -> Rat:
+        return max(abs(c) for v in self.vertices for c in v)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MWDecomp) and (self.vertices, self.cone) == (other.vertices, other.cone)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.cone))
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +349,26 @@ def _cone(es: list) -> Cone:
     return Zero()
 
 
-def _meet(r: Constraint, s: Constraint) -> Tuple[int, int, int]:
+def _meet(r: Constraint, s: Constraint) -> Meet:
     # where the lines of r and s meet, as (x, y, det): the point (x/det, y/det)
     (r1, r2, rb), (s1, s2, sb) = r, s
     return rb * s2 - r2 * sb, r1 * sb - rb * s1, r1 * s2 - r2 * s1
 
 
-def _outside(h: Constraint, v: Tuple[int, int, int]) -> bool:
-    # the meet v of two rows, with det = cross > 0, lies strictly outside h
+def _outside(h: Constraint, v: Meet) -> bool:
+    # the meet v, with det > 0, lies strictly outside h
     return h[0] * v[0] + h[1] * v[1] > h[2] * v[2]
 
 
-def _polygon(es: list, cone: Cone) -> list[Point]:
-    """The sorted vertices of a pointed polyhedron from its edges.
+def _polygon(es: list, cone: Cone) -> list[Meet]:
+    """The vertices of a pointed polyhedron from its edges, as meets.
 
     The deque half-plane intersection keeps the rows that touch; the
-    vertices are the meets of consecutive rows.  Every test is the sign of
-    a cross product or a 3x3 determinant.  A bounded polygon (Zero cone)
-    closes up; an unbounded one is an open chain of rows, from the end of
-    the widest gap between normals to its start, so nothing wraps round.
+    vertices are the meets of consecutive rows, in deque order.  Every
+    test is the sign of a cross product or a 3x3 determinant.  A bounded
+    polygon (Zero cone) closes up; an unbounded one is an open chain of
+    rows, from the end of the widest gap between normals to its start, so
+    nothing wraps round.
     """
     closed = isinstance(cone, Zero)
     if not closed:
@@ -360,28 +387,20 @@ def _polygon(es: list, cone: Cone) -> list[Point]:
         while len(dq) > 2 and _outside(dq[0][0], dq[-1][1]):
             dq.pop()
         dq[0] = (dq[0][0], _meet(dq[-1][0], dq[0][0]))
-    found = {}
-    for _, (x, y, det) in list(dq)[not closed:]:
-        gx, gy = gcd(x, det), gcd(y, det)
-        found[x // gx, det // gx, y // gy, det // gy] = None
-    # in (x, y) order by floor(2^k * coordinate): distinct coordinates
-    # differ by at least 1/den^2 > 2^-k, so the keys are exact
-    k = 2 * max((max(v[1], v[3]) for v in found), default=1).bit_length() + 1
-    pts = sorted(found, key=lambda v: ((v[0] << k) // v[1], (v[2] << k) // v[3]))
-    return [(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in pts]
+    return [v for _, v in dq][not closed:]
 
 
-def _anchors(es: list) -> list[Point]:
-    # a line or half-plane cone: p is lo <= n.x <= hi for the canonically
-    # signed primitive normal n, read off the one or two opposite edges;
-    # the anchor on n.x = c is (0, c/n2), or (c/n1, 0) when n2 = 0
-    n = _norm_line_dir(primitive(es[0]))
-    i = 0 if n[0] != 0 else 1
-    empty, lo, hi = bound_1d((r[i] // n[i], r.b) for r in es)
-    if empty:
+def _anchors(es: list) -> list[Meet]:
+    # a line or half-plane cone: one edge, or two opposite ones whose band is
+    # empty when one line lies outside the other; each line is anchored
+    # where it crosses x = 0, or y = 0 when it is vertical
+    meets = []
+    for a1, a2, b in es:
+        x, y, det = (0, b, a2) if a2 else (b, 0, a1)
+        meets.append((-x, -y, -det) if det < 0 else (x, y, det))
+    if len(es) == 2 and _outside(es[1], meets[0]):
         raise EmptyPolyhedronError("decomposition of an empty polyhedron")
-    zero = Fraction(0)
-    return sorted({(zero, c / n[1]) if n[1] else (c / n[0], zero) for c in (lo, hi) if c is not None})
+    return meets
 
 
 def decompose(p: HPoly) -> MWDecomp:
@@ -396,14 +415,13 @@ def decompose(p: HPoly) -> MWDecomp:
     es = _edges(p)
     cone = _cone(es)
     if isinstance(cone, Plane):
-        verts = [(Fraction(0), Fraction(0))]
+        meets = [(0, 0, 1)]
     elif isinstance(cone, (Line, HalfPlane)):
-        verts = _anchors(es)
+        meets = _anchors(es)
     else:
-        verts = _polygon(es, cone)
-    assert verts, "nonempty pointed polyhedron must expose a vertex"
-    bn, bd = 0, 1  # max |coordinate|, compared by cross-multiplication
-    for c in (c for v in verts for c in v):
-        if abs(c.numerator) * bd > bn * c.denominator:
-            bn, bd = abs(c.numerator), c.denominator
-    return MWDecomp(tuple(verts), cone, Fraction(bn, bd))
+        meets = _polygon(es, cone)
+    assert meets, "nonempty pointed polyhedron must expose a vertex"
+    # ceil and floor are monotone: ceil(min x) is the least ceil(x/det), and so on
+    return MWDecomp(tuple(meets), cone, min(-(-x // det) for x, _, det in meets),
+                    max(x // det for x, _, det in meets),
+                    max(-(-max(abs(x), abs(y)) // det) for x, y, det in meets))

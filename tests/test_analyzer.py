@@ -4,6 +4,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -444,6 +445,25 @@ def test_decide_on_many_rows_in_bounded_memory():
         tracemalloc.stop()
     assert (v.kind, v.label) == ("terminating", "L5.5.2")
     assert peak < 32 * 2**20
+
+
+def test_decide_builds_no_fraction_on_many_rows(monkeypatch):
+    # above _FM_ROWS rows a bounded cycle-free polygon is decided from the
+    # integer meets of its decomposition: every module global bound to
+    # Fraction fails when called
+    def forbidden(*args):
+        raise AssertionError(f"Fraction{args} built on the many-rows path")
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("slcterm")]:
+        for name in [n for n, value in vars(mod).items() if value is Fraction]:
+            monkeypatch.setattr(mod, name, forbidden)
+    # seed 1 puts the polygon's centre far off the diagonal for every k
+    for k in (8, 64, 512):
+        p = tangent_polygon(random.Random(1), k)
+        assert len(p.rows) > _FM_ROWS and not has_cycle(p)
+        v = decide(p)
+        assert (v.kind, v.label, v.decomposition.cone) == ("terminating", "L5.5.2", Zero())
+    assert poly2.Fraction is forbidden
 
 
 def test_decide_deterministic():

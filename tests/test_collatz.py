@@ -20,7 +20,7 @@ from slcterm.collatz import (
     to_slc,
     weak_apply,
 )
-from slcterm.poly2 import contains
+from slcterm.poly2 import Ray, contains, decompose
 
 from conftest import SEED
 
@@ -201,6 +201,23 @@ def test_to_slc_feeds_the_analyzer():
     # the encoded slab lands in the conjectural ray case
     v = decide(to_slc(WeakCollatz(3, 4, 0)))
     assert v.kind == "unknown" and str(v.label) == "L5.3.3"
+
+
+def test_to_slc_decomposes_to_the_maps_ray_and_band():
+    # the loop of x -> floor((m*x - a)/d) recedes along +-(d, m), and with
+    # (p, q) that generator, p*x' - q*x over its vertices spans the band the
+    # rows allow: [-a-d+1, -a-1] for sign "+", [a+1, a+d-1] for "-"
+    for d in range(2, 40):
+        for m in range(d + 1, 41):
+            if gcd(d, m) != 1:
+                continue
+            for a in range(-10, 11):
+                for sign, s, band in (("+", 1, (-a - d + 1, -a - 1)), ("-", -1, (a + 1, a + d - 1))):
+                    dec = decompose(to_slc(WeakCollatz(d, m, a), sign))
+                    assert dec.cone == Ray((s * d, s * m)), (d, m, a, sign)
+                    p, q = dec.cone.v
+                    vals = [p * vy - q * vx for vx, vy in dec.vertices]
+                    assert (min(vals), max(vals)) == band, (d, m, a, sign)
 
 
 def test_to_slc_preconditions():

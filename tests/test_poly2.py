@@ -1,5 +1,6 @@
 """Exact 2D polyhedron layer: predicates, cones, decomposition."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -44,6 +45,7 @@ from conftest import (
     random_slc,
     scaled,
     slab_loop,
+    slc_corpus,
     tangent_polygon,
     thick_loop,
     thin_loop,
@@ -482,3 +484,54 @@ def test_decompose_metamorphic(rows, rnd):
     mixed = rnd.sample(scaled_rows + [loose], len(rows) + 1)
     for variant in (permuted, duplicated, scaled_rows, rows + [loose], mixed):
         assert _decomposed(hpoly(variant)) == d, variant
+
+
+# ---------------------------------------------------------------------------
+# the integer decomposition and its Fraction view
+# ---------------------------------------------------------------------------
+
+
+def _key_sorted_view(meets):
+    # a reference for the view in integers: reduce by gcd, deduplicate,
+    # order by floor(2^k * coordinate), exact because distinct coordinates
+    # differ by at least 1/den^2 > 2^-k
+    found = {}
+    for x, y, det in meets:
+        gx, gy = math.gcd(x, det), math.gcd(y, det)
+        found[x // gx, det // gx, y // gy, det // gy] = None
+    k = 2 * max(max(v[1], v[3]) for v in found).bit_length() + 1
+    pts = sorted(found, key=lambda v: ((v[0] << k) // v[1], (v[2] << k) // v[3]))
+    return tuple((F(xn, xd), F(yn, yd)) for xn, xd, yn, yd in pts)
+
+
+def _check_integer_fields(p):
+    # the integers lattice reads match the Fraction view, and the view is
+    # reduced, deduplicated and in (x, y) order; returns False for empty p
+    d = _decomposed(p)
+    if d is None:
+        return False
+    assert all(det > 0 for _, _, det in d.meets)
+    assert d.vertices == _key_sorted_view(d.meets), p.rows
+    assert all(type(c) is F for v in d.vertices for c in v) and type(d.vertex_bound) is F
+    assert (d.x_lo, d.x_hi, d.bound) == (
+        math.ceil(d.vertices[0][0]), math.floor(d.vertices[-1][0]), math.ceil(d.vertex_bound)), p.rows
+    return True
+
+
+def test_integer_fields_match_the_view_on_the_corpus():
+    assert sum(_check_integer_fields(p) for p in slc_corpus(1000)) > 300
+
+
+@pytest.mark.parametrize("build", GOLDENS)
+def test_integer_fields_match_the_view_translated_far(build):
+    for c in (0, 10**30, -(10**30)):
+        assert _check_integer_fields(translated(build(), c))
+
+
+huge = st.integers(-(2**64), 2**64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(huge, huge, huge), min_size=1, max_size=6))
+def test_integer_fields_match_the_view_on_huge_rows(rows):
+    _check_integer_fields(hpoly(rows))
