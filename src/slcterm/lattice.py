@@ -58,7 +58,8 @@ def integer_slice(pairs: Iterable[Tuple[int, int]]) -> Span:
     """The integers t with c*t <= d for every integer pair (c, d).
 
     Each row is rounded on its own, which gives the same span as rounding
-    the exact rational bounds.
+    the exact rational bounds.  It stops at the first pair that leaves
+    lo > hi: lo only rises and hi only falls, so the span stays empty.
     """
     lo = hi = None
     for c, d in pairs:
@@ -66,14 +67,16 @@ def integer_slice(pairs: Iterable[Tuple[int, int]]) -> Span:
             t = d // c
             if hi is None or t < hi:
                 hi = t
+                if lo is not None and lo > t:
+                    return None
         elif c < 0:
             t = -(d // -c)
             if lo is None or t > lo:
                 lo = t
+                if hi is not None and t > hi:
+                    return None
         elif d < 0:
             return None
-    if lo is not None and hi is not None and lo > hi:
-        return None
     return lo, hi
 
 

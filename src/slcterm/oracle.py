@@ -4,15 +4,17 @@ Restrict the transition relation to integer states in [-B, B] and treat
 it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
 non-termination.  Runs in plain integer arithmetic.  The one routine it
-shares with the geometric decision procedure is `lattice.column`, which
-reads each state's integer successors off the rows; it uses no
-decomposition, recession cone, height or integer-point search.
+shares with the geometric decision procedure is `lattice.column`:
+`build_graph` calls it once per window state, for the state's successors
+and whether one leaves the window, and the searches read only the graph.
+It uses no decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice import column
 from .poly2 import HPoly
@@ -21,10 +23,13 @@ from .poly2 import HPoly
 @dataclass(frozen=True)
 class TransGraph:
     """Successor spans per state; columns are intervals, so the
-    successors of x inside the window form one inclusive range."""
+    successors of x inside the window form one inclusive range.  `exits`
+    holds the states with a successor outside [-bound, bound].  `starts`
+    sorts the states with successors once: 0, 1, -1, 2, -2, ..."""
 
     bound: int
     span: Dict[int, Tuple[int, int]]
+    exits: FrozenSet[int] = frozenset()
 
     def succ(self, x: int) -> range:
         if x not in self.span:
@@ -32,31 +37,33 @@ class TransGraph:
         lo, hi = self.span[x]
         return range(lo, hi + 1)
 
+    @cached_property
+    def starts(self) -> List[int]:
+        return sorted(self.span, key=lambda x: (abs(x), x < 0))
+
 
 def build_graph(p: HPoly, bound: int) -> TransGraph:
     span: Dict[int, Tuple[int, int]] = {}
+    exits = []
     for x in range(-bound, bound + 1):
         col = column(p, x)
         if col is None:
             continue
         lo, hi = col
+        if lo is None or lo < -bound or hi is None or hi > bound:
+            exits.append(x)
         lo2 = -bound if lo is None else max(lo, -bound)
         hi2 = bound if hi is None else min(hi, bound)
         if lo2 <= hi2:
             span[x] = (lo2, hi2)
-    return TransGraph(bound, span)
-
-
-def _start_order(g: TransGraph) -> List[int]:
-    # smallest state first, in the |x| sense: 0, 1, -1, 2, -2, ...
-    return sorted(g.span, key=lambda x: (abs(x), x < 0))
+    return TransGraph(bound, span, frozenset(exits))
 
 
 def find_cycle(g: TransGraph) -> Optional[List[int]]:
     """Deterministic DFS: starts by increasing |state|, successors
     ascending.  Returns the first back edge's cycle, in trace order."""
     visited: set[int] = set()
-    for start in _start_order(g):
+    for start in g.starts:
         if start in visited:
             continue
         path = [start]
@@ -81,23 +88,13 @@ def find_cycle(g: TransGraph) -> Optional[List[int]]:
     return None
 
 
-def _escapes(p: HPoly, bound: int, x: int) -> bool:
-    span = column(p, x)
-    if span is None:
-        return False
-    lo, hi = span
-    if hi is None or hi > bound:
-        return True
-    return lo is None or lo < -bound
-
-
 def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int]]:
     """A trace of at most `limit` distinct states inside the window whose
     last state has an integer successor outside it, if one exists.
     Breadth-first from each start, smallest |state| first, so the trace
-    is a shortest path from its start."""
+    is a shortest path from its start.  Exits are read from `g.exits`, not `p`."""
     no_escape: set[int] = set()
-    for start in _start_order(g):
+    for start in g.starts:
         if start in no_escape:
             continue
         parent: Dict[int, Optional[int]] = {start: None}
@@ -107,7 +104,7 @@ def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            if _escapes(p, g.bound, x):
+            if x in g.exits:
                 found = x
                 break
             for y in g.succ(x):

@@ -101,6 +101,35 @@ def test_integer_slice_matches_rational_rounding(pairs):
     assert integer_slice(pairs) == (None if empty else (ilo, ihi))
 
 
+def _rational_empty(pairs):
+    lo = [F(d, c) for c, d in pairs if c < 0]
+    hi = [F(d, c) for c, d in pairs if c > 0]
+    return any(c == 0 and d < 0 for c, d in pairs) or (
+        bool(lo) and bool(hi) and math.ceil(max(lo)) > math.floor(min(hi))
+    )
+
+
+def _no_pair_after(pairs, stop):
+    # yields pairs[:stop + 1], then fails if asked for one more
+    yield from pairs[: stop + 1]
+    raise AssertionError(f"read a pair after the first conflict (pair {stop})")
+
+
+def test_integer_slice_stops_at_first_conflict_golden():
+    assert integer_slice(_no_pair_after([(1, 0), (-1, -1), (1, 9)], 1)) is None
+    assert integer_slice(_no_pair_after([(-1, -1), (5, 9), (2, 1), (0, 0)], 2)) is None
+    assert integer_slice(_no_pair_after([(3, 2), (-3, -1), (-1, -50)], 1)) is None
+    assert integer_slice(_no_pair_after([(2, 5), (0, -1), (0, -1)], 1)) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-60, 60)), max_size=8))
+def test_integer_slice_reads_no_pair_after_the_first_conflict(pairs):
+    first = next((i for i in range(len(pairs)) if _rational_empty(pairs[: i + 1])), None)
+    if first is not None:
+        assert integer_slice(_no_pair_after(pairs, first)) is None
+
+
 @pytest.mark.parametrize("coeff,zmax", [(7, 40), (10**30, 10**25)])
 def test_column_matches_integer_reference(coeff, zmax):
     clip = 10**80  # beyond every finite bound below

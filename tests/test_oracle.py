@@ -2,20 +2,30 @@
 
 import random
 
+import pytest
+
+from slcterm import oracle
 from slcterm.analyzer import decide, witness_trace
+from slcterm.lattice import column
 from slcterm.oracle import TransGraph, build_graph, find_cycle, find_escape
 from slcterm.poly2 import contains
 
 from conftest import (
     SEED,
     empty_loop,
+    halfint_loop,
+    halfplane_loop,
     inc_loop,
     pair_loop,
     quad_loop,
     random_slc,
     slab_loop,
+    thick_loop,
     thin_loop,
 )
+
+GOLDENS = (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
+           halfplane_loop, halfint_loop, empty_loop)
 
 
 def edges(g):
@@ -133,3 +143,73 @@ def test_transgraph_succ_missing_state():
     g = TransGraph(2, {0: (1, 1)})
     assert list(g.succ(5)) == []
     assert 0 not in g.succ(5)
+    # exits default to none, so no escape; recorded exits are what it reads
+    assert g.exits == frozenset() and find_escape(g, None) is None
+    assert find_escape(TransGraph(2, {0: (1, 1)}, frozenset({1})), None) == [0, 1]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 16, 64])
+def test_each_column_is_read_once(monkeypatch, bound):
+    calls = []
+
+    def counted(p, z):
+        calls.append(z)
+        return column(p, z)
+
+    monkeypatch.setattr(oracle, "column", counted)
+    rng = random.Random(SEED + 13)
+    for p in [build() for build in GOLDENS] + [random_slc(rng) for _ in range(20)]:
+        calls.clear()
+        g = build_graph(p, bound)
+        assert sorted(calls) == list(range(-bound, bound + 1))
+        calls.clear()
+        find_cycle(g)
+        find_escape(g, p)
+        find_escape(g, p, 2)
+        assert calls == []
+
+
+def _escapes_ref(p, bound, x):
+    # reads column x again, as the escape search did before exits were recorded
+    span = column(p, x)
+    if span is None:
+        return False
+    lo, hi = span
+    return hi is None or hi > bound or lo is None or lo < -bound
+
+
+def _find_escape_ref(g, p, limit):
+    no_escape = set()
+    for start in sorted(g.span, key=lambda x: (abs(x), x < 0)):
+        if start in no_escape:
+            continue
+        parent, queue, found = {start: None}, [start], None
+        for x in queue:
+            if _escapes_ref(p, g.bound, x):
+                found = x
+                break
+            for y in g.succ(x):
+                if y not in parent and y not in no_escape:
+                    parent[y] = x
+                    queue.append(y)
+        if found is None:
+            no_escape.update(parent)
+            continue
+        trace = []
+        while found is not None:
+            trace.append(found)
+            found = parent[found]
+        if len(trace) <= limit:
+            return trace[::-1]
+    return None
+
+
+@pytest.mark.parametrize("bound", [0, 1, 16, 64])
+def test_exits_match_rereading_columns(bound):
+    rng = random.Random(SEED + 14)
+    for p in [build() for build in GOLDENS] + [random_slc(rng) for _ in range(150)]:
+        g = build_graph(p, bound)
+        window = range(-bound, bound + 1)
+        assert g.exits == {x for x in window if _escapes_ref(p, bound, x)}
+        for limit in (1, 3, 1000):
+            assert find_escape(g, p, limit) == _find_escape_ref(g, p, limit)
