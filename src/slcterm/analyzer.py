@@ -20,7 +20,7 @@ EMPTY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional, Tuple, Union
 
 from .lattice import (
@@ -42,7 +42,9 @@ from .poly2 import (
     Plane,
     Pointed2,
     Ray,
+    Record,
     Zero,
+    _setattr,
     cone_contains,
     contains,
     cross,
@@ -75,15 +77,16 @@ EMPTY = "EMPTY"
 _FM_ROWS = 7
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(Record):
     """States of a cycle of length 1 or 2."""
 
-    states: Tuple[int, ...]
+    __slots__ = ("states",)
+
+    def __init__(self, states: Tuple[int, ...]) -> None:
+        _setattr(self, "states", states)
 
 
-@dataclass(frozen=True)
-class TraceSeed:
+class TraceSeed(Record):
     """Recipe for regenerating a self-avoiding trace of any length.
 
     mode 'shift' walks x -> x + (b - a) from the seed transition (a, b);
@@ -92,18 +95,28 @@ class TraceSeed:
     reseeding farther out on a stall.  The prefix holds the first states.
     """
 
-    mode: str
-    data: Tuple[int, ...]
-    prefix: Tuple[int, ...]
+    __slots__ = ("mode", "data", "prefix")
+
+    def __init__(self, mode: str, data: Tuple[int, ...], prefix: Tuple[int, ...]) -> None:
+        _setattr(self, "mode", mode)
+        _setattr(self, "data", data)
+        _setattr(self, "prefix", prefix)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "terminating" | "non-terminating" | "unknown"
-    label: str
-    witness: Union[CycleWitness, TraceSeed, None] = None
-    # the loop's decomposition when `decide` made one, for reports
-    decomposition: Optional[MWDecomp] = field(default=None, compare=False, repr=False)
+class Verdict(Record):
+    """`kind` is "terminating", "non-terminating" or "unknown"; `decomposition`
+    is the loop's decomposition when `decide` made one, for reports, and
+    `==`, `hash` and `repr` skip it."""
+
+    __slots__ = ("kind", "label", "witness", "decomposition")
+    _fields = ("kind", "label", "witness")
+
+    def __init__(self, kind: str, label: str, witness: Union[CycleWitness, TraceSeed, None] = None,
+                 decomposition: Optional[MWDecomp] = None) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "label", label)
+        _setattr(self, "witness", witness)
+        _setattr(self, "decomposition", decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +164,14 @@ def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionFlags:
-    i_plus: bool
-    i_minus: bool
-    delta_plus: bool
-    delta_minus: bool
+class RegionFlags(Record):
+    __slots__ = ("i_plus", "i_minus", "delta_plus", "delta_minus")
+
+    def __init__(self, i_plus: bool, i_minus: bool, delta_plus: bool, delta_minus: bool) -> None:
+        _setattr(self, "i_plus", i_plus)
+        _setattr(self, "i_minus", i_minus)
+        _setattr(self, "delta_plus", delta_plus)
+        _setattr(self, "delta_minus", delta_minus)
 
 
 _IP = ((1, 1), (0, 1))  # I+ directions: the open arc between the diagonal and vertical
@@ -274,7 +289,7 @@ def _states(p: HPoly, witness: Union[CycleWitness, TraceSeed], length: int, scan
             out.append((a if len(out) % 2 == 1 else b) - out[-1])
     else:
         out = _grow_states(p, witness.mode, length, scan_limit)
-    for x, y in zip(out, out[1:]):
+    for x, y in pairwise(out):
         if not contains(p, (x, y)):
             raise ExtensionFailedError(f"invalid transition ({x}, {y}) in generated trace")
     return out

@@ -2,13 +2,18 @@
 
 Exit codes: 0 analysis completed, 2 bad input or usage, or out of
 memory, 3 scan limit exceeded, 4 oracle disagreement under --compare.
+
+Each command imports only what it runs.  `decide`, `cycles`,
+`decompose` and `witness` load `poly2`, `lattice`, `analyzer` and
+`loopio`; `oracle` adds `oracle`, and the `collatz` commands add
+`collatz`.  `json` is loaded by a JSON loop file, `decide --json` and
+`collatz to-slc --json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,14 +25,6 @@ from .analyzer import (
     decide,
     witness_trace,
 )
-from .collatz import (
-    GenCollatz,
-    WeakCollatz,
-    orbit,
-    reachability_scan,
-    residue_histogram,
-    to_slc,
-)
 from .lattice import DEFAULT_SCAN_LIMIT, ScanLimitExceededError
 from .loopio import (
     emit_json,
@@ -36,7 +33,6 @@ from .loopio import (
     parse_json,
     parse_text,
 )
-from .oracle import build_graph, find_cycle, find_escape
 from .poly2 import Cone, EmptyPolyhedronError, HalfPlane, HPoly, decompose
 
 
@@ -59,7 +55,7 @@ def _fmt_cone(c: Cone) -> str:
     if isinstance(c, HalfPlane):
         args = [f"boundary={_fmt_pt(c.boundary)}", f"witness={_fmt_pt(c.interior_witness)}"]
     else:
-        args = [_fmt_pt(v) for v in astuple(c)]
+        args = [_fmt_pt(getattr(c, f)) for f in c._fields]
     return " ".join([c.kind, *args])
 
 
@@ -116,6 +112,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import build_graph, find_cycle, find_escape
+
     p = _read_loop(args.file)
     g = build_graph(p, args.bound)
     cyc = find_cycle(g)
@@ -138,6 +136,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _build_map(args):
+    from .collatz import GenCollatz, WeakCollatz
+
     gen = getattr(args, "m_list", None) is not None or getattr(args, "r_list", None) is not None
     if gen:
         if args.m is not None or args.a is not None:
@@ -162,15 +162,21 @@ def _print_orbit(res) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from .collatz import orbit
+
     return _print_orbit(orbit(_build_map(args), args.start, args.steps, args.abs_bound))
 
 
 def _cmd_reach(args) -> int:
+    from .collatz import WeakCollatz, reachability_scan
+
     t = WeakCollatz(args.d, args.m, args.a)
     return _print_orbit(reachability_scan(t, args.start, args.steps, args.abs_bound))
 
 
 def _cmd_hist(args) -> int:
+    from .collatz import residue_histogram
+
     counts = residue_histogram(_build_map(args), args.start, args.steps, args.alpha)
     for r in sorted(counts):
         print(f"{r}: {counts[r]}")
@@ -178,6 +184,8 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_to_slc(args) -> int:
+    from .collatz import WeakCollatz, to_slc
+
     t = WeakCollatz(args.d, args.m, args.a)
     p = to_slc(t, args.sign)
     if args.json:

@@ -11,26 +11,25 @@ analyzer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from .poly2 import HPoly, hpoly
+from .poly2 import HPoly, Record, _setattr, hpoly
 
 
 class ReductionPreconditionError(ValueError):
     """The loop encoding needs an expanding map (m > d)."""
 
 
-@dataclass(frozen=True)
-class WeakCollatz:
+class WeakCollatz(Record):
     """x -> floor((m*x - a) / d) with gcd(|m|, d) = 1, d >= 2, m != 0."""
 
-    d: int
-    m: int
-    a: int
+    __slots__ = ("d", "m", "a")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, m: int, a: int) -> None:
+        _setattr(self, "d", d)
+        _setattr(self, "m", m)
+        _setattr(self, "a", a)
         if self.d < 2:
             raise ValueError("modulus d must be >= 2")
         if self.m == 0:
@@ -39,15 +38,15 @@ class WeakCollatz:
             raise ValueError("m must be coprime to d")
 
 
-@dataclass(frozen=True)
-class GenCollatz:
+class GenCollatz(Record):
     """Branch map T(x) = (m_i * x - r_i) / d for x = i (mod d)."""
 
-    d: int
-    m: Tuple[int, ...]
-    r: Tuple[int, ...]
+    __slots__ = ("d", "m", "r")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, m: Tuple[int, ...], r: Tuple[int, ...]) -> None:
+        _setattr(self, "d", d)
+        _setattr(self, "m", m)
+        _setattr(self, "r", r)
         if self.d < 2:
             raise ValueError("modulus d must be >= 2")
         if len(self.m) != self.d or len(self.r) != self.d:
@@ -92,13 +91,18 @@ def as_generalized(t: WeakCollatz) -> GenCollatz:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    outcome: str  # "reached-target" | "entered-cycle" | "exceeded-bound" | "exceeded-steps"
-    prefix: Tuple[int, ...]
-    first_index: Optional[int] = None
-    period: Optional[int] = None
-    k: Optional[int] = None
+class OrbitResult(Record):
+    """`outcome` is "reached-target", "entered-cycle", "exceeded-bound" or "exceeded-steps"."""
+
+    __slots__ = ("outcome", "prefix", "first_index", "period", "k")
+
+    def __init__(self, outcome: str, prefix: Tuple[int, ...], first_index: Optional[int] = None,
+                 period: Optional[int] = None, k: Optional[int] = None) -> None:
+        _setattr(self, "outcome", outcome)
+        _setattr(self, "prefix", prefix)
+        _setattr(self, "first_index", first_index)
+        _setattr(self, "period", period)
+        _setattr(self, "k", k)
 
 
 def orbit(

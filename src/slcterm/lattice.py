@@ -13,7 +13,6 @@ cone's translation periodicity.  Windows come from `MWDecomp`'s integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .poly2 import (
@@ -23,7 +22,9 @@ from .poly2 import (
     MWDecomp,
     Plane,
     Ray,
+    Record,
     Zero,
+    _setattr,
     cone_contains,
     cross,
     decompose,
@@ -42,11 +43,13 @@ class ScanLimitExceededError(RuntimeError):
 DEFAULT_SCAN_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class Height:
+class Height(Record):
     """A column count: a natural number, or None for unbounded."""
 
-    value: Optional[int]
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[int]) -> None:
+        _setattr(self, "value", value)
 
 
 # The integers of a slice: (lo, hi) with None for an unbounded side, or

@@ -11,11 +11,12 @@ Header line first, then one constraint row a1 a2 b per nonblank line,
 arbitrary-precision decimal integers.  Zero rows after the header is a
 legal (trivially non-terminating) loop.  The JSON form wraps the same
 rows with every integer string-encoded so nothing overflows elsewhere.
+The JSON functions import `json` when called, so text-only runs never
+load it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Dict, List, Optional
 
@@ -105,6 +106,8 @@ def _int_from_json(v: Any) -> int:
 
 
 def parse_json(text: str) -> HPoly:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -123,6 +126,8 @@ def parse_json(text: str) -> HPoly:
 
 
 def emit_json(p: HPoly) -> str:
+    import json
+
     obj = {
         "format": "slc-v1",
         "constraints": [[str(a1), str(a2), str(b)] for a1, a2, b in p.rows],
@@ -152,6 +157,8 @@ def _witness_json(v: Verdict) -> Optional[Dict[str, Any]]:
 
 
 def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: bool) -> str:
+    import json
+
     obj: Dict[str, Any] = {
         "report": "v1",
         "verdict": v.kind,

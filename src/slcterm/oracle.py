@@ -12,24 +12,26 @@ It uses no decomposition, recession cone, height or integer-point search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice import column
-from .poly2 import HPoly
+from .poly2 import HPoly, Record, _setattr
 
 
-@dataclass(frozen=True)
-class TransGraph:
+class TransGraph(Record):
     """Successor spans per state; columns are intervals, so the
     successors of x inside the window form one inclusive range.  `exits`
     holds the states with a successor outside [-bound, bound].  `starts`
     sorts the states with successors once: 0, 1, -1, 2, -2, ..."""
 
-    bound: int
-    span: Dict[int, Tuple[int, int]]
-    exits: FrozenSet[int] = frozenset()
+    __slots__ = ("bound", "span", "exits", "__dict__")  # __dict__ for `starts`
+
+    def __init__(self, bound: int, span: Dict[int, Tuple[int, int]],
+                 exits: FrozenSet[int] = frozenset()) -> None:
+        _setattr(self, "bound", bound)
+        _setattr(self, "span", span)
+        _setattr(self, "exits", exits)
 
     def succ(self, x: int) -> range:
         if x not in self.span:

@@ -21,7 +21,6 @@ rows.  Every rational one-variable bound from the rows goes through
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -54,11 +53,64 @@ class Constraint(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class HPoly:
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the frozen value classes: fields live in `__slots__`.
+
+    `==` holds between instances of one class whose `_fields` are equal,
+    `hash` agrees with it, and `repr` reads `Name(field=value, ...)`.
+    `_fields` is the slots unless a class names fewer.  Assignment and
+    deletion raise `AttributeError`; each `__init__` sets its fields with
+    `_setattr`.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in vars(cls):
+            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        # copy and pickle hand back (__dict__ or None, {slot: value})
+        d, slots = state
+        for f, value in slots.items():
+            _setattr(self, f, value)
+        if d:
+            self.__dict__.update(d)
+
+
+class HPoly(Record):
     """Conjunction of integer constraint rows."""
 
-    rows: Tuple[Constraint, ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Tuple[Constraint, ...]) -> None:
+        _setattr(self, "rows", rows)
 
 
 def hpoly(rows: Sequence[Sequence[int]]) -> HPoly:
@@ -76,66 +128,75 @@ def hpoly(rows: Sequence[Sequence[int]]) -> HPoly:
 # ---------------------------------------------------------------------------
 
 
-class ConeClass:
+class ConeClass(Record):
     """Marker base for recession-cone shapes; `kind` names the shape in reports."""
 
+    __slots__ = ()
     kind: str
 
     def generators(self) -> Tuple[IVec, ...]:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Zero(ConeClass):
+    __slots__ = ()
     kind = "zero"
 
     def generators(self) -> Tuple[IVec, ...]:
         return ()
 
 
-@dataclass(frozen=True)
 class Ray(ConeClass):
+    __slots__ = ("v",)
     kind = "ray"
-    v: IVec
+
+    def __init__(self, v: IVec) -> None:
+        _setattr(self, "v", v)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v,)
 
 
-@dataclass(frozen=True)
 class Line(ConeClass):
-    kind = "line"
     # Normalized: v[0] >= 0, and if v[0] == 0 then v == (0, 1).
-    v: IVec
+    __slots__ = ("v",)
+    kind = "line"
+
+    def __init__(self, v: IVec) -> None:
+        _setattr(self, "v", v)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v, (-self.v[0], -self.v[1]))
 
 
-@dataclass(frozen=True)
 class HalfPlane(ConeClass):
+    __slots__ = ("boundary", "interior_witness")
     kind = "half-plane"
-    boundary: IVec
-    interior_witness: IVec
+
+    def __init__(self, boundary: IVec, interior_witness: IVec) -> None:
+        _setattr(self, "boundary", boundary)
+        _setattr(self, "interior_witness", interior_witness)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.boundary, (-self.boundary[0], -self.boundary[1]), self.interior_witness)
 
 
-@dataclass(frozen=True)
 class Pointed2(ConeClass):
-    kind = "wedge"
     # Non-collinear, neither the negation of the other; emitted with
     # cross(v1, v2) > 0 but membership accepts either order.
-    v1: IVec
-    v2: IVec
+    __slots__ = ("v1", "v2")
+    kind = "wedge"
+
+    def __init__(self, v1: IVec, v2: IVec) -> None:
+        _setattr(self, "v1", v1)
+        _setattr(self, "v2", v2)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v1, self.v2)
 
 
-@dataclass(frozen=True)
 class Plane(ConeClass):
+    __slots__ = ()
     kind = "plane"
 
     def generators(self) -> Tuple[IVec, ...]:
@@ -145,8 +206,7 @@ class Plane(ConeClass):
 Cone = Union[Zero, Ray, Line, HalfPlane, Pointed2, Plane]
 
 
-@dataclass(frozen=True)
-class MWDecomp:
+class MWDecomp(Record):
     """Minkowski-Weyl pair: p = conv(vertices) + cone.
 
     `meets` are the vertices, unreduced and maybe repeated; `lattice` reads
@@ -156,11 +216,14 @@ class MWDecomp:
     equality compares the view and the cone.
     """
 
-    meets: Tuple[Meet, ...]
-    cone: Cone
-    x_lo: int
-    x_hi: int
-    bound: int
+    __slots__ = ("meets", "cone", "x_lo", "x_hi", "bound", "__dict__")  # __dict__ for `vertices`
+
+    def __init__(self, meets: Tuple[Meet, ...], cone: Cone, x_lo: int, x_hi: int, bound: int) -> None:
+        _setattr(self, "meets", meets)
+        _setattr(self, "cone", cone)
+        _setattr(self, "x_lo", x_lo)
+        _setattr(self, "x_hi", x_hi)
+        _setattr(self, "bound", bound)
 
     @cached_property
     def vertices(self) -> Tuple[Point, ...]:

@@ -382,6 +382,31 @@ def test_witness_trace_zero_length():
     assert witness_trace(inc_loop(), v, 0) == []
 
 
+def test_witness_trace_holds_one_trace(monkeypatch):
+    # the transitions are re-checked pair by pair, not over a sliced copy
+    # of the trace, so the peak is the returned list alone.  `contains`
+    # builds Fractions, which tracemalloc makes slow on 10^6 transitions;
+    # the row test on integer states is the same check
+    def int_contains(p, pt):
+        x, y = pt
+        for a1, a2, b in p.rows:
+            if a1 * x + a2 * y > b:
+                return False
+        return True
+
+    p = hpoly([(1, -1, 0), (-1, 1, 0)])  # x' = x
+    v = decide(p)
+    monkeypatch.setattr(analyzer, "contains", int_contains)
+    tracemalloc.start()
+    try:
+        out = witness_trace(p, v, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 10**6 and set(out) == {0}
+    assert peak < 1.5 * sys.getsizeof(out)
+
+
 def test_assume_conjecture():
     v = decide(slab_loop(), assume_conjecture=True)
     assert v.kind == "terminating" and str(v.label) == "L5.3.3"

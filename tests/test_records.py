@@ -1,0 +1,154 @@
+"""The frozen value classes: equality, hashing, repr, immutability, defaults."""
+
+import copy
+import pickle
+import re
+from functools import cached_property
+
+import pytest
+
+from slcterm import decide, hpoly
+from slcterm.analyzer import CycleWitness, RegionFlags, TraceSeed, Verdict
+from slcterm.collatz import GenCollatz, OrbitResult, WeakCollatz
+from slcterm.lattice import Height
+from slcterm.oracle import TransGraph
+from slcterm.poly2 import (
+    Constraint,
+    HalfPlane,
+    HPoly,
+    Line,
+    MWDecomp,
+    Plane,
+    Pointed2,
+    Ray,
+    Zero,
+    decompose,
+)
+
+# README's Library example
+README_LOOP = [(4, -3, 2), (-4, 3, 0), (-1, 0, -3)]
+
+# a builder per class and the repr each instance had as a frozen dataclass
+RECORDS = [
+    (lambda: HPoly((Constraint(1, -1, 0),)), "HPoly(rows=(Constraint(a1=1, a2=-1, b=0),))"),
+    (Zero, "Zero()"),
+    (lambda: Ray((1, 2)), "Ray(v=(1, 2))"),
+    (lambda: Line((0, 1)), "Line(v=(0, 1))"),
+    (lambda: HalfPlane((1, 0), (0, -1)), "HalfPlane(boundary=(1, 0), interior_witness=(0, -1))"),
+    (lambda: Pointed2((1, 0), (0, 1)), "Pointed2(v1=(1, 0), v2=(0, 1))"),
+    (Plane, "Plane()"),
+    (lambda: decompose(hpoly(README_LOOP)),
+     "MWDecomp(meets=((9, 12, 3), (9, 10, 3)), cone=Ray(v=(3, 4)), x_lo=3, x_hi=3, bound=4)"),
+    (lambda: Height(None), "Height(value=None)"),
+    (lambda: CycleWitness((0, 1)), "CycleWitness(states=(0, 1))"),
+    (lambda: TraceSeed("shift", (1, 2), (1, 2, 3)), "TraceSeed(mode='shift', data=(1, 2), prefix=(1, 2, 3))"),
+    (lambda: decide(hpoly(README_LOOP)),
+     "Verdict(kind='non-terminating', label='L5.3.1', witness=TraceSeed(mode='ascend', data=(), "
+     "prefix=(3, 4, 5, 6, 8, 10, 13, 17, 22, 29)))"),
+    (lambda: RegionFlags(True, False, True, False),
+     "RegionFlags(i_plus=True, i_minus=False, delta_plus=True, delta_minus=False)"),
+    (lambda: WeakCollatz(3, 4, 0), "WeakCollatz(d=3, m=4, a=0)"),
+    (lambda: GenCollatz(2, (1, 3), (0, -1)), "GenCollatz(d=2, m=(1, 3), r=(0, -1))"),
+    (lambda: OrbitResult("entered-cycle", (1, 2, 1), 0, 2),
+     "OrbitResult(outcome='entered-cycle', prefix=(1, 2, 1), first_index=0, period=2, k=None)"),
+    (lambda: TransGraph(1, {0: (0, 1)}, frozenset({1})),
+     "TransGraph(bound=1, span={0: (0, 1)}, exits=frozenset({1}))"),
+]
+IDS = [text[: text.index("(")] for _, text in RECORDS]
+
+
+@pytest.mark.parametrize("build,text", RECORDS, ids=IDS)
+def test_repr_is_the_dataclass_format(build, text):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build,text", RECORDS, ids=IDS)
+def test_equal_by_class_and_fields(build, text):
+    a, b = build(), build()
+    assert a == b and not a != b and a is not b
+    assert a != text and a != ()
+    if isinstance(a, TransGraph):  # its span is a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_equality_needs_the_same_class_and_fields():
+    assert Ray((1, 2)) != Line((1, 2))
+    assert Zero() != Plane()
+    assert Ray((1, 2)) != Ray((2, 1))
+    assert Height(1) != CycleWitness((1,))
+    assert WeakCollatz(3, 4, 0) != WeakCollatz(3, 4, 1)
+    assert TraceSeed("shift", (1, 2), ()) != TraceSeed("band", (1, 2), ())
+    assert len({Zero(), Plane(), Ray((1, 0)), Line((1, 0)), Ray((1, 0))}) == 4
+
+
+@pytest.mark.parametrize("build,text", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(build, text):
+    r = build()
+    for name in re.findall(r"(\w+)=", text) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert repr(r) == text
+
+
+@pytest.mark.parametrize("build,text", RECORDS, ids=IDS)
+def test_copy_and_pickle_keep_the_value(build, text):
+    r = build()
+    for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(c) is type(r) and c == r and repr(c) == text
+
+
+def test_defaults_and_keywords():
+    v = Verdict("terminating", "L5.5.2")
+    assert v.witness is None and v.decomposition is None
+    assert Verdict(kind="terminating", label="L5.5.2", witness=None) == v
+    assert TransGraph(2, {0: (1, 1)}).exits == frozenset()
+    o = OrbitResult("exceeded-steps", (1, 2))
+    assert (o.first_index, o.period, o.k) == (None, None, None)
+    assert OrbitResult("reached-target", (4,), k=0).k == 0
+    assert WeakCollatz(d=3, m=4, a=0) == WeakCollatz(3, 4, 0)
+    assert GenCollatz(d=2, m=(1, 3), r=(0, -1)).r == (0, -1)
+
+
+def test_verdict_skips_its_decomposition():
+    p = hpoly(README_LOOP)
+    v = decide(p)
+    bare = Verdict(v.kind, v.label, v.witness)
+    assert v.decomposition == decompose(p) and bare.decomposition is None
+    assert v == bare and hash(v) == hash(bare) and repr(v) == repr(bare)
+    assert pickle.loads(pickle.dumps(v)).decomposition == v.decomposition
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, 3, 0), "modulus d must be >= 2"),
+    ((3, 0, 0), "multiplier m must be nonzero"),
+    ((3, 6, 0), "m must be coprime to d"),
+])
+def test_weak_collatz_checks(args, message):
+    with pytest.raises(ValueError, match=message):
+        WeakCollatz(*args)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, (1,), (0,)), "modulus d must be >= 2"),
+    ((2, (1,), (0, 1)), "need exactly d multipliers and offsets"),
+    ((2, (1, 0), (0, 0)), "branch 1: multiplier must be nonzero"),
+    ((2, (1, 2), (0, 0)), "branch 1: multiplier must be coprime to d"),
+    ((2, (1, 3), (0, 0)), r"branch 1: m_i\*i must equal r_i mod d"),
+])
+def test_gen_collatz_checks(args, message):
+    with pytest.raises(ValueError, match=message):
+        GenCollatz(*args)
+
+
+def test_cached_views_stay_cached_properties():
+    assert isinstance(MWDecomp.__dict__["vertices"], cached_property)
+    assert isinstance(TransGraph.__dict__["starts"], cached_property)
+    d = decompose(hpoly(README_LOOP))
+    assert d.vertices is d.vertices and "vertices" in d.__dict__
+    g = TransGraph(2, {0: (1, 1), -1: (0, 0), 1: (1, 1)})
+    assert g.starts == [0, 1, -1] and g.starts is g.starts
