@@ -15,7 +15,8 @@ A verdict is terminating, non-terminating (with a cycle or a trace seed
 as witness) or unknown (the conjecture-dependent cases L5.3.3 and
 L5.4.2).  Case labels are plain strings: L5.2.x (pointed wedge), L5.3.x
 (ray), L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and
-EMPTY.
+EMPTY.  Deciding builds no trace: `witness_trace` alone builds states
+from a witness, and checks each transition by substitution.
 """
 
 from __future__ import annotations
@@ -87,20 +88,18 @@ class CycleWitness(Record):
 
 
 class TraceSeed(Record):
-    """Recipe for regenerating a self-avoiding trace of any length.
+    """The seed of a self-avoiding trace, as the dispatch found it: for mode
+    'shift' the transition (a, b), walked as x -> x + (b - a); for 'band' the
+    span (a, b) of column 0, alternated around a <= x + x' <= b; for 'ascend'
+    or 'descend' the point in I+ or I- that a greedy trace grows from; for
+    'outward' (), grown from the first nonempty column.  `witness_trace`
+    builds the states, reseeding a growth trace farther out on a stall."""
 
-    mode 'shift' walks x -> x + (b - a) from the seed transition (a, b);
-    mode 'band' alternates around the band a <= x + x' <= b; the growth
-    modes ('ascend', 'descend', 'outward') re-run the greedy extension,
-    reseeding farther out on a stall.  The prefix holds the first states.
-    """
+    __slots__ = ("mode", "data")
 
-    __slots__ = ("mode", "data", "prefix")
-
-    def __init__(self, mode: str, data: Tuple[int, ...], prefix: Tuple[int, ...]) -> None:
+    def __init__(self, mode: str, data: Tuple[int, ...]) -> None:
         _setattr(self, "mode", mode)
         _setattr(self, "data", data)
-        _setattr(self, "prefix", prefix)
 
 
 class Verdict(Record):
@@ -218,8 +217,6 @@ def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) ->
 # trace generation
 # ---------------------------------------------------------------------------
 
-_PREFIX_LEN = 10
-
 
 def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     span = column(p, s)
@@ -242,18 +239,12 @@ def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     return y if lo is None or y >= lo else None
 
 
-def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]:
-    # Greedy growth.  Ascend/descend start at the region's point nearest the
-    # origin: one query, which reaches a far-off region at once.  Every other
-    # seed is the first column from t on with a successor (outward: nonempty);
-    # a stall moves t past the last state.  scan_limit bounds all the walking.
+def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int, scan_limit: int) -> list[int]:
+    # Greedy growth from data[0], the region point, if any; every other seed
+    # is the first column from t on with a successor (outward: nonempty); a
+    # stall moves t past the last state.  scan_limit bounds all the walking.
     step = -1 if mode == "descend" else 1
-    t, walked, trace = 1, 0, []
-    if mode != "outward":
-        pt = region_point(p, "I+" if step > 0 else "I-", scan_limit)
-        if pt is None:
-            raise ExtensionFailedError("growth seed query came back empty")
-        trace = [pt[0]]
+    t, walked, trace = 1, 0, list(data[:1])
     while True:
         s = step * t
         while not trace:
@@ -274,38 +265,32 @@ def _grow_states(p: HPoly, mode: str, length: int, scan_limit: int) -> list[int]
         trace = []
 
 
-def _states(p: HPoly, witness: Union[CycleWitness, TraceSeed], length: int, scan_limit: int) -> list[int]:
-    # the first `length` states of any witness, each transition re-checked
-    if isinstance(witness, CycleWitness):
-        out = [witness.states[i % len(witness.states)] for i in range(length)]
-    elif witness.mode == "shift":
-        a, b = witness.data
+def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
+    """A verified trace of `length` states witnessing non-termination: a
+    cycle repeats, a trace seed replays its mode from its data.  Every
+    transition is re-checked by substitution."""
+    w = v.witness
+    if v.kind != "non-terminating" or w is None:
+        raise NotNonTerminatingError("witness traces exist only for non-terminating verdicts")
+    if length <= 0:
+        return []
+    if isinstance(w, CycleWitness):
+        out = [w.states[i % len(w.states)] for i in range(length)]
+    elif w.mode == "shift":
+        a, b = w.data
         out = [a + i * (b - a) for i in range(length)]
-    elif witness.mode == "band":
+    elif w.mode == "band":
         # walk the band a <= x + x' <= b: odd steps land on sum a, even on sum b
-        a, b = witness.data
+        a, b = w.data
         out = [2 * abs(a) if a != 0 else 1]
         while len(out) < length:
             out.append((a if len(out) % 2 == 1 else b) - out[-1])
     else:
-        out = _grow_states(p, witness.mode, length, scan_limit)
+        out = _grow_states(p, w.mode, w.data, length, scan_limit)
     for x, y in pairwise(out):
         if not contains(p, (x, y)):
             raise ExtensionFailedError(f"invalid transition ({x}, {y}) in generated trace")
     return out
-
-
-def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
-    """A verified trace of `length` states witnessing non-termination.
-
-    Cycle witnesses repeat; trace seeds replay their recipe.  Every
-    transition is re-checked by substitution.
-    """
-    if v.kind != "non-terminating" or v.witness is None:
-        raise NotNonTerminatingError("witness traces exist only for non-terminating verdicts")
-    if length <= 0:
-        return []
-    return _states(p, v.witness, length, scan_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +299,13 @@ def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_S
 
 
 def _seeded(p: HPoly, label: str, mode: str, data: Tuple[int, ...], scan_limit: int) -> Verdict:
-    prefix = _states(p, TraceSeed(mode, data, ()), _PREFIX_LEN, scan_limit)
-    return Verdict("non-terminating", label, TraceSeed(mode, data, tuple(prefix)))
+    # ascend/descend grow from the region's point nearest the origin: one
+    # query, which reaches a far-off region at once
+    if mode in ("ascend", "descend"):
+        data = region_point(p, "I+" if mode == "ascend" else "I-", scan_limit)
+        if data is None:
+            raise ExtensionFailedError("growth seed query came back empty")
+    return Verdict("non-terminating", label, TraceSeed(mode, data))
 
 
 def _shift_case(p: HPoly, regions, yes: str, no: str, scan_limit: int) -> Verdict:
@@ -412,7 +402,8 @@ def decide(
     One emptiness test per loop answers EMPTY: `is_empty` on at most
     `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, so
     `decompose` runs once, on cycle-free loops only, for the dispatch and
-    the verdict's `decomposition`.
+    the verdict's `decomposition`.  No trace is built: a non-terminating
+    verdict carries its seed, and `witness_trace` replays it on request.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)

@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .analyzer import (
     EMPTY,
     CycleWitness,
+    TraceSeed,
     cycle1,
     cycle2,
     decide,
@@ -67,15 +68,18 @@ def _fmt_cone(c: Cone) -> str:
 def _cmd_decide(args) -> int:
     p = _read_loop(args.file)
     v = decide(p, assume_conjecture=args.assume_reachability, scan_limit=args.scan_limit)
+    # a trace seed's first 10 states, built before anything is printed: a
+    # run whose replay exceeds the scan limit prints nothing
+    prefix = witness_trace(p, v, 10, args.scan_limit) if isinstance(v.witness, TraceSeed) else None
     if args.json:
         d = v.decomposition or (None if v.label == EMPTY else decompose(p))
-        print(emit_report(v, d, args.assume_reachability))
+        print(emit_report(v, d, args.assume_reachability, prefix))
         return 0
     print(f"{v.kind} {v.label}")
     if isinstance(v.witness, CycleWitness):
         print(f"cycle: {_ints(v.witness.states)}")
-    elif v.witness is not None and v.witness.prefix:
-        print(f"trace: {_ints(v.witness.prefix)}")
+    elif prefix is not None:
+        print(f"trace: {_ints(prefix)}")
     return 0
 
 

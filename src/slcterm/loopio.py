@@ -18,7 +18,7 @@ load it.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analyzer import CycleWitness, TraceSeed, Verdict
 from .poly2 import Cone, Constraint, HPoly, MWDecomp, hpoly
@@ -147,23 +147,25 @@ def _cone_json(c: Cone) -> Dict[str, Any]:
     }
 
 
-def _witness_json(v: Verdict) -> Optional[Dict[str, Any]]:
+def _witness_json(v: Verdict, prefix: Optional[Sequence[int]]) -> Optional[Dict[str, Any]]:
     w = v.witness
     if isinstance(w, CycleWitness):
         return {"type": "cycle", "states": list(w.states)}
     if isinstance(w, TraceSeed):
-        return {"type": "trace", "prefix": list(w.prefix)}
+        return {"type": "trace", "prefix": list(prefix)}
     return None
 
 
-def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: bool) -> str:
+def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: bool,
+                prefix: Optional[Sequence[int]] = None) -> str:
+    # a trace seed is reported by `prefix`, the first states of its trace
     import json
 
     obj: Dict[str, Any] = {
         "report": "v1",
         "verdict": v.kind,
         "case": v.label,
-        "witness": _witness_json(v),
+        "witness": _witness_json(v, prefix),
         "decomposition": None,
         "assumptions": {"assume_reachability": assume_reachability},
     }

@@ -280,7 +280,6 @@ def test_decide_witnesses_verify():
         if isinstance(v.witness, TraceSeed):
             # self-avoiding: no state may repeat
             assert len(set(trace)) == 50
-            assert v.witness.prefix == tuple(witness_trace(p, v, 10))
         else:
             assert isinstance(v.witness, CycleWitness)
             n = len(v.witness.states)
@@ -344,7 +343,7 @@ def test_self_avoiding_direct(rows, kind, label):
     assert v.kind == SA_KIND[kind]
     assert v.label == label
     prefix = DIRECT_PREFIXES[DIRECT_GOLDEN.index((rows, kind, label))]
-    assert (v.witness and v.witness.prefix) == prefix
+    assert (v.witness and tuple(witness_trace(p, v, 10))) == prefix
     if kind == "yes":
         assert isinstance(v.witness, TraceSeed)
         # the seed replays to a genuine self-avoiding trace
@@ -359,14 +358,15 @@ def test_seed_modes_cover_band_and_outward():
     # band: 0 <= x + x' <= 1 alternates 1, -1, 2, -2, ...
     p = hpoly([(-1, -1, 0), (1, 1, 1)])
     v = decide_self_avoiding(p, decompose(p))
-    assert v.witness.mode == "band"
-    assert v.witness.prefix[:6] == (1, -1, 2, -2, 3, -3)
+    assert v.witness == TraceSeed("band", (0, 1))
+    assert witness_trace(p, v, 6) == [1, -1, 2, -2, 3, -3]
     # outward: line (2, -3) flips sign while |x| grows
     p = hpoly([(-3, -2, 0), (3, 2, 1)])
     v = decide_self_avoiding(p, decompose(p))
-    assert v.witness.mode == "outward"
-    mags = [abs(s) for s in v.witness.prefix]
-    assert mags == sorted(mags) and len(set(v.witness.prefix)) == len(v.witness.prefix)
+    assert v.witness == TraceSeed("outward", ())
+    trace = witness_trace(p, v, 10)
+    mags = [abs(s) for s in trace]
+    assert mags == sorted(mags) and len(set(trace)) == len(trace)
 
 
 def test_witness_trace_rejects_non_nt():
@@ -560,5 +560,38 @@ def test_scan_limit_bounds_the_growth_walk_in_total():
         assert len(set(trace)) == 200
         verify_states(p, trace)
     # ... and the walk stops at the limit in total
+    p = wedge_loop(100)
+    v = decide(p, scan_limit=2000)
     with pytest.raises(ScanLimitExceededError, match="growth walk"):
-        decide(wedge_loop(100), scan_limit=2000)
+        witness_trace(p, v, 10, scan_limit=2000)
+
+
+@pytest.mark.parametrize("k", [3000, 10**4])
+def test_decide_answers_thin_wedges_without_a_growth_walk(k):
+    # the growth walk to a column with a successor runs past the default
+    # limit, but deciding needs only the seed point, one window query
+    for p in (wedge_loop(k), reflected(wedge_loop(k))):
+        v = decide(p)
+        assert (v.kind, v.label) == ("non-terminating", "L5.2.1")
+        with pytest.raises(ScanLimitExceededError, match="growth walk"):
+            witness_trace(p, v, 10)
+
+
+def test_decide_replays_nothing(monkeypatch):
+    # a verdict carries its seed: deciding computes no successor and builds
+    # no state, on the random corpus and on every golden
+    def forbidden(*args):
+        raise AssertionError("a trace was replayed while deciding")
+
+    corpus = slc_corpus(1000)
+    want = [decide(p) for p in corpus]
+    monkeypatch.setattr(analyzer, "_next_state", forbidden)
+    monkeypatch.setattr(analyzer, "_grow_states", forbidden)
+    assert [decide(p) for p in corpus] == want
+    for rows, kind, label in DECIDE_GOLDEN:
+        v = decide(hpoly(rows))
+        assert (v.kind, v.label) == (kind, label)
+    for rows, kind, label in DIRECT_GOLDEN:
+        p = hpoly(rows)
+        v = decide_self_avoiding(p, decompose(p))
+        assert (v.kind, v.label) == (SA_KIND[kind], label)

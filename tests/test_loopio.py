@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slcterm.analyzer import decide
+from slcterm.analyzer import decide, witness_trace
 from slcterm.loopio import (
     HEADER,
     BadHeaderError,
@@ -153,7 +153,9 @@ def test_report_unknown_with_decomposition():
 
 
 def test_report_trace_witness():
-    obj = json.loads(emit_report(decide(inc_loop()), None, True))
+    p = inc_loop()
+    v = decide(p)
+    obj = json.loads(emit_report(v, None, True, witness_trace(p, v, 10)))
     assert obj["verdict"] == "non-terminating" and obj["case"] == "L5.4.6"
     assert obj["witness"] == {"type": "trace", "prefix": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]}
     assert obj["decomposition"] is None
