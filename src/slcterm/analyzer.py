@@ -125,12 +125,12 @@ class Verdict(Record):
 
 def cycle1(p: HPoly) -> Optional[int]:
     """Integer fixed point x with (x, x) in p, or None."""
-    return integer_point_1d(integer_slice((a1 + a2, b) for a1, a2, b in p.rows))
+    return integer_point_1d(integer_slice(((0, a1 + a2, b) for a1, a2, b in p.rows), 0))
 
 
 def _adjacent_pairs(p: HPoly) -> bool:
     # some v with both (v, v+1) and (v+1, v) in p
-    return integer_slice((a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows) is not None
+    return integer_slice(((0, a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows), 0) is not None
 
 
 def has_cycle(p: HPoly) -> bool:

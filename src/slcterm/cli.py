@@ -235,14 +235,7 @@ def _add_gen_args(sp) -> None:
     sp.add_argument("--r-list", type=_int_list, help="comma-separated branch offsets")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="slcterm",
-        description="Termination analysis for one-variable linear-constraint loops.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("decide", help="run the full analysis on a loop file")
+def _decide_args(sp) -> None:
     sp.add_argument("file", help="loop file (text or JSON), or - for stdin")
     sp.add_argument("--assume-reachability", action="store_true",
                     help="treat conjecture-backed cases as terminating")
@@ -250,22 +243,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_decide)
 
-    sp = sub.add_parser("cycles", help="search for cycles of length 1 and 2")
+
+def _cycles_args(sp) -> None:
     sp.add_argument("file", help="loop file, or - for stdin")
     _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_cycles)
 
-    sp = sub.add_parser("decompose", help="print the Minkowski-Weyl decomposition")
+
+def _decompose_args(sp) -> None:
     sp.add_argument("file", help="loop file, or - for stdin")
     sp.set_defaults(func=_cmd_decompose)
 
-    sp = sub.add_parser("witness", help="print a verified non-termination trace")
+
+def _witness_args(sp) -> None:
     sp.add_argument("file", help="loop file, or - for stdin")
     sp.add_argument("--length", type=_count, required=True, help="number of states to emit")
     _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_witness)
 
-    sp = sub.add_parser("oracle", help="brute-force the loop on a bounded state window")
+
+def _oracle_args(sp) -> None:
     sp.add_argument("file", help="loop file, or - for stdin")
     sp.add_argument("--bound", type=_count, default=64, help="state window is [-B, B] (default %(default)s)")
     sp.add_argument("--trace-cap", type=_count, default=1000,
@@ -275,10 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_oracle)
 
-    cp = sub.add_parser("collatz", help="Collatz-style map utilities")
-    csub = cp.add_subparsers(dest="subcommand", required=True)
 
-    sp = csub.add_parser("orbit", help="iterate a map and report the outcome")
+def _orbit_args(sp) -> None:
     _add_weak_args(sp)
     _add_gen_args(sp)
     sp.add_argument("--start", type=int, required=True)
@@ -286,14 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--abs-bound", type=_count, default=10**18)
     sp.set_defaults(func=_cmd_orbit)
 
-    sp = csub.add_parser("reach", help="scan a weak-map orbit for an exact-division point")
+
+def _reach_args(sp) -> None:
     _add_weak_args(sp)
     sp.add_argument("--start", type=int, required=True)
     sp.add_argument("--steps", type=_count, default=1000)
     sp.add_argument("--abs-bound", type=_count, default=10**18)
     sp.set_defaults(func=_cmd_reach)
 
-    sp = csub.add_parser("hist", help="residue histogram of an orbit mod d**alpha")
+
+def _hist_args(sp) -> None:
     _add_weak_args(sp)
     _add_gen_args(sp)
     sp.add_argument("--start", type=int, required=True)
@@ -301,7 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=int, default=1)
     sp.set_defaults(func=_cmd_hist)
 
-    sp = csub.add_parser("to-slc", help="encode a weak map's monotone restriction as a loop")
+
+def _to_slc_args(sp) -> None:
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
@@ -310,6 +308,46 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true", help="emit the loop as JSON")
     sp.set_defaults(func=_cmd_to_slc)
 
+
+_COLLATZ_COMMANDS = {
+    "orbit": ("iterate a map and report the outcome", _orbit_args),
+    "reach": ("scan a weak-map orbit for an exact-division point", _reach_args),
+    "hist": ("residue histogram of an orbit mod d**alpha", _hist_args),
+    "to-slc": ("encode a weak map's monotone restriction as a loop", _to_slc_args),
+}
+
+
+_COMMANDS = {
+    "decide": ("run the full analysis on a loop file", _decide_args),
+    "cycles": ("search for cycles of length 1 and 2", _cycles_args),
+    "decompose": ("print the Minkowski-Weyl decomposition", _decompose_args),
+    "witness": ("print a verified non-termination trace", _witness_args),
+    "oracle": ("brute-force the loop on a bounded state window", _oracle_args),
+    "collatz": ("Collatz-style map utilities", _COLLATZ_COMMANDS),
+}
+
+
+def _add_commands(sub, commands, argv: Sequence[str]) -> None:
+    # every command is listed with its help, but only the one argv runs
+    # gets its arguments.  The parsers above a command take no option with
+    # a value, so the first argument that is not an option names it.
+    i = next((i for i, a in enumerate(argv) if not a.startswith("-")), len(argv))
+    for name, (help_, args) in commands.items():
+        sp = sub.add_parser(name, help=help_)
+        if argv[i : i + 1] != [name]:
+            continue
+        if isinstance(args, dict):  # collatz: a table of subcommands
+            _add_commands(sp.add_subparsers(dest="subcommand", required=True), args, argv[i + 1 :])
+        else:
+            args(sp)
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="slcterm",
+        description="Termination analysis for one-variable linear-constraint loops.",
+    )
+    _add_commands(parser.add_subparsers(dest="command", required=True), _COMMANDS, argv)
     return parser
 
 
@@ -320,7 +358,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cap is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         return args.func(args)
     except ScanLimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)

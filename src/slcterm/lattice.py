@@ -57,23 +57,24 @@ class Height(Record):
 Span = Optional[Tuple[Optional[int], Optional[int]]]
 
 
-def integer_slice(pairs: Iterable[Tuple[int, int]]) -> Span:
-    """The integers t with c*t <= d for every integer pair (c, d).
+def integer_slice(rows: Iterable[Tuple[int, int, int]], z: int) -> Span:
+    """The integers y with a1*z + a2*y <= b for every row (a1, a2, b).
 
     Each row is rounded on its own, which gives the same span as rounding
-    the exact rational bounds.  It stops at the first pair that leaves
+    the exact rational bounds.  It stops at the first row that leaves
     lo > hi: lo only rises and hi only falls, so the span stays empty.
     """
     lo = hi = None
-    for c, d in pairs:
-        if c > 0:
-            t = d // c
+    for a1, a2, b in rows:
+        d = b - a1 * z
+        if a2 > 0:
+            t = d // a2
             if hi is None or t < hi:
                 hi = t
                 if lo is not None and lo > t:
                     return None
-        elif c < 0:
-            t = -(d // -c)
+        elif a2 < 0:
+            t = -(d // -a2)
             if lo is None or t > lo:
                 lo = t
                 if hi is not None and t > hi:
@@ -84,8 +85,8 @@ def integer_slice(pairs: Iterable[Tuple[int, int]]) -> Span:
 
 
 def column(p: HPoly, z: int) -> Span:
-    """The integers y with (z, y) in p."""
-    return integer_slice((a2, b - a1 * z) for a1, a2, b in p.rows)
+    """The integers y with (z, y) in p, rounded straight from the raw rows."""
+    return integer_slice(p.rows, z)
 
 
 def integer_point_1d(span: Span) -> Optional[int]:

@@ -519,6 +519,19 @@ def test_exit_code_2_on_bad_input(tmp_path):
         assert code == 2 and out == "" and f"argument {argv[-2]}: must be >= 0" in err
 
 
+# stdout, stderr and exit code of the help and usage-error paths, as the
+# parser printed them when it gave every command its arguments on each run
+USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", USAGE_PINS, ids=[" ".join(p["argv"]) or "(none)" for p in USAGE_PINS])
+def test_help_and_usage_errors_pinned(pin, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    monkeypatch.chdir(tmp_path)  # so the relative loop file is missing
+    got = run_cli(*pin["argv"], stdin="slc v1\n1 1 1\n")
+    assert got == (pin["code"], pin["stdout"], pin["stderr"])
+
+
 @contextlib.contextmanager
 def no_digit_cap():
     # lift CPython's int <-> str digit cap, and put the old one back

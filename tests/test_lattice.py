@@ -76,16 +76,23 @@ def test_column_golden():
     assert column(halfplane_loop(), 5) == (6, None)
 
 
+def slice_pairs(pairs):
+    # the integers t with c*t <= d for every pair (c, d), as rows (0, c, d)
+    return integer_slice(((0, c, d) for c, d in pairs), 0)
+
+
 def test_integer_slice_golden():
-    assert integer_slice([]) == (None, None)
+    assert slice_pairs([]) == (None, None)
     # each row rounds on its own: t <= 5/2, t >= -1/3
-    assert integer_slice([(2, 5), (-3, 1)]) == (0, 2)
-    assert integer_slice([(2, 5), (4, 9), (-3, 1), (-1, 2)]) == (0, 2)
-    assert integer_slice([(3, 2), (-3, -1)]) is None  # 1/3 <= t <= 2/3
-    assert integer_slice([(1, 0), (-1, -1)]) is None  # t <= 0, t >= 1
-    assert integer_slice([(0, -1), (1, 5)]) is None  # 0 <= -1
-    assert integer_slice([(0, 0), (-2, 5)]) == (-2, None)
-    assert integer_slice([(7, -15)]) == (None, -3)
+    assert slice_pairs([(2, 5), (-3, 1)]) == (0, 2)
+    assert slice_pairs([(2, 5), (4, 9), (-3, 1), (-1, 2)]) == (0, 2)
+    assert slice_pairs([(3, 2), (-3, -1)]) is None  # 1/3 <= t <= 2/3
+    assert slice_pairs([(1, 0), (-1, -1)]) is None  # t <= 0, t >= 1
+    assert slice_pairs([(0, -1), (1, 5)]) is None  # 0 <= -1
+    assert slice_pairs([(0, 0), (-2, 5)]) == (-2, None)
+    assert slice_pairs([(7, -15)]) == (None, -3)
+    # rows (a1, a2, b) at z: 3 + 2y <= 5 and 3 - y <= 7
+    assert integer_slice([(1, 2, 5), (1, -1, 7)], 3) == (-4, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,7 +105,7 @@ def test_integer_slice_matches_rational_rounding(pairs):
     empty = any(c == 0 and d < 0 for c, d in pairs) or (
         ilo is not None and ihi is not None and ilo > ihi
     )
-    assert integer_slice(pairs) == (None if empty else (ilo, ihi))
+    assert slice_pairs(pairs) == (None if empty else (ilo, ihi))
 
 
 def _rational_empty(pairs):
@@ -116,10 +123,10 @@ def _no_pair_after(pairs, stop):
 
 
 def test_integer_slice_stops_at_first_conflict_golden():
-    assert integer_slice(_no_pair_after([(1, 0), (-1, -1), (1, 9)], 1)) is None
-    assert integer_slice(_no_pair_after([(-1, -1), (5, 9), (2, 1), (0, 0)], 2)) is None
-    assert integer_slice(_no_pair_after([(3, 2), (-3, -1), (-1, -50)], 1)) is None
-    assert integer_slice(_no_pair_after([(2, 5), (0, -1), (0, -1)], 1)) is None
+    assert slice_pairs(_no_pair_after([(1, 0), (-1, -1), (1, 9)], 1)) is None
+    assert slice_pairs(_no_pair_after([(-1, -1), (5, 9), (2, 1), (0, 0)], 2)) is None
+    assert slice_pairs(_no_pair_after([(3, 2), (-3, -1), (-1, -50)], 1)) is None
+    assert slice_pairs(_no_pair_after([(2, 5), (0, -1), (0, -1)], 1)) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +134,26 @@ def test_integer_slice_stops_at_first_conflict_golden():
 def test_integer_slice_reads_no_pair_after_the_first_conflict(pairs):
     first = next((i for i in range(len(pairs)) if _rational_empty(pairs[: i + 1])), None)
     if first is not None:
-        assert integer_slice(_no_pair_after(pairs, first)) is None
+        assert slice_pairs(_no_pair_after(pairs, first)) is None
+
+
+_HUGE = 10**30
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(_HUGE - 9, _HUGE + 9),
+                   st.integers(-_HUGE - 9, -_HUGE + 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COEFF, st.one_of(st.just(0), _COEFF), _COEFF), max_size=6),
+       st.one_of(st.integers(-20, 20), st.integers(-_HUGE, _HUGE)))
+def test_column_rounds_the_exact_rational_bounds(rows, z):
+    # a2 = 0 rows are drawn often; they hold or empty the column outright
+    want = rational_column(hpoly(rows), z)
+    if want is not None:
+        lo, hi = want
+        want = (None if lo is None else math.ceil(lo), None if hi is None else math.floor(hi))
+        if None not in want and want[0] > want[1]:
+            want = None
+    assert column(hpoly(rows), z) == want
 
 
 @pytest.mark.parametrize("coeff,zmax", [(7, 40), (10**30, 10**25)])

@@ -8,7 +8,7 @@ from slcterm import oracle
 from slcterm.analyzer import decide, witness_trace
 from slcterm.lattice import column
 from slcterm.oracle import TransGraph, build_graph, find_cycle, find_escape
-from slcterm.poly2 import contains
+from slcterm.poly2 import contains, hpoly
 
 from conftest import (
     SEED,
@@ -178,14 +178,16 @@ def _escapes_ref(p, bound, x):
     return hi is None or hi > bound or lo is None or lo < -bound
 
 
-def _find_escape_ref(g, p, limit):
+def _find_escape_ref(g, escapes, limit):
+    # the BFS that tests each edge; escapes(x) says whether x has a
+    # successor outside the window
     no_escape = set()
     for start in sorted(g.span, key=lambda x: (abs(x), x < 0)):
         if start in no_escape:
             continue
         parent, queue, found = {start: None}, [start], None
         for x in queue:
-            if _escapes_ref(p, g.bound, x):
+            if escapes(x):
                 found = x
                 break
             for y in g.succ(x):
@@ -204,6 +206,30 @@ def _find_escape_ref(g, p, limit):
     return None
 
 
+def _find_cycle_ref(g):
+    # the DFS that tests each edge: starts by increasing |state|,
+    # successors ascending, the first back edge's cycle in trace order
+    visited = set()
+    for start in sorted(g.span, key=lambda x: (abs(x), x < 0)):
+        if start in visited:
+            continue
+        path, index, iters = [start], {start: 0}, [iter(g.succ(start))]
+        while iters:
+            y = next(iters[-1], None)
+            if y is None:
+                iters.pop()
+                node = path.pop()
+                del index[node]
+                visited.add(node)
+            elif y in index:
+                return path[index[y] :]
+            elif y not in visited:
+                index[y] = len(path)
+                path.append(y)
+                iters.append(iter(g.succ(y)))
+    return None
+
+
 @pytest.mark.parametrize("bound", [0, 1, 16, 64])
 def test_exits_match_rereading_columns(bound):
     rng = random.Random(SEED + 14)
@@ -212,4 +238,77 @@ def test_exits_match_rereading_columns(bound):
         window = range(-bound, bound + 1)
         assert g.exits == {x for x in window if _escapes_ref(p, bound, x)}
         for limit in (1, 3, 1000):
-            assert find_escape(g, p, limit) == _find_escape_ref(g, p, limit)
+            assert find_escape(g, p, limit) == _find_escape_ref(
+                g, lambda x: _escapes_ref(p, bound, x), limit)
+
+
+@pytest.mark.parametrize("bound,loops", [(0, 150), (1, 150), (16, 150), (64, 150), (300, 40)])
+def test_searches_match_edge_by_edge_references(bound, loops):
+    # coefficients up to 20; the references cost O(B^2) a loop, hence
+    # fewer loops at the widest window
+    rng = random.Random(SEED + 15)
+    for p in [build() for build in GOLDENS] + [random_slc(rng, coeff=20) for _ in range(loops)]:
+        g = build_graph(p, bound)
+        assert find_cycle(g) == _find_cycle_ref(g)
+        for limit in (1, 3, 1000):
+            assert find_escape(g, p, limit) == _find_escape_ref(g, g.exits.__contains__, limit)
+
+
+B = 6
+HAND_GRAPHS = {
+    # 1, 2 finish under 0; 3 skips them as one run and stops on itself
+    "self-loop": TransGraph(B, {0: (1, 3), 1: (-1, -1), 3: (1, 3)}),
+    # 1..4 finish under 0; 6 then skips that run and stops at 5, on the path
+    "back-edge-past-a-run": TransGraph(B, {0: (1, 5), 2: (1, 1), 3: (2, 2), 5: (6, 6), 6: (1, 5)}),
+    # 1..3 and 5, 6 finish on either side of 4, which is on the path; 7
+    # skips 1..3 and stops at 4, not past it
+    "back-edge-between-runs": TransGraph(B, {0: (1, 6), 1: (2, 2), 3: (-1, -1), 4: (5, 7),
+                                             7: (1, 6)}, frozenset({7})),
+    "gaps": TransGraph(B, {0: (2, 3), 2: (5, 6), 3: (-4, -3), -3: (-1, -1), 5: (-6, -5), -6: (6, 6)},
+                       frozenset({6, -1})),
+    "dense-acyclic": TransGraph(B, {x: (x + 1, B) for x in range(-B, B)}, frozenset({B})),
+    "dense-acyclic-no-exit": TransGraph(B, {x: (x + 1, B) for x in range(-B, B)}),
+    # 0 reaches no exit; from 1 the only exit trace is too long for
+    # limit 3, and -1 then escapes without revisiting 0's dead end 5
+    "too-long-then-later-start": TransGraph(B, {0: (5, 5), 1: (2, 2), 2: (3, 3), 3: (4, 4),
+                                                4: (6, 6), -1: (5, 6)}, frozenset({6})),
+}
+HAND_EXPECTED = {  # (cycle, escape within 3 states)
+    "self-loop": ([3], None),
+    "back-edge-past-a-run": ([5, 6], None),
+    "back-edge-between-runs": ([4, 7], [0, 4, 7]),
+    "gaps": (None, [0, 2, 6]),
+    "dense-acyclic": (None, [0, 6]),
+    "dense-acyclic-no-exit": (None, None),
+    "too-long-then-later-start": (None, [-1, 6]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_GRAPHS)
+def test_searches_match_references_on_hand_built_graphs(name):
+    g = HAND_GRAPHS[name]
+    cyc, esc = HAND_EXPECTED[name]
+    assert find_cycle(g) == _find_cycle_ref(g) == cyc
+    assert find_escape(g, None, 3) == _find_escape_ref(g, g.exits.__contains__, 3) == esc
+    for limit in (1, 2, 1000):
+        assert find_escape(g, None, limit) == _find_escape_ref(g, g.exits.__contains__, limit)
+
+
+WIDE = 5000
+
+
+def test_wide_box_window():
+    # |x|, |x'| <= N at bound N: every state reaches every state, so the
+    # DFS closes on -N at once and the BFS from 0 finds all 2N + 1 states
+    box = hpoly([(1, 0, WIDE), (-1, 0, WIDE), (0, 1, WIDE), (0, -1, WIDE)])
+    g = build_graph(box, WIDE)
+    assert find_cycle(g) == [-WIDE]
+    assert find_escape(g, box) is None
+
+
+def test_wide_halfplane_window():
+    # x' >= x + 1: the DFS runs 0, 1, ..., N and backs out over every span
+    p = hpoly([(1, -1, -1)])
+    g = build_graph(p, WIDE)
+    assert find_cycle(g) is None
+    assert find_escape(g, p) == [0]
