@@ -16,7 +16,8 @@ as witness) or unknown (the conjecture-dependent cases L5.3.3 and
 L5.4.2).  Case labels are plain strings: L5.2.x (pointed wedge), L5.3.x
 (ray), L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and
 EMPTY.  Deciding builds no trace: `witness_trace` alone builds states
-from a witness, and checks each transition by substitution.
+from a witness, and checks each transition by substitution; a growth
+trace restarts at most once, at a column past which no run stalls.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Optional, Tuple, Union
 
 from .lattice import (
     DEFAULT_SCAN_LIMIT,
-    ScanLimitExceededError,
     column,
+    growth_threshold,
     height,
     integer_point_1d,
     integer_point_2d,
@@ -92,8 +93,8 @@ class TraceSeed(Record):
     'shift' the transition (a, b), walked as x -> x + (b - a); for 'band' the
     span (a, b) of column 0, alternated around a <= x + x' <= b; for 'ascend'
     or 'descend' the point in I+ or I- that a greedy trace grows from; for
-    'outward' (), grown from the first nonempty column.  `witness_trace`
-    builds the states, reseeding a growth trace farther out on a stall."""
+    'outward' (), grown from column 1.  A stalled growth trace restarts once
+    in `witness_trace`, at the column of `lattice.growth_threshold`."""
 
     __slots__ = ("mode", "data")
 
@@ -239,33 +240,21 @@ def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     return y if lo is None or y >= lo else None
 
 
-def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int, scan_limit: int) -> list[int]:
-    # Greedy growth from data[0], the region point, if any; every other seed
-    # is the first column from t on with a successor (outward: nonempty); a
-    # stall moves t past the last state.  scan_limit bounds all the walking.
-    step = -1 if mode == "descend" else 1
-    t, walked, trace = 1, 0, list(data[:1])
-    while True:
-        s = step * t
-        while not trace:
-            walked += 1
-            if walked > scan_limit:
-                raise ScanLimitExceededError(f"growth walk exceeded {scan_limit} columns")
-            if (column(p, s) if mode == "outward" else _next_state(p, s, mode)) is not None:
-                trace = [s]
-            s += step
-        while len(trace) < length:
-            nxt = _next_state(p, trace[-1], mode)
-            if nxt is None:
-                break
-            trace.append(nxt)
-        if len(trace) >= length:
+def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int) -> list[int]:
+    # greedy growth from the region point (outward: column 1), then the threshold
+    s = data[0] if data else 1
+    for _ in range(2):
+        trace = [s]
+        while len(trace) < length and (s := _next_state(p, s, mode)) is not None:
+            trace.append(s)
+        if len(trace) == length:
             return trace
-        t = max(t + 1, abs(trace[-1]) + 1)
-        trace = []
+        q = p if mode == "outward" else intersect(p, hpoly(_IM_ROWS if mode == "descend" else _IP_ROWS))
+        s = growth_threshold(decompose(q), -1 if mode == "descend" else 1)
+    raise ExtensionFailedError(f"growth trace stalled past its threshold column {s}")
 
 
-def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
+def witness_trace(p: HPoly, v: Verdict, length: int) -> list[int]:
     """A verified trace of `length` states witnessing non-termination: a
     cycle repeats, a trace seed replays its mode from its data.  Every
     transition is re-checked by substitution."""
@@ -286,7 +275,7 @@ def witness_trace(p: HPoly, v: Verdict, length: int, scan_limit: int = DEFAULT_S
         while len(out) < length:
             out.append((a if len(out) % 2 == 1 else b) - out[-1])
     else:
-        out = _grow_states(p, w.mode, w.data, length, scan_limit)
+        out = _grow_states(p, w.mode, w.data, length)
     for x, y in pairwise(out):
         if not contains(p, (x, y)):
             raise ExtensionFailedError(f"invalid transition ({x}, {y}) in generated trace")

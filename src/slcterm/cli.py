@@ -68,9 +68,7 @@ def _fmt_cone(c: Cone) -> str:
 def _cmd_decide(args) -> int:
     p = _read_loop(args.file)
     v = decide(p, assume_conjecture=args.assume_reachability, scan_limit=args.scan_limit)
-    # a trace seed's first 10 states, built before anything is printed: a
-    # run whose replay exceeds the scan limit prints nothing
-    prefix = witness_trace(p, v, 10, args.scan_limit) if isinstance(v.witness, TraceSeed) else None
+    prefix = witness_trace(p, v, 10) if isinstance(v.witness, TraceSeed) else None
     if args.json:
         d = v.decomposition or (None if v.label == EMPTY else decompose(p))
         print(emit_report(v, d, args.assume_reachability, prefix))
@@ -110,7 +108,7 @@ def _cmd_witness(args) -> int:
     if v.kind != "non-terminating":
         print(f"error: loop is {v.kind} ({v.label}); no witness trace", file=sys.stderr)
         return 2
-    states = witness_trace(p, v, args.length, args.scan_limit)
+    states = witness_trace(p, v, args.length)
     print(f"trace: {_ints(states)}")
     return 0
 
@@ -220,7 +218,7 @@ def _add_scan_limit(sp) -> None:
         "--scan-limit",
         type=_count,
         default=DEFAULT_SCAN_LIMIT,
-        help="max columns per integer-point query, and in total per growth-seed walk (default %(default)s)",
+        help="max columns per integer-point query (default %(default)s)",
     )
 
 

@@ -151,18 +151,6 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
 # ---------------------------------------------------------------------------
 
 
-def _scan(p: HPoly, zs, scan_limit: int) -> Optional[Tuple[int, int]]:
-    count = 0
-    for z in zs:
-        count += 1
-        if count > scan_limit:
-            raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
-        y = integer_point_1d(column(p, z))
-        if y is not None:
-            return (z, y)
-    return None
-
-
 def _window_order(lo: int, hi: int) -> Iterator[int]:
     # lo..hi by smallest |z| first, nonnegative before negative on ties;
     # lazy, so a huge or far-off window costs only the columns scanned
@@ -173,8 +161,8 @@ def _window_order(lo: int, hi: int) -> Iterator[int]:
             yield -k
 
 
-def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
-    """Some integer point of p, or None if p has no integer point.
+def column_window(d: MWDecomp) -> Tuple[int, int]:
+    """The columns lo..hi that `integer_point_2d` scans for d's polyhedron.
 
     Complete: the recession cone bounds which columns can differ.  A
     pointed horizontal ray repeats columns with period v[0] (shift v[1])
@@ -182,33 +170,62 @@ def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional
     with that period; two-dimensional cones guarantee a hit once the
     column width reaches 1, at an exactly computable threshold.
     """
+    cone = d.cone
+    if isinstance(cone, Plane):
+        return 0, 0
+    if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
+        return d.x_lo, d.x_hi
+    if isinstance(cone, Ray):
+        # columns past the vertex bound repeat with period |a| (shift v[1])
+        a = cone.v[0]
+        return (d.x_lo, d.bound + a - 1) if a > 0 else (-d.bound + a + 1, d.x_hi)
+    if isinstance(cone, Line):
+        # every column is an exact integer translate of one of these
+        return 0, cone.v[0] - 1
+    # 2D cone: far columns are unbounded (vertical direction inside the
+    # cone) or widen at the generators' slope gap until they must hold
+    # an integer
+    if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
+        extra = 1
+    else:
+        # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
+        extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
+    return -(d.bound + extra), d.bound + extra
+
+
+def growth_threshold(d: MWDecomp, step: int) -> int:
+    """A column T from which a greedy growth trace never stalls.
+
+    Ascend, descend (step 1, -1): d decomposes q = p & I+ or p & I-, and T
+    is the far end of its `column_window`.  Every column of q from T on
+    holds an integer y beyond the column, so each step lands beyond T.
+    For a 2D cone of q, inside the region's arc, such columns are unbounded
+    or wider than 1.  Else q's cone is p's ray (a, c), 0 < |a| < |c|; no
+    region row is parallel to it, so q's far columns are p's, which hold
+    p's a-height h >= |a| points of (1/|a|)Z, one of them an integer.
+
+    Outward: d decomposes p, whose cone is a Line (a, c), 0 < a < |c|,
+    c < 0.  Column s is [y1 + c*s/a, y2 + c*s/a] for anchors (0, y1),
+    (0, y2) within bound; it holds an integer as h >= a, and from s >= T =
+    a*bound + 1, y <= c*s/a + bound < -s as (|c| - a)*s/a > bound; from
+    s <= -T likewise y > -s.  So each step lands beyond T, on the other side.
+    """
+    if isinstance(d.cone, Line):
+        return d.cone.v[0] * d.bound + 1
+    lo, hi = column_window(d)
+    return hi if step > 0 else lo
+
+
+def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
+    """Some integer point of p, or None: the first in `column_window`, by |column|."""
     try:
         d = decompose(p)
     except EmptyPolyhedronError:
         return None
-    cone = d.cone
-    if isinstance(cone, Plane):
-        lo = hi = 0
-    elif isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
-        lo, hi = d.x_lo, d.x_hi
-    elif isinstance(cone, Ray):
-        # columns past the vertex bound repeat with period |a| (shift v[1])
-        a = cone.v[0]
-        if a > 0:
-            lo, hi = d.x_lo, d.bound + a - 1
-        else:
-            lo, hi = -d.bound + a + 1, d.x_hi
-    elif isinstance(cone, Line):
-        # every column is an exact integer translate of one of these
-        lo, hi = 0, cone.v[0] - 1
-    else:
-        # 2D cone: far columns are unbounded (vertical direction inside the
-        # cone) or widen at the generators' slope gap until they must hold
-        # an integer
-        if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
-            extra = 1
-        else:
-            # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
-            extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
-        lo, hi = -(d.bound + extra), d.bound + extra
-    return _scan(p, _window_order(lo, hi), scan_limit)
+    for count, z in enumerate(_window_order(*column_window(d)), 1):
+        if count > scan_limit:
+            raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
+        y = integer_point_1d(column(p, z))
+        if y is not None:
+            return (z, y)
+    return None

@@ -36,12 +36,6 @@ class TransGraph(Record):
         _setattr(self, "span", span)
         _setattr(self, "exits", exits)
 
-    def succ(self, x: int) -> range:
-        if x not in self.span:
-            return range(0)
-        lo, hi = self.span[x]
-        return range(lo, hi + 1)
-
     @cached_property
     def starts(self) -> List[int]:
         # the key is each state's place in 0, 1, -1, 2, -2, ...

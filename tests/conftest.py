@@ -76,8 +76,23 @@ def empty_loop():
 
 def wedge_loop(k):
     # (k+1)x/k <= x' <= kx/(k-1), x >= 1: columns hold an integer only
-    # from about x = k*k on, so a growth trace stalls many times first
+    # from about x = k*k on, so a growth trace from the region point may
+    # stall before that, and restarts at the threshold column
     return hpoly([(k + 1, -k, 0), (-k, k - 1, 0), (-1, 0, -1)])
+
+
+def line_strips(n, seed):
+    """n loops c1 <= c*x - a*x' <= c2 with 0 < a < |c| and c < 0: bands
+    along the line direction (a, c) whose columns hold c2 - c1 + 1
+    points of (1/a)Z, so about half of them grow outward (L5.4.1)."""
+    rng = random.Random(seed)
+    strips = []
+    for _ in range(n):
+        a = rng.randint(1, 8)
+        c = -rng.randint(a + 1, 30)
+        c1 = rng.randint(-300, 300)
+        strips.append(hpoly([(c, -a, c1 + rng.randint(0, 2 * a)), (-c, a, -c1)]))
+    return strips
 
 
 def translated(p, c):
@@ -247,11 +262,24 @@ I_PLUS_ROWS = ((-1, 0, -1), (1, -1, -1))
 I_MINUS_ROWS = ((1, 0, -1), (-1, 1, -1))
 
 
+def greedy_run(p, mode, s, length):
+    """The growth trace from state s by `growth_successor`, up to `length`
+    states; shorter where it stalls."""
+    trace = [s]
+    while len(trace) < length:
+        nxt = growth_successor(p, trace[-1], mode)
+        if nxt is None:
+            break
+        trace.append(nxt)
+    return trace
+
+
 def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
     """A growth witness by the restart loop: each seed is a fresh
     `integer_point_2d` query on p cut to the growth region from column t
     on, and each stall moves t past the last state.  The reference for
-    the column walk behind `witness_trace`'s growth modes."""
+    `witness_trace`'s growth modes wherever the first run reaches its
+    length."""
     t = 1
     for _ in range(10_000):
         if mode == "ascend":
@@ -262,12 +290,7 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
             extra = ((-1, 0, -t),)
         seed = integer_point_2d(intersect(p, hpoly(extra)), scan_limit)
         assert seed is not None, "growth seed query came back empty"
-        trace = [seed[0]]
-        while len(trace) < length:
-            nxt = growth_successor(p, trace[-1], mode)
-            if nxt is None:
-                break
-            trace.append(nxt)
+        trace = greedy_run(p, mode, seed[0], length)
         if len(trace) >= length:
             return trace
         t = max(t + 1, abs(trace[-1]) + 1)

@@ -1,5 +1,6 @@
 """Cycle detection, the recession-cone dispatch, and witness traces."""
 
+import math
 import random
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from slcterm.analyzer import (
     region_point,
     witness_trace,
 )
-from slcterm.lattice import ScanLimitExceededError, integer_point_2d
+from slcterm.lattice import growth_threshold, integer_point_2d
 from slcterm.poly2 import (
     EmptyPolyhedronError,
     HalfPlane,
@@ -44,12 +45,17 @@ from slcterm.poly2 import (
 )
 
 from conftest import (
+    I_MINUS_ROWS,
+    I_PLUS_ROWS,
     SEED,
     bounded_corpus,
+    column_span,
     empty_loop,
+    greedy_run,
     halfint_loop,
     halfplane_loop,
     inc_loop,
+    line_strips,
     meets_open_arc,
     pair_loop,
     quad_loop,
@@ -327,7 +333,9 @@ DIRECT_PREFIXES = [
     (1, -1, 2, -2, 3, -3, 4, -4, 5, -5),
     None,
     (1, 2, 3, 5, 8, 12, 18, 27, 41, 62),
-    (2, -3, 5, -7, 11, -16, 24, -36, 54, -81),
+    # outward stalls at column 1, whose one state -1 is no farther out,
+    # and restarts at the threshold column a*bound + 1 = 2*1 + 1
+    (3, -4, 6, -9, 14, -21, 32, -48, 72, -108),
     None,
     None,
     (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
@@ -538,43 +546,64 @@ def _growth_cases():
     return cases
 
 
+def _threshold(p, mode):
+    # the column a stalled growth trace restarts at
+    q = p if mode == "outward" else intersect(p, hpoly(I_MINUS_ROWS if mode == "descend" else I_PLUS_ROWS))
+    return growth_threshold(decompose(q), -1 if mode == "descend" else 1)
+
+
 def test_growth_witness_matches_restart_reference():
+    # a trace whose first greedy run, from the region point or column 1,
+    # reaches its length is the restart loop's; one that stalls restarts
+    # once, at the threshold column
     cases = _growth_cases()
     modes = {seed.mode for _, _, _, seed in cases}
     assert modes == {"ascend", "descend", "outward"}
     assert sum(name.startswith("slc") for name, _, _, _ in cases) > 0
+    restarted = set()
     for name, p, label, seed in cases:
         v = Verdict("non-terminating", label, seed)
         for n in (1, 2, 10, 50, 200):
-            assert witness_trace(p, v, n) == restarting_growth_states(p, seed.mode, n), (name, n)
+            trace = witness_trace(p, v, n)
+            if len(greedy_run(p, seed.mode, seed.data[0] if seed.data else 1, n)) == n:
+                assert trace == restarting_growth_states(p, seed.mode, n), (name, n)
+            else:
+                restarted.add(name)
+                assert trace == greedy_run(p, seed.mode, _threshold(p, seed.mode), n), (name, n)
+                verify_states(p, trace)
+    assert restarted
 
 
-def test_scan_limit_bounds_the_growth_walk_in_total():
-    # wedge(100) stalls many times before its columns hold an integer.  The
-    # walk to each next seed needs 2689 columns in all; a fresh window query
-    # per stall (restarting_growth_states) needs more than 5000 each
-    for p in (wedge_loop(100), reflected(wedge_loop(100))):
-        v = decide(p, scan_limit=5000)
-        assert (v.kind, str(v.label)) == ("non-terminating", "L5.2.1")
-        trace = witness_trace(p, v, 200, scan_limit=5000)
-        assert len(set(trace)) == 200
-        verify_states(p, trace)
-    # ... and the walk stops at the limit in total
-    p = wedge_loop(100)
-    v = decide(p, scan_limit=2000)
-    with pytest.raises(ScanLimitExceededError, match="growth walk"):
-        witness_trace(p, v, 10, scan_limit=2000)
+def test_no_growth_run_stalls_from_the_threshold():
+    # a 300-state run from the threshold column never stalls, and column 1
+    # of every outward verdict holds a state, so outward walks to no seed
+    loops = slc_corpus(3000, seed=5) + line_strips(2500, SEED)
+    loops += [wedge_loop(k) for k in range(2, 31)] + [reflected(wedge_loop(k)) for k in range(2, 31)]
+    modes = Counter()
+    for p in loops:
+        v = decide(p)
+        mode = getattr(v.witness, "mode", None)
+        if mode not in ("ascend", "descend", "outward"):
+            continue
+        modes[mode] += 1
+        run = greedy_run(p, mode, _threshold(p, mode), 300)
+        assert len(run) == 300, (p, mode)
+        verify_states(p, run)
+        if mode == "outward":
+            assert column_span(p, 1, -math.inf, math.inf) is not None, p
+    assert modes["ascend"] and modes["descend"] and modes["outward"] >= 1000, modes
 
 
-@pytest.mark.parametrize("k", [3000, 10**4])
-def test_decide_answers_thin_wedges_without_a_growth_walk(k):
-    # the growth walk to a column with a successor runs past the default
-    # limit, but deciding needs only the seed point, one window query
+@pytest.mark.parametrize("k", [100, 3000, 10**4])
+def test_witness_trace_answers_thin_wedges(k):
+    # a thin wedge's columns hold an integer only from about x = k*k on:
+    # the trace restarts there once, without walking to it
     for p in (wedge_loop(k), reflected(wedge_loop(k))):
         v = decide(p)
         assert (v.kind, v.label) == ("non-terminating", "L5.2.1")
-        with pytest.raises(ScanLimitExceededError, match="growth walk"):
-            witness_trace(p, v, 10)
+        trace = witness_trace(p, v, 200)
+        assert len(set(trace)) == 200
+        verify_states(p, trace)
 
 
 def test_decide_replays_nothing(monkeypatch):
