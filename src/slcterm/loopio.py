@@ -9,10 +9,11 @@ Text format (one loop per file):
 
 Header line first, then one constraint row a1 a2 b per nonblank line,
 arbitrary-precision decimal integers.  Zero rows after the header is a
-legal (trivially non-terminating) loop.  The JSON form wraps the same
-rows with every integer string-encoded so nothing overflows elsewhere.
-The JSON functions import `json` when called, so text-only runs never
-load it.
+legal (trivially non-terminating) loop.  `parse_text` checks a whole text
+in the usual layout with one regular expression, and reads any other text
+line by line.  The JSON form wraps the same rows with every integer
+string-encoded so nothing overflows elsewhere.  The JSON functions import
+`json` when called, so text-only runs never load it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ _INT = r"[+-]?[0-9]+"  # ASCII digits only
 _INT_RE = re.compile(_INT + r"\Z")
 # a constraint row: three integers separated by whitespace
 _ROW_RE = re.compile(rf"\s*({_INT})\s+({_INT})\s+({_INT})\s*")
+# the usual layout of a whole text, checked in one match: spaces and tabs
+# within a line, \n or \r between lines.  A text with other whitespace, or
+# with a bad line, fails it and is read line by line.  Each step of a match
+# is forced, so a match and a failed one both take linear time.
+_ROW = rf"{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]*(?:[\r\n]\s*|\Z)"
+_TEXT_RE = re.compile(rf"[ \t]*{re.escape(HEADER)}[ \t]*(?:[\r\n]\s*(?:{_ROW})*)?")
 
 
 class LoopFormatError(ValueError):
@@ -70,6 +77,10 @@ def _bad_row(lineno: int, raw: str) -> BadTokenError:
 
 
 def parse_text(data: str) -> HPoly:
+    if _TEXT_RE.fullmatch(data):
+        ints = map(int, data.split()[2:])  # after the header's two tokens
+        # a list first: tuple() of an iterator resizes as it grows, raising a long run's peak RSS
+        return HPoly(tuple(list(map(Constraint, ints, ints, ints))))
     lines = data.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise BadHeaderError(lines[0].strip() if lines else "")

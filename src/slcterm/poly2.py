@@ -10,8 +10,10 @@ works in integers, each vertex a meet (x, y, det) of two rows; pairs of
 `fractions.Fraction` are built only for reports, by `MWDecomp.vertices`.
 It reads everything off one canonical edge list, built in O(k log k) for
 k rows: the tightest row of each primitive normal, sorted by angle, then
-cut to the rows that touch the polygon by a deque half-plane
-intersection, and raises `EmptyPolyhedronError` where that finds p empty.
+cut to the rows that touch the polygon by a half-plane intersection over
+two lists, rows and meets, with every test inlined as integer products;
+it raises `EmptyPolyhedronError` where that finds p empty, and one pass
+over the meets gives the integer fields `x_lo`, `x_hi` and `bound`.
 `is_empty` alone is `x_extent`'s variable elimination, O(k^2) but cheaper
 on a few rows; `analyzer.decide` runs it only up to `analyzer._FM_ROWS`
 rows.  Every rational one-variable bound from the rows goes through
@@ -20,21 +22,18 @@ rows.  Every rational one-variable bound from the rows goes through
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-Rat = Fraction
-
 # A rational point (x1, x2).
-Point = Tuple[Rat, Rat]
+Point = Tuple[Fraction, Fraction]
 # An integer direction vector.
 IVec = Tuple[int, int]
 Meet = Tuple[int, int, int]  # (x, y, det) with det > 0: the point (x/det, y/det)
-Extent = Tuple[bool, Optional[Rat], Optional[Rat]]  # (empty, lo, hi)
+Extent = Tuple[bool, Optional[Fraction], Optional[Fraction]]  # (empty, lo, hi)
 
 
 class EmptyPolyhedronError(ValueError):
@@ -230,7 +229,7 @@ class MWDecomp(Record):
         return tuple(sorted({(Fraction(x, det), Fraction(y, det)) for x, y, det in self.meets}))
 
     @property
-    def vertex_bound(self) -> Rat:
+    def vertex_bound(self) -> Fraction:
         return max(abs(c) for v in self.vertices for c in v)
 
     def __eq__(self, other: object) -> bool:
@@ -303,7 +302,7 @@ def halfplane_normal(c: HalfPlane) -> IVec:
 # ---------------------------------------------------------------------------
 
 
-def bound_1d(pairs: Iterable[Tuple[Union[int, Rat], Union[int, Rat]]]) -> Extent:
+def bound_1d(pairs: Iterable[Tuple[Union[int, Fraction], Union[int, Fraction]]]) -> Extent:
     """Solve {t : c*t <= d for every (c, d)} exactly.
 
     Returns (empty, lo, hi) with None for an unbounded side.  Bounds are
@@ -345,7 +344,7 @@ def is_empty(p: HPoly) -> bool:
     return x_extent(p)[0]
 
 
-def contains(p: HPoly, pt: Sequence[Union[int, Rat]]) -> bool:
+def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:
     """Exact membership of a rational point."""
     x, y = Fraction(pt[0]), Fraction(pt[1])
     return all(a1 * x + a2 * y <= b for a1, a2, b in p.rows)
@@ -373,24 +372,30 @@ def _edges(p: HPoly) -> list:
 
     The angle key is the pseudo-angle (s - a1)/s in the upper half-turn or
     (3s + a1)/s in the lower one, times 2^k and floored: parallel rows
-    share it, and distinct pseudo-angles differ by at least 1/(s*s') > 2^-k,
-    so never tie (a float key would tie normals of 10^17).
+    share it, and distinct pseudo-angles differ by at least 1/(s*s') > 2^-k
+    for k = 2 * bits(max s), so never tie (a float key would tie normals of
+    10^17).  A first pass finds the numerators and the largest s.
     """
-    k = 2 * max((max(abs(r[0]), abs(r[1])) for r in p.rows), default=0).bit_length() + 2
-    best: dict = {}  # key -> (s, row)
+    top = 0
+    angles = []  # (numerator, s, b, row)
     for r in p.rows:
         a1, a2, b = r
-        s = abs(a1) + abs(a2)
+        s = (a1 if a1 >= 0 else -a1) + (a2 if a2 >= 0 else -a2)
         if s == 0:
             if b < 0:
                 raise EmptyPolyhedronError("decomposition of an empty polyhedron")
             continue
-        lower = a2 < 0 or (a2 == 0 and a1 < 0)
-        key = ((3 * s + a1 if lower else s - a1) << k) // s
+        angles.append((3 * s + a1 if a2 < 0 or (a2 == 0 and a1 < 0) else s - a1, s, b, r))
+        if s > top:
+            top = s
+    k = 2 * top.bit_length()
+    best: dict = {}  # key -> (s, b, row)
+    for num, s, b, r in angles:
+        key = (num << k) // s
         kept = best.get(key)
-        if kept is None or b * kept[0] < kept[1][2] * s:
-            best[key] = (s, r)
-    return [best[key][1] for key in sorted(best)]
+        if kept is None or b * kept[0] < kept[1] * s:
+            best[key] = (s, b, r)
+    return [best[key][2] for key in sorted(best)]
 
 
 def _cone(es: list) -> Cone:
@@ -402,7 +407,7 @@ def _cone(es: list) -> Cone:
         n = primitive(es[0])
         return HalfPlane(_norm_line_dir((-n[1], n[0])), next(w for w in _AXES if dot(n, w) < 0))
     for u, v in zip(es, es[1:] + es[:1]):
-        c = cross(u, v)
+        c = u[0] * v[1] - u[1] * v[0]
         if c <= 0:
             (u1, u2), (v1, v2) = primitive(u), primitive(v)
             if c < 0:  # the normals span less than a half-turn, from v to u
@@ -412,45 +417,39 @@ def _cone(es: list) -> Cone:
     return Zero()
 
 
-def _meet(r: Constraint, s: Constraint) -> Meet:
-    # where the lines of r and s meet, as (x, y, det): the point (x/det, y/det)
-    (r1, r2, rb), (s1, s2, sb) = r, s
-    return rb * s2 - r2 * sb, r1 * sb - rb * s1, r1 * s2 - r2 * s1
-
-
-def _outside(h: Constraint, v: Meet) -> bool:
-    # the meet v, with det > 0, lies strictly outside h
-    return h[0] * v[0] + h[1] * v[1] > h[2] * v[2]
-
-
 def _polygon(es: list, cone: Cone) -> list[Meet]:
     """The vertices of a pointed polyhedron from its edges, as meets.
 
-    The deque half-plane intersection keeps the rows that touch; the
-    vertices are the meets of consecutive rows, in deque order.  Every
-    test is the sign of a cross product or a 3x3 determinant.  A bounded
-    polygon (Zero cone) closes up; an unbounded one is an open chain of
-    rows, from the end of the widest gap between normals to its start, so
-    nothing wraps round.
+    A half-plane intersection keeps the rows that touch in `hs[f:]`, a deque
+    as a list and a front index; `vs[i]` is the meet of `hs[i - 1]` and
+    `hs[i]`, whose det is their cross product.  A meet (x, y, det) lies
+    strictly outside h when h1*x + h2*y > hb*det.  A bounded polygon (Zero
+    cone) closes up; an unbounded one is an open chain of rows, from the end
+    of the widest gap between normals to its start, so nothing wraps round.
     """
     closed = isinstance(cone, Zero)
     if not closed:
         i = next(i for i in range(len(es)) if cross(es[i - 1], es[i]) <= 0)
         es = es[i:] + es[:i]
-    dq: deque = deque()  # (row, its meet with the row before it)
-    for h in es:
-        while len(dq) > 1 and _outside(h, dq[-1][1]):
-            dq.pop()
-        while len(dq) > 1 and _outside(h, dq[1][1]):
-            dq.popleft()
-        if dq and cross(dq[-1][0], h) <= 0:
+    hs, vs, f = [es[0]], [None], 0
+    for h in es[1:]:
+        h1, h2, hb = h
+        while len(hs) - f > 1 and h1 * (v := vs[-1])[0] + h2 * v[1] > hb * v[2]:
+            del hs[-1], vs[-1]
+        while len(hs) - f > 1 and h1 * (v := vs[f + 1])[0] + h2 * v[1] > hb * v[2]:
+            f += 1
+        g1, g2, gb = hs[-1]
+        if (d := g1 * h2 - g2 * h1) <= 0:
             raise EmptyPolyhedronError("decomposition of an empty polyhedron")
-        dq.append((h, _meet(dq[-1][0], h) if dq else None))
+        hs.append(h)
+        vs.append((gb * h2 - g2 * hb, g1 * hb - gb * h1, d))
     if closed:  # every meet kept lies inside each later row, so only the back is cut
-        while len(dq) > 2 and _outside(dq[0][0], dq[-1][1]):
-            dq.pop()
-        dq[0] = (dq[0][0], _meet(dq[-1][0], dq[0][0]))
-    return [v for _, v in dq][not closed:]
+        h1, h2, hb = hs[f]
+        while len(hs) - f > 2 and h1 * (v := vs[-1])[0] + h2 * v[1] > hb * v[2]:
+            del hs[-1], vs[-1]
+        g1, g2, gb = hs[-1]
+        vs[f] = (gb * h2 - g2 * hb, g1 * hb - gb * h1, g1 * h2 - g2 * h1)
+    return vs[f + (not closed):]
 
 
 def _anchors(es: list) -> list[Meet]:
@@ -461,7 +460,8 @@ def _anchors(es: list) -> list[Meet]:
     for a1, a2, b in es:
         x, y, det = (0, b, a2) if a2 else (b, 0, a1)
         meets.append((-x, -y, -det) if det < 0 else (x, y, det))
-    if len(es) == 2 and _outside(es[1], meets[0]):
+    (h1, h2, hb), (x, y, det) = es[-1], meets[0]
+    if len(es) == 2 and h1 * x + h2 * y > hb * det:
         raise EmptyPolyhedronError("decomposition of an empty polyhedron")
     return meets
 
@@ -471,9 +471,10 @@ def decompose(p: HPoly) -> MWDecomp:
 
     Read off the canonical edge list (`_edges`, O(k log k)): the cone from
     its angular gaps; for pointed cones (Zero/Ray/Pointed2), emptiness and
-    the true vertices from a deque half-plane intersection, O(k).  Cones
-    with lineality have no vertices: the list holds one canonical anchor
-    per finite bound of the edges.  Raises `EmptyPolyhedronError` if p is empty.
+    the true vertices from `_polygon`'s half-plane intersection, O(k).
+    Cones with lineality have no vertices: the list holds one canonical
+    anchor per finite bound of the edges.  One pass over the meets then
+    gives x_lo, x_hi and bound.  Raises `EmptyPolyhedronError` if p is empty.
     """
     es = _edges(p)
     cone = _cone(es)
@@ -484,7 +485,14 @@ def decompose(p: HPoly) -> MWDecomp:
     else:
         meets = _polygon(es, cone)
     assert meets, "nonempty pointed polyhedron must expose a vertex"
-    # ceil and floor are monotone: ceil(min x) is the least ceil(x/det), and so on
-    return MWDecomp(tuple(meets), cone, min(-(-x // det) for x, _, det in meets),
-                    max(x // det for x, _, det in meets),
-                    max(-(-max(abs(x), abs(y)) // det) for x, y, det in meets))
+    # ceil and floor are monotone: x_lo is the least ceil(x/det), x_hi the
+    # greatest floor(x/det), bound the greatest ceil(|x|/det) or ceil(|y|/det)
+    x, _, d = meets[0]
+    x_lo, x_hi, bound = -(-x // d), x // d, 0
+    for x, y, d in meets:
+        lo, hi, c = -(-x // d), x // d, -(-(y if y >= 0 else -y) // d)
+        x_lo, x_hi = lo if lo < x_lo else x_lo, hi if hi > x_hi else x_hi
+        cx = lo if x >= 0 else -hi
+        c = cx if cx > c else c
+        bound = c if c > bound else bound
+    return MWDecomp(tuple(meets), cone, x_lo, x_hi, bound)

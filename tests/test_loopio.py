@@ -1,9 +1,11 @@
 """Text and JSON loop formats and the analysis report."""
 
 import json
+import re
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slcterm.analyzer import decide, witness_trace
@@ -19,7 +21,7 @@ from slcterm.loopio import (
     parse_json,
     parse_text,
 )
-from slcterm.poly2 import decompose, hpoly
+from slcterm.poly2 import Constraint, HPoly, decompose, hpoly
 
 from conftest import inc_loop, quad_loop, slab_loop
 
@@ -90,6 +92,87 @@ def test_bad_token_positions():
         assert (e.value.line, e.value.column) == (2, column)
         assert str(e.value) == f"line 2, column {column}: {message}"
     assert issubclass(BadTokenError, LoopFormatError)
+
+
+# the line-by-line parser that parse_text's single match must agree with
+_REF_INT = r"[+-]?[0-9]+"
+_REF_ROW = re.compile(rf"\s*({_REF_INT})\s+({_REF_INT})\s+({_REF_INT})\s*")
+
+
+def reference_parse(data):
+    lines = data.splitlines()
+    if not lines or lines[0].strip() != HEADER:
+        raise BadHeaderError(lines[0].strip() if lines else "")
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        m = _REF_ROW.fullmatch(raw)
+        if m is not None:
+            rows.append(Constraint(*map(int, m.groups())))
+        elif raw.strip():
+            tokens = list(re.finditer(r"\S+", raw))
+            for t in tokens:
+                if not re.fullmatch(_REF_INT, t.group(0)):
+                    raise BadTokenError(lineno, t.start() + 1, f"not an integer: {t.group(0)!r}")
+            column = tokens[3].start() + 1 if len(tokens) > 3 else len(raw) + 1
+            raise BadTokenError(lineno, column, "expected 3 integers per row")
+    return HPoly(tuple(rows))
+
+
+def outcome(parse, text):
+    # the rows with their types, or the error's class, position and message
+    try:
+        return [(type(r), r) for r in parse(text).rows]
+    except LoopFormatError as e:
+        return type(e), getattr(e, "line", None), getattr(e, "column", None), str(e)
+
+
+_SPACES = " \t\xa0\u3000\x0c"  # the form feed also breaks a line
+_CHARS = "0123456789+-_.x\u0663\u00b2\uff11" + _SPACES
+_token = st.one_of(st.integers(-(10**12), 10**12).map(str),
+                   st.sampled_from(["+7", "-0", "007", "1_0", "1.5", "x", "+-1", "1+2", "\u0663", "\u00b2", "\uff11"]),
+                   st.text(_CHARS, min_size=1, max_size=4))
+_gap = st.text(_SPACES, max_size=3)
+_line = st.builds(lambda lead, toks, gaps, trail: lead + "".join(t + g for t, g in zip(toks, gaps)) + trail,
+                  _gap, st.lists(_token, max_size=5), st.lists(_gap.map(lambda g: g or " "), min_size=5, max_size=5),
+                  _gap)
+_text = st.builds(lambda head, lines, eol, end: eol.join([head, *lines]) + end,
+                  st.sampled_from(["slc v1", " slc v1\t", "slc v1\xa0", "slc v2", "", "slc\xa0v1", "\x0cslc v1"]),
+                  st.lists(st.one_of(_line, st.text(_CHARS, max_size=12)), max_size=6),
+                  st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", "\r\n", " "]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_text)
+@example("slc v1\r\n1 2 3\r\n\r\n4\x0c5 6\r\n")
+@example("slc v1\n1 2 3 \u3000\n-0\xa0+0\t007\n1 2 3 4\n")
+def test_parse_text_matches_reference(text):
+    assert outcome(parse_text, text) == outcome(reference_parse, text)
+
+
+def test_parse_text_matches_reference_at_every_space():
+    # each Unicode space either parts tokens within a line or breaks it,
+    # as str.splitlines sees it
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for s in spaces:
+        for text in (f"slc v1{s}1 2 3", f"slc v1\n1{s}2 3\n", f"slc v1\n1 2 3{s}4 5 6\n",
+                     f"{s}slc v1{s}\n{s}1 2 3{s}\n{s}\n", f"slc v1\r{s}\n1 2 3"):
+            assert outcome(parse_text, text) == outcome(reference_parse, text), (hex(ord(s)), text)
+
+
+def test_parse_text_many_rows_in_linear_time():
+    # one bad row at the end of 10^5 good ones: the single match must fail
+    # without backtracking blow-up before the line-by-line pass finds it
+    good = "slc v1\n" + "1 2 3\n" * 10**5
+    start = time.perf_counter()
+    with pytest.raises(BadTokenError) as e:
+        parse_text(good + "1 2 3 4\n")
+    assert time.perf_counter() - start < 5.0
+    assert (e.value.line, e.value.column) == (100_002, 7)
+    start = time.perf_counter()
+    rows = parse_text(good).rows
+    assert time.perf_counter() - start < 5.0
+    assert len(rows) == 10**5 and rows[-1] == (1, 2, 3) and type(rows[-1]) is Constraint
 
 
 def test_json_round_trip():
