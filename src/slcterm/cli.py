@@ -128,6 +128,11 @@ def _cmd_oracle(args) -> int:
         if cyc is not None and v.kind != "non-terminating":
             print("compare: mismatch (bounded graph has a cycle)")
             return 4
+        # a verdict cycle inside the window is made of edges of the graph
+        if (cyc is None and isinstance(v.witness, CycleWitness)
+                and all(abs(s) <= args.bound for s in v.witness.states)):
+            print("compare: mismatch (verdict cycle inside the window, graph has none)")
+            return 4
         print("compare: ok")
     return 0
 

@@ -5,18 +5,22 @@ it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
 non-termination.  Runs in plain integer arithmetic.  The one routine it
 shares with the geometric decision procedure is `lattice.column`:
-`build_graph` calls it once per window state, for the state's successors
-and whether one leaves the window, so a graph costs O((2B+1)*k) row
-reads for k rows, fewer where a column empties early.  The searches
-read only the graph and skip the states they are done with in runs, so
-each visits every state about once.  It uses no decomposition,
-recession cone, height or integer-point search.
+`build_graph` first clips the window to the columns with real points,
+by cuts that are each a nonnegative combination of two raw rows, then
+calls `column` once per state in between, for the state's successors
+and whether one leaves the window.  A graph so costs O((cuts + columns
+with real points)*k) row reads for k rows; each cut moves at least one
+column, so even a graph whose every column is empty costs within a small
+factor of reading them all.  The searches read only the graph and skip
+the states they are done with in runs, so each visits every state about
+once.  It uses no decomposition, recession cone, height or integer-point
+search.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .lattice import column
 from .poly2 import HPoly, Record, _setattr
@@ -42,10 +46,65 @@ class TransGraph(Record):
         return sorted(self.span, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
 
 
+def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, int]]:
+    """A row c*x <= e implied by the rows that column z violates, or None
+    when the column holds real points.  A violated row with a2 = 0 is
+    its own cut.  Else the tightest lower row l bounds y above the
+    tightest upper row u, compared by cross-multiplying, and the cut is
+    u2*l + (-l2)*u, which cancels y."""
+    lo = hi = None
+    for row in rows:
+        a1, a2, b = row
+        if a2 > 0:
+            d = b - a1 * z  # y <= d / a2
+            if hi is None or d * hi_a2 < hi_d * a2:
+                hi, hi_d, hi_a2 = row, d, a2
+        elif a2 < 0:
+            d = a1 * z - b  # y >= d / -a2
+            if lo is None or d * lo_a2 > lo_d * -a2:
+                lo, lo_d, lo_a2 = row, d, -a2
+        elif a1 * z > b:
+            return a1, b
+    if lo is None or hi is None or lo_d * hi_a2 <= hi_d * lo_a2:
+        return None
+    l1, l2, lb = lo
+    u1, u2, ub = hi
+    return u2 * l1 - l2 * u1, u2 * lb - l2 * ub
+
+
+def _clip(rows: Iterable[Tuple[int, int, int]], bound: int) -> range:
+    """The columns in [-bound, bound] from the first to the last with
+    real points; empty when there are none.  From each end, a cut
+    violated at the column fails on a half-line through it: jump past
+    that half-line, or stop if it runs to the far end.  Each jump is a
+    Newton step on the convex max(lower bounds) - min(upper bounds), so
+    jumps are few."""
+    lo = -bound
+    while lo <= bound and (cut := _cut(rows, lo)) is not None:
+        c, e = cut
+        if c >= 0:  # fails on [lo, oo), or everywhere when c = 0
+            return range(0)
+        lo = -(e // -c)  # the least z with c*z <= e
+    if lo > bound:
+        return range(0)
+    hi = bound
+    # column lo holds real points, so every cut here has c > 0 and hi
+    # stays >= lo
+    while (cut := _cut(rows, hi)) is not None:
+        c, e = cut
+        hi = e // c
+    return range(lo, hi + 1)
+
+
 def build_graph(p: HPoly, bound: int) -> TransGraph:
+    """The transition graph of p on the integer states in [-bound,
+    bound]: `span` maps each state with an integer successor in the
+    window to that span, in ascending order, and `exits` holds the states
+    with an integer successor outside it.  Only the columns between the
+    first and last with real points are read; the rest are empty."""
     span: Dict[int, Tuple[int, int]] = {}
     exits = []
-    for x in range(-bound, bound + 1):
+    for x in _clip(p.rows, bound):
         col = column(p, x)
         if col is None:
             continue

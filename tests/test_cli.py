@@ -17,7 +17,7 @@ import pytest
 
 import slcterm
 from slcterm import cli, poly2
-from slcterm.analyzer import Verdict
+from slcterm.analyzer import CycleWitness, Verdict
 from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
 from slcterm.poly2 import hpoly
@@ -413,9 +413,35 @@ def test_oracle_compare_mismatch_exits_4(monkeypatch):
                    "compare: mismatch (bounded graph has a cycle)\n")
 
 
+def test_oracle_compare_verdict_cycle_missing_from_graph_exits_4(monkeypatch):
+    # a cycle verdict whose states lie in the window must be a cycle of
+    # the graph; inc (x' = x + 1) has none
+    cyc = Verdict("non-terminating", "CYCLE", CycleWitness((0, 1)))
+    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: cyc)
+    code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=INC)
+    assert code == 4
+    assert out == ("cycle: none\nescape: 0 1 2\nverdict: non-terminating CYCLE\n"
+                   "compare: mismatch (verdict cycle inside the window, graph has none)\n")
+    # a state outside the window puts the cycle beyond what the graph sees
+    far = Verdict("non-terminating", "CYCLE", CycleWitness((2, 3)))
+    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: far)
+    code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=INC)
+    assert code == 0 and out.endswith("compare: ok\n")
+
+
+def test_oracle_compare_goldens_agree():
+    for rows, kind, label in DECIDE_GOLDEN:
+        for bound in ("0", "5", "64"):
+            code, out, _ = run_cli("oracle", "-", "--bound", bound, "--compare",
+                                   stdin=emit_text(hpoly(rows)))
+            assert code == 0, (rows, bound)
+            assert out.endswith(f"verdict: {kind} {label}\ncompare: ok\n"), (rows, bound)
+
+
 def test_oracle_compare_corpus():
-    # a graph cycle always means a real cycle, so --compare never trips;
-    # exit 4 is reserved for genuine analyzer bugs
+    # a graph cycle is a real cycle and a verdict cycle inside the window
+    # is a graph cycle, so --compare never trips; exit 4 is reserved for
+    # genuine analyzer bugs
     rng = random.Random(SEED + 13)
     for _ in range(150):
         p = random_slc(rng)

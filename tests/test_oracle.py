@@ -1,14 +1,18 @@
 """Bounded-window oracle: graph, cycle search, escape search."""
 
+import math
 import random
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slcterm import oracle
 from slcterm.analyzer import decide, witness_trace
 from slcterm.lattice import column
 from slcterm.oracle import TransGraph, build_graph, find_cycle, find_escape
-from slcterm.poly2 import contains, hpoly
+from slcterm.poly2 import contains, hpoly, x_extent
 
 from conftest import (
     SEED,
@@ -16,12 +20,16 @@ from conftest import (
     halfint_loop,
     halfplane_loop,
     inc_loop,
+    line_strips,
     pair_loop,
     quad_loop,
     random_slc,
     slab_loop,
+    slc_corpus,
+    tangent_polygon,
     thick_loop,
     thin_loop,
+    wedge_loop,
 )
 
 GOLDENS = (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
@@ -155,7 +163,9 @@ def test_transgraph_succ_missing_state():
 
 
 @pytest.mark.parametrize("bound", [0, 1, 16, 64])
-def test_each_column_is_read_once(monkeypatch, bound):
+def test_each_column_is_read_at_most_once(monkeypatch, bound):
+    # columns are read in ascending order, each at most once; the ones
+    # skipped hold no integer; the searches read none
     calls = []
 
     def counted(p, z):
@@ -167,12 +177,137 @@ def test_each_column_is_read_once(monkeypatch, bound):
     for p in [build() for build in GOLDENS] + [random_slc(rng) for _ in range(20)]:
         calls.clear()
         g = build_graph(p, bound)
-        assert sorted(calls) == list(range(-bound, bound + 1))
+        assert calls == sorted(set(calls))
+        read = set(calls)
+        assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in read)
         calls.clear()
         find_cycle(g)
         find_escape(g, p)
         find_escape(g, p, 2)
         assert calls == []
+
+
+def build_graph_ref(p, bound):
+    # the graph read off every window column
+    span, exits = {}, []
+    for x in range(-bound, bound + 1):
+        col = column(p, x)
+        if col is None:
+            continue
+        lo, hi = col
+        if lo is None or lo < -bound or hi is None or hi > bound:
+            exits.append(x)
+            lo = -bound if lo is None else max(lo, -bound)
+            hi = bound if hi is None else min(hi, bound)
+            if lo > hi:
+                continue
+            col = (lo, hi)
+        span[x] = col
+    return TransGraph(bound, span, frozenset(exits))
+
+
+def assert_same_graph(g, ref):
+    assert list(g.span.items()) == list(ref.span.items())
+    assert g.exits == ref.exits
+
+
+BOUNDS = (0, 1, 5, 64, 1000)
+coeff = st.one_of(st.integers(-7, 7), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def clip_loops(draw):
+    """Rows of every shape the window clip cuts on: random rows, rows
+    through a point of the window (so the real points sit inside it),
+    and rows derived from those: a2 = 0 and zero rows, duplicates,
+    scaled and parallel copies, and thin strips b - w <= a1*x + a2*x' <= b
+    whose columns hold real points but often no integer."""
+    k = draw(st.integers(1, 5))  # one row is a half-plane
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(coeff, coeff, coeff), min_size=k, max_size=k))
+    else:
+        cx, cy = draw(st.integers(-1100, 1100)), draw(st.integers(-1100, 1100))
+        rows = []
+        for _ in range(k):
+            a1, a2 = draw(coeff), draw(coeff)
+            reach = (abs(a1) + abs(a2)) * draw(st.integers(-2, 40)) // draw(st.integers(1, 8))
+            rows.append((a1, a2, a1 * cx + a2 * cy + reach))
+    for _ in range(draw(st.integers(0, 3))):
+        a1, a2, b = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(("a2=0", "zero", "duplicate", "scaled", "parallel", "strip")))
+        if kind == "a2=0":
+            rows.append((a1, 0, b))
+        elif kind == "zero":
+            rows.append((0, 0, draw(st.integers(-2, 2))))
+        elif kind == "duplicate":
+            rows.append((a1, a2, b))
+        elif kind == "scaled":
+            s = draw(st.integers(2, 10**6))
+            rows.append((s * a1, s * a2, s * b))
+        elif kind == "parallel":
+            rows.append((a1, a2, b + draw(coeff)))
+        else:
+            rows.append((-a1, -a2, draw(st.integers(0, abs(a2) + 1)) - b))
+    return hpoly(draw(st.permutations(rows)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(clip_loops(), st.sampled_from(BOUNDS))
+@example(hpoly([(0, 0, -1)]), 5)  # a zero row that fails
+@example(hpoly([(0, 0, 0), (1, 0, 3), (-1, 0, 3)]), 64)  # a zero row that holds
+@example(hpoly([(2, -2, -3), (-2, 2, 3)]), 64)  # x' = x + 3/2: real points, no integer
+@example(hpoly([(1, -1, -1)]), 1000)  # half-plane
+@example(hpoly([(10**20, 3, 10**20), (-(10**20), -3, 1 - 10**20)]), 1000)  # steep thin strip
+def test_build_graph_matches_every_column_reference(p, bound):
+    assert_same_graph(build_graph(p, bound), build_graph_ref(p, bound))
+
+
+def _fixed_families():
+    rng = random.Random(SEED + 16)
+    return (slc_corpus(150, seed=SEED + 17) + [tangent_polygon(rng, k) for k in (8, 16, 36, 64)]
+            + [wedge_loop(k) for k in (2, 3, 5, 10, 30)] + line_strips(20, SEED + 18))
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_build_graph_matches_reference_on_fixed_families(bound):
+    for p in _fixed_families():
+        assert_same_graph(build_graph(p, bound), build_graph_ref(p, bound))
+
+
+HEXAGON = hpoly([(3, -2, 7), (-5, 4, 11), (1, 6, 40), (-2, -7, 35), (4, 1, 90), (-1, 3, 20)])
+BOX = hpoly([(-1, 0, -3), (1, 0, 5), (0, 1, -3), (0, -1, 5)])  # 3 <= x <= 5, -5 <= x' <= -3
+
+
+@pytest.mark.parametrize("name", ["polygon-8", "polygon-64", "box", "hexagon"])
+def test_wide_window_reads_only_the_polygon(monkeypatch, name):
+    # at B = 10^9 the graph costs what the polygon's columns and a few
+    # cuts cost, not 2B + 1 columns
+    p = {"polygon-8": tangent_polygon(random.Random(SEED + 19), 8),
+         "polygon-64": tangent_polygon(random.Random(SEED + 19), 64),
+         "box": BOX, "hexagon": HEXAGON}[name]
+    reads, cuts = [], []
+    real_cut = oracle._cut
+
+    def counted_column(q, z):
+        reads.append(z)
+        return column(q, z)
+
+    def counted_cut(rows, z):
+        cut = real_cut(rows, z)
+        if cut is not None:
+            cuts.append(z)
+        return cut
+
+    monkeypatch.setattr(oracle, "column", counted_column)
+    monkeypatch.setattr(oracle, "_cut", counted_cut)
+    start = time.perf_counter()
+    g = build_graph(p, 10**9)
+    elapsed = time.perf_counter() - start
+    _, lo, hi = x_extent(p)
+    assert len(reads) <= math.floor(hi) - math.ceil(lo) + 1 + 2
+    assert len(cuts) <= 2 * (len(p.rows) + 1)
+    assert elapsed < 0.1
+    assert_same_graph(g, build_graph(p, 64))
 
 
 def _escapes_ref(p, bound, x):
