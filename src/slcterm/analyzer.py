@@ -47,7 +47,6 @@ from .poly2 import (
     Record,
     Zero,
     _setattr,
-    cone_contains,
     contains,
     cross,
     decompose,
@@ -146,17 +145,21 @@ def has_cycle(p: HPoly) -> bool:
     return cycle1(p) is not None or _adjacent_pairs(p)
 
 
+def _swap_point(p: HPoly, scan_limit: int) -> Tuple[int, int]:
+    # the first integer point of p with its swap, which a cycle proves
+    # exists, checked in both orders by integer substitution
+    x, y = pt = integer_point_2d(intersect(p, swap(p)), scan_limit)
+    assert all(a1 * x + a2 * y <= b and a1 * y + a2 * x <= b for a1, a2, b in p.rows)
+    return pt
+
+
 def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
     """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None.
 
     None exactly when `has_cycle` is False; otherwise the first integer
     point of p intersected with swap(p), which `has_cycle` proves exists.
     """
-    if not has_cycle(p):
-        return None
-    pt = integer_point_2d(intersect(p, swap(p)), scan_limit)
-    assert pt is not None and contains(p, pt) and contains(p, pt[::-1])
-    return pt
+    return _swap_point(p, scan_limit) if has_cycle(p) else None
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +177,28 @@ class RegionFlags(Record):
         _setattr(self, "delta_minus", delta_minus)
 
 
-_IP = ((1, 1), (0, 1))  # I+ directions: the open arc between the diagonal and vertical
-_IM = ((-1, -1), (0, -1))
-
-
-def _meets_open_arc(c: Cone, lo, hi) -> bool:
-    # The arc spans less than a half-turn, so a cone meets its interior
-    # exactly when a generator lies strictly inside it or the cone holds
-    # both ends (a cone edge crossing the arc is a generator).
-    return any(cross(lo, g) > 0 and cross(g, hi) > 0 for g in c.generators()) or (
-        cone_contains(c, lo) and cone_contains(c, hi)
-    )
-
-
 def cone_regions(c: Cone) -> RegionFlags:
-    """Exact intersection flags of the cone with I+, I-, Delta+, Delta-."""
-    return RegionFlags(
-        i_plus=_meets_open_arc(c, *_IP),
-        i_minus=_meets_open_arc(c, *_IM),
-        delta_plus=cone_contains(c, (1, 1)),
-        delta_minus=cone_contains(c, (-1, -1)),
-    )
+    """Exact intersection flags of the cone with I+ (directions (x, x')
+    with 0 < x < x'), I- (x' < x < 0), Delta+ (1, 1) and Delta- (-1, -1),
+    from signs of integer cross products with the generators: an arc under
+    a half-turn meets a cone iff a generator lies strictly inside it or the
+    cone holds both its ends (a cone edge crossing the arc is a generator)."""
+    if isinstance(c, Plane):
+        return RegionFlags(True, True, True, True)
+    if isinstance(c, (Zero, Ray, Line)):  # no generator, or one or two opposite rays
+        gens = c.generators()
+        return RegionFlags(any(0 < x < y for x, y in gens), any(y < x < 0 for x, y in gens),
+                           any(0 < x == y for x, y in gens), any(0 > x == y for x, y in gens))
+    if isinstance(c, HalfPlane):  # the wedge from d to -d: d on the boundary, the witness on its left
+        b = c.boundary
+        p1, q1 = b if cross(b, c.interior_witness) > 0 else (-b[0], -b[1])
+        p2, q2 = -p1, -q1
+    else:  # v1 before v2 counterclockwise
+        (p1, q1), (p2, q2) = (c.v1, c.v2) if cross(c.v1, c.v2) > 0 else (c.v2, c.v1)
+    # v lies in the cone when cross(v1, v) >= 0 and cross(v, v2) >= 0
+    dp, dm = p1 >= q1 and q2 >= p2, p1 <= q1 and q2 <= p2
+    return RegionFlags(0 < p1 < q1 or 0 < p2 < q2 or (dp and p1 >= 0 >= p2),
+                       q1 < p1 < 0 or q2 < p2 < 0 or (dm and p1 <= 0 <= p2), dp, dm)
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +206,15 @@ def cone_regions(c: Cone) -> RegionFlags:
 # ---------------------------------------------------------------------------
 
 # integer tightenings of the open regions 0 < x < x' and x' < x < 0
-_IP_ROWS = ((-1, 0, -1), (1, -1, -1))
-_IM_ROWS = ((1, 0, -1), (-1, 1, -1))
+_I_PLUS = hpoly(((-1, 0, -1), (1, -1, -1)))
+_I_MINUS = hpoly(((1, 0, -1), (-1, 1, -1)))
 
 
 def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
     """An integer pair of p inside the open region I+ or I-, or None."""
     if region not in ("I+", "I-"):
         raise ValueError("region must be 'I+' or 'I-'")
-    rows = _IP_ROWS if region == "I+" else _IM_ROWS
-    return integer_point_2d(intersect(p, hpoly(rows)), scan_limit)
+    return integer_point_2d(intersect(p, _I_PLUS if region == "I+" else _I_MINUS), scan_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,7 @@ def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int) -> lis
             trace.append(s)
         if len(trace) == length:
             return trace
-        q = p if mode == "outward" else intersect(p, hpoly(_IM_ROWS if mode == "descend" else _IP_ROWS))
+        q = p if mode == "outward" else intersect(p, _I_MINUS if mode == "descend" else _I_PLUS)
         s = growth_threshold(decompose(q), -1 if mode == "descend" else 1)
     raise ExtensionFailedError(f"growth trace stalled past its threshold column {s}")
 
@@ -389,10 +392,10 @@ def decide(
     """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
     One emptiness test per loop answers EMPTY: `is_empty` on at most
-    `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, so
-    `decompose` runs once, on cycle-free loops only, for the dispatch and
-    the verdict's `decomposition`.  No trace is built: a non-terminating
-    verdict carries its seed, and `witness_trace` replays it on request.
+    `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, each
+    cycle slice asked once, so `decompose` runs once, on cycle-free loops
+    only.  Every test is in integers, so no `Fraction` is built; nor is a
+    trace: a non-terminating verdict carries its seed for `witness_trace`.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
@@ -400,7 +403,7 @@ def decide(
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
     if _adjacent_pairs(p):
-        return Verdict("non-terminating", CYCLE, CycleWitness(cycle2(p, scan_limit)))
+        return Verdict("non-terminating", CYCLE, CycleWitness(_swap_point(p, scan_limit)))
     try:
         d = decompose(p)
     except EmptyPolyhedronError:

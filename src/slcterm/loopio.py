@@ -96,10 +96,7 @@ def parse_text(data: str) -> HPoly:
 
 
 def emit_text(p: HPoly) -> str:
-    out = [HEADER]
-    for a1, a2, b in p.rows:
-        out.append(f"{a1} {a2} {b}")
-    return "\n".join(out) + "\n"
+    return "\n".join([HEADER] + [f"{a1} {a2} {b}" for a1, a2, b in p.rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +136,8 @@ def parse_json(text: str) -> HPoly:
 def emit_json(p: HPoly) -> str:
     import json
 
-    obj = {
-        "format": "slc-v1",
-        "constraints": [[str(a1), str(a2), str(b)] for a1, a2, b in p.rows],
-    }
-    return json.dumps(obj)
+    rows = [[str(a1), str(a2), str(b)] for a1, a2, b in p.rows]
+    return json.dumps({"format": "slc-v1", "constraints": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +146,7 @@ def emit_json(p: HPoly) -> str:
 
 
 def _cone_json(c: Cone) -> Dict[str, Any]:
-    return {
-        "kind": c.kind,
-        "generators": [list(g) for g in c.generators()],
-    }
+    return {"kind": c.kind, "generators": [list(g) for g in c.generators()]}
 
 
 def _witness_json(v: Verdict, prefix: Optional[Sequence[int]]) -> Optional[Dict[str, Any]]:

@@ -6,20 +6,20 @@ loop; escape traces show the bounded window leaking, not
 non-termination.  Runs in plain integer arithmetic.  The one routine it
 shares with the geometric decision procedure is `lattice.column`:
 `build_graph` first clips the window to the columns with real points,
-by cuts that are each a nonnegative combination of two raw rows, then
-calls `column` once per state in between, for the state's successors
-and whether one leaves the window.  A graph so costs O((cuts + columns
-with real points)*k) row reads for k rows; each cut moves at least one
-column, so even a graph whose every column is empty costs within a small
-factor of reading them all.  The searches read only the graph and skip
-the states they are done with in runs, so each visits every state about
-once.  It uses no decomposition, recession cone, height or integer-point
-search.
+by cuts that are each a nonnegative combination of two rows (again on
+the rows divided by their normals' gcds when more columns than rows are
+left), then calls `column` once per state in between, for its
+successors and whether one leaves the window.  A graph so costs
+O((cuts + columns with real points)*k) row reads for k rows.  The
+searches read only the graph and skip the states they are done with in
+runs, so each visits every state about once.  It uses no decomposition,
+recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .lattice import column
@@ -72,22 +72,22 @@ def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, in
     return u2 * l1 - l2 * u1, u2 * lb - l2 * ub
 
 
-def _clip(rows: Iterable[Tuple[int, int, int]], bound: int) -> range:
-    """The columns in [-bound, bound] from the first to the last with
-    real points; empty when there are none.  From each end, a cut
+def _clip(rows: Iterable[Tuple[int, int, int]], cols: range) -> range:
+    """The columns of `cols` (a step-1 range) from the first to the last
+    with real points; empty when there are none.  From each end, a cut
     violated at the column fails on a half-line through it: jump past
     that half-line, or stop if it runs to the far end.  Each jump is a
     Newton step on the convex max(lower bounds) - min(upper bounds), so
     jumps are few."""
-    lo = -bound
-    while lo <= bound and (cut := _cut(rows, lo)) is not None:
+    lo, top = cols.start, cols.stop - 1
+    while lo <= top and (cut := _cut(rows, lo)) is not None:
         c, e = cut
         if c >= 0:  # fails on [lo, oo), or everywhere when c = 0
             return range(0)
         lo = -(e // -c)  # the least z with c*z <= e
-    if lo > bound:
+    if lo > top:
         return range(0)
-    hi = bound
+    hi = top
     # column lo holds real points, so every cut here has c > 0 and hi
     # stays >= lo
     while (cut := _cut(rows, hi)) is not None:
@@ -104,7 +104,12 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
     first and last with real points are read; the rest are empty."""
     span: Dict[int, Tuple[int, int]] = {}
     exits = []
-    for x in _clip(p.rows, bound):
+    cols = _clip(p.rows, range(-bound, bound + 1))
+    if len(cols) > len(p.rows):
+        # cheaper than reading them: clip them with each row divided by the
+        # gcd of its normal, b rounded down, which drops a strip of no integer
+        cols = _clip([(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]], cols)
+    for x in cols:
         col = column(p, x)
         if col is None:
             continue

@@ -14,17 +14,16 @@ cut to the rows that touch the polygon by a half-plane intersection over
 two lists, rows and meets, with every test inlined as integer products;
 it raises `EmptyPolyhedronError` where that finds p empty, and one pass
 over the meets gives the integer fields `x_lo`, `x_hi` and `bound`.
-`is_empty` alone is `x_extent`'s variable elimination, O(k^2) but cheaper
-on a few rows; `analyzer.decide` runs it only up to `analyzer._FM_ROWS`
-rows.  Every rational one-variable bound from the rows goes through
-`bound_1d`; `lattice.integer_slice` gives the integer ones.
+`is_empty` and `x_extent` share one integer variable elimination, O(k^2)
+but cheaper than the edge list on a few rows (`analyzer.decide` runs it
+up to `analyzer._FM_ROWS` rows); only `x_extent` makes `Fraction`s, two,
+for reports.  `lattice.integer_slice` gives integer one-variable bounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -280,68 +279,70 @@ def cone_contains(c: Cone, v: Sequence[int]) -> bool:
         return cross(c.v, (vx, vy)) == 0 and dot(c.v, (vx, vy)) > 0
     if isinstance(c, Line):
         return cross(c.v, (vx, vy)) == 0
-    if isinstance(c, HalfPlane):
-        return dot(halfplane_normal(c), (vx, vy)) <= 0
+    if isinstance(c, HalfPlane):  # v on the witness's side of the boundary
+        return cross(c.boundary, (vx, vy)) * cross(c.boundary, c.interior_witness) >= 0
     assert isinstance(c, Pointed2)
     det = cross(c.v1, c.v2)
     # v = alpha*v1 + beta*v2 with alpha, beta >= 0: signs of the numerators times det
     return cross((vx, vy), c.v2) * det >= 0 and cross(c.v1, (vx, vy)) * det >= 0
 
 
-def halfplane_normal(c: HalfPlane) -> IVec:
-    """The normal n with the cone equal to {v : n.v <= 0}."""
-    d = c.boundary
-    n = (-d[1], d[0])
-    if dot(n, c.interior_witness) > 0:
-        n = (d[1], -d[0])
-    return n
-
-
 # ---------------------------------------------------------------------------
-# one-variable bounds; emptiness via elimination
+# emptiness and the x1-range by elimination
 # ---------------------------------------------------------------------------
 
 
-def bound_1d(pairs: Iterable[Tuple[Union[int, Fraction], Union[int, Fraction]]]) -> Extent:
-    """Solve {t : c*t <= d for every (c, d)} exactly.
-
-    Returns (empty, lo, hi) with None for an unbounded side.  Bounds are
-    compared by cross-multiplication and become Fractions only at the end.
-    """
-    lo = hi = None  # (num, den) with den > 0
-    for c, d in pairs:
-        if c > 0:
-            if hi is None or d * hi[1] < hi[0] * c:
-                hi = (d, c)
-        elif c < 0:
-            if lo is None or d * lo[1] < lo[0] * c:
-                lo = (-d, -c)
-        elif d < 0:
-            return True, None, None
-    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return True, None, None
-    return False, lo and Fraction(*lo), hi and Fraction(*hi)
+def _x_bounds(rows: Iterable[Tuple[int, int, int]]) -> Optional[Tuple[int, int, int, int]]:
+    """The real x1-range of the rows as (lo_num, lo_den, hi_num, hi_den),
+    or None when they have no real point.  Fourier-Motzkin: a row with
+    a2 = 0 bounds x1 alone, and each lower row l and upper row u give
+    (-l2)*u + u2*l.  A bound c*x1 <= d is the pair (d, c), compared by
+    cross-multiplying; an open side is (1, 0) above or (-1, 0) below, which
+    every bound beats.  O(k^2) time and O(k) memory for k rows."""
+    uppers, lowers = [], []
+    ln, ld, hn, hd = -1, 0, 1, 0
+    for row in rows:
+        a1, a2, b = row
+        if a2 > 0:
+            uppers.append(row)
+        elif a2 < 0:
+            lowers.append(row)
+        elif a1 > 0:
+            if b * hd < hn * a1:
+                hn, hd = b, a1
+        elif a1 < 0:
+            if b * ld < ln * a1:
+                ln, ld = -b, -a1
+        elif b < 0:
+            return None
+    for l1, l2, lb in lowers:
+        for u1, u2, ub in uppers:
+            c = u2 * l1 - l2 * u1
+            d = u2 * lb - l2 * ub
+            if c > 0:
+                if d * hd < hn * c:
+                    hn, hd = d, c
+            elif c < 0:
+                if d * ld < ln * c:
+                    ln, ld = -d, -c
+            elif d < 0:
+                return None
+    return None if ln * hd > hn * ld else (ln, ld, hn, hd)
 
 
 def x_extent(p: HPoly) -> Extent:
-    """Project onto x1 by eliminating x2.
-
-    Returns (empty, lo, hi) with None for an unbounded side.  Exact for
-    real points: Fourier-Motzkin on non-strict rows, combining each lower
-    row l with each upper row u as (-l2)*u + u2*l.  The k^2/4 pairs are
-    streamed into `bound_1d`, so memory stays O(k).
-    """
-    uppers = [r for r in p.rows if r.a2 > 0]
-    lowers = [r for r in p.rows if r.a2 < 0]
-    return bound_1d(chain(
-        ((a1, b) for a1, a2, b in p.rows if a2 == 0),
-        ((u2 * l1 - l2 * u1, u2 * lb - l2 * ub) for l1, l2, lb in lowers for u1, u2, ub in uppers),
-    ))
+    """Project onto x1 by eliminating x2: (empty, lo, hi) with None for an
+    open side, made Fractions from `_x_bounds`'s integer pairs at the end."""
+    bounds = _x_bounds(p.rows)
+    if bounds is None:
+        return True, None, None
+    ln, ld, hn, hd = bounds
+    return False, Fraction(ln, ld) if ld else None, Fraction(hn, hd) if hd else None
 
 
 def is_empty(p: HPoly) -> bool:
-    """True iff p has no real point."""
-    return x_extent(p)[0]
+    """True iff p has no real point, decided in integers by `_x_bounds`."""
+    return _x_bounds(p.rows) is None
 
 
 def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:

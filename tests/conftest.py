@@ -21,7 +21,6 @@ from slcterm.poly2 import (
     contains,
     cross,
     dot,
-    halfplane_normal,
     hpoly,
     intersect,
 )
@@ -295,6 +294,15 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
             return trace
         t = max(t + 1, abs(trace[-1]) + 1)
     raise AssertionError("growth trace failed to stabilize")
+
+
+def halfplane_normal(c):
+    """The normal n with the half-plane cone equal to {v : n.v <= 0}."""
+    d = c.boundary
+    n = (-d[1], d[0])
+    if dot(n, c.interior_witness) > 0:
+        n = (d[1], -d[0])
+    return n
 
 
 def _strictly_between(lo, hi, g):

@@ -37,6 +37,7 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
+    cone_contains,
     cross,
     decompose,
     hpoly,
@@ -183,6 +184,17 @@ def _grid_cones(r=4):
                 yield Pointed2(v, w)
 
 
+def _regions_by_membership(c):
+    # cone_regions as it was: a generator strictly inside each open arc, or
+    # cone_contains on both of its ends; the deltas by cone_contains
+    def meets(lo, hi):
+        return any(cross(lo, g) > 0 and cross(g, hi) > 0 for g in c.generators()) or (
+            cone_contains(c, lo) and cone_contains(c, hi))
+
+    return RegionFlags(meets((1, 1), (0, 1)), meets((-1, -1), (0, -1)),
+                       cone_contains(c, (1, 1)), cone_contains(c, (-1, -1)))
+
+
 def test_cone_regions_match_per_class_reference():
     cones = list(_grid_cones())
     for p in slc_corpus(1000):
@@ -195,6 +207,7 @@ def test_cone_regions_match_per_class_reference():
         flags = cone_regions(c)
         assert flags.i_plus == meets_open_arc(c, (1, 1), (0, 1)), c
         assert flags.i_minus == meets_open_arc(c, (-1, -1), (0, -1)), c
+        assert flags == _regions_by_membership(c), c
 
 
 def test_region_feasible_golden():
@@ -436,11 +449,11 @@ def test_unknown_verdicts_are_conjectural():
 
 
 def test_one_emptiness_test_per_loop(monkeypatch):
-    # x_extent's elimination runs on loops of at most _FM_ROWS rows, and
+    # is_empty's elimination runs on loops of at most _FM_ROWS rows, and
     # decompose's edge list answers EMPTY above.  Counted at every module
-    # global that refers to x_extent, is_empty or decompose.
+    # global that refers to is_empty or decompose.
     calls = Counter()
-    for name in ("x_extent", "is_empty", "decompose"):
+    for name in ("is_empty", "decompose"):
         real = getattr(poly2, name)
 
         def counted(p, _real=real, _name=name):
@@ -458,7 +471,7 @@ def test_one_emptiness_test_per_loop(monkeypatch):
     for p, fm_calls in ((small, 1), (large, 0), (empty, 0)):
         calls.clear()
         v = decide(p)
-        assert calls["x_extent"] == calls["is_empty"] == fm_calls
+        assert calls["is_empty"] == fm_calls
         if p is empty:
             assert (v.kind, v.label, v.decomposition) == ("terminating", EMPTY, None)
             assert calls["decompose"] == 1
@@ -480,16 +493,25 @@ def test_decide_on_many_rows_in_bounded_memory():
     assert peak < 32 * 2**20
 
 
-def test_decide_builds_no_fraction_on_many_rows(monkeypatch):
-    # above _FM_ROWS rows a bounded cycle-free polygon is decided from the
-    # integer meets of its decomposition: every module global bound to
-    # Fraction fails when called
+def test_decide_builds_no_fraction(monkeypatch):
+    # every test decide makes is in integers: the elimination up to
+    # _FM_ROWS rows, the cycle slices and the 2-cycle's substitution check,
+    # the cone flags and the dispatch.  Every module global bound to
+    # Fraction fails when called.
     def forbidden(*args):
-        raise AssertionError(f"Fraction{args} built on the many-rows path")
+        raise AssertionError(f"Fraction{args} built by decide")
 
     for mod in [m for key, m in sys.modules.items() if key.startswith("slcterm")]:
         for name in [n for n, value in vars(mod).items() if value is Fraction]:
             monkeypatch.setattr(mod, name, forbidden)
+    goldens = [build() for build in (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop,
+                                     pair_loop, halfplane_loop, halfint_loop, empty_loop)]
+    rng = random.Random(SEED + 21)
+    loops = goldens + [wedge_loop(k) for k in (2, 3, 30)] + slc_corpus(1000)
+    loops += [random_slc(rng, max_rows=7) for _ in range(1000)]
+    labels = Counter(decide(p).label for p in loops)
+    assert labels[EMPTY] > 100 and labels[CYCLE] > 100 and len(labels) > 10
+    assert decide(pair_loop()).witness == CycleWitness((0, 1))  # the adjacent pair's 2-cycle
     # seed 1 puts the polygon's centre far off the diagonal for every k
     for k in (8, 64, 512):
         p = tangent_polygon(random.Random(1), k)

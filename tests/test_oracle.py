@@ -310,6 +310,31 @@ def test_wide_window_reads_only_the_polygon(monkeypatch, name):
     assert_same_graph(g, build_graph(p, 64))
 
 
+@pytest.mark.parametrize("rows", [
+    [(2, -2, -3), (-2, 2, 3), (-1, 0, -1)],  # halfint: x' = x + 3/2, x >= 1
+    [(6, 4, 1), (-6, -4, -1)],  # 6x + 4x' = 1, but 6x + 4x' is even
+    [(3, -3, 2), (-3, 3, -1)],  # 1/3 <= x - x' <= 2/3
+], ids=["halfint", "odd", "thirds"])
+def test_integer_free_strip_clips_to_nothing(monkeypatch, rows):
+    # the strip's columns hold real points but no integer: once each row is
+    # divided by the gcd of its normal, the two rows leave no real point,
+    # so a window of 2*10^9 + 1 columns reads none of them
+    p = hpoly(rows)
+    reads = []
+
+    def counted_column(q, z):
+        reads.append(z)
+        return column(q, z)
+
+    monkeypatch.setattr(oracle, "column", counted_column)
+    start = time.perf_counter()
+    g = build_graph(p, 10**9)
+    elapsed = time.perf_counter() - start
+    assert reads == [] and elapsed < 0.1
+    assert_same_graph(g, TransGraph(10**9, {}))
+    assert_same_graph(build_graph(p, 1000), build_graph_ref(p, 1000))
+
+
 def _escapes_ref(p, bound, x):
     # reads column x again, as the escape search did before exits were recorded
     span = column(p, x)

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +19,11 @@ from slcterm.poly2 import (
     Ray,
     Zero,
     ZeroVectorError,
-    bound_1d,
     cone_contains,
     contains,
     cross,
     decompose,
     dot,
-    halfplane_normal,
     hpoly,
     intersect,
     is_empty,
@@ -37,6 +36,7 @@ from conftest import (
     bounded_corpus,
     halfint_loop,
     halfplane_loop,
+    halfplane_normal,
     inc_loop,
     large_loop,
     pair_loop,
@@ -87,7 +87,91 @@ def test_cross_dot():
     assert dot((2, 3), (4, -1)) == 5
 
 
+# The elimination as it was before `poly2._x_bounds`: the Fourier-Motzkin
+# pairs streamed through one rational bound routine.  It is the reference
+# for `is_empty` and `x_extent`.
+
+
+def bound_1d(pairs):
+    # {t : c*t <= d for every (c, d)} as (empty, lo, hi), None for an open side
+    lo = hi = None  # (num, den) with den > 0
+    for c, d in pairs:
+        if c > 0:
+            if hi is None or d * hi[1] < hi[0] * c:
+                hi = (d, c)
+        elif c < 0:
+            if lo is None or d * lo[1] < lo[0] * c:
+                lo = (-d, -c)
+        elif d < 0:
+            return True, None, None
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
+        return True, None, None
+    return False, lo and Fraction(*lo), hi and Fraction(*hi)
+
+
+def x_extent_ref(p):
+    uppers = [r for r in p.rows if r.a2 > 0]
+    lowers = [r for r in p.rows if r.a2 < 0]
+    return bound_1d(chain(
+        ((a1, b) for a1, a2, b in p.rows if a2 == 0),
+        ((u2 * l1 - l2 * u1, u2 * lb - l2 * ub) for l1, l2, lb in lowers for u1, u2, ub in uppers),
+    ))
+
+
+_coeff = st.one_of(st.integers(-4, 4), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def elimination_rows(draw):
+    """0-8 rows: random ones, zero rows, rows with a2 = 0, and copies of
+    earlier rows: duplicate, scaled, parallel and opposite."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("row", "zero", "a2=0", "duplicate", "scaled", "parallel", "opposite")))
+        if kind == "zero":
+            rows.append((0, 0, draw(_coeff)))
+        elif kind == "a2=0":
+            rows.append((draw(_coeff), 0, draw(_coeff)))
+        elif kind == "row" or not rows:
+            rows.append((draw(_coeff), draw(_coeff), draw(_coeff)))
+        else:
+            a1, a2, b = draw(st.sampled_from(rows))
+            if kind == "duplicate":
+                rows.append((a1, a2, b))
+            elif kind == "scaled":
+                s = draw(st.integers(2, 10**6))
+                rows.append((s * a1, s * a2, s * b))
+            elif kind == "parallel":
+                rows.append((a1, a2, draw(_coeff)))
+            else:
+                rows.append((-a1, -a2, draw(_coeff)))
+    return rows
+
+
+@settings(max_examples=600, deadline=None)
+@given(elimination_rows())
+@example([])
+@example([(0, 0, -1)])
+@example([(2, -2, -3), (-2, 2, 3), (-1, 0, -1)])  # halfint
+@example([(10**20, 3, 10**20), (-(10**20), -3, 1 - 10**20)])  # steep thin strip
+def test_elimination_matches_the_fraction_reference(rows):
+    p = hpoly(rows)
+    want = x_extent_ref(p)
+    assert x_extent(p) == want
+    assert is_empty(p) == want[0]
+
+
+def test_elimination_matches_the_fraction_reference_on_the_corpora():
+    rng = random.Random(SEED + 9)
+    loops = slc_corpus(2000) + bounded_corpus(200) + [large_loop(rng, i % 3) for i in range(300)]
+    for p in loops + [build() for build in (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop,
+                                            pair_loop, halfplane_loop, halfint_loop)]:
+        want = x_extent_ref(p)
+        assert x_extent(p) == want and is_empty(p) == want[0], p.rows
+
+
 def test_bound_1d():
+    # the reference routine itself
     assert bound_1d([]) == (False, None, None)
     assert bound_1d([(2, 3), (-3, 1), (0, 0)]) == (False, F(-1, 3), F(3, 2))
     assert bound_1d([(4, 2), (2, 1), (-6, -3)]) == (False, F(1, 2), F(1, 2))
