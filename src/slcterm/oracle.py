@@ -3,24 +3,28 @@
 Restrict the transition relation to integer states in [-B, B] and treat
 it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
-non-termination.  Runs in plain integer arithmetic.  The one routine it
-shares with the geometric decision procedure is `lattice.column`:
-`build_graph` first clips the window to the columns with real points,
-by cuts that are each a nonnegative combination of two rows (again on
-the rows divided by their normals' gcds when more columns than rows are
-left), then calls `column` once per state in between, for its
-successors and whether one leaves the window.  A graph so costs
-O((cuts + columns with real points)*k) row reads for k rows.  The
-searches read only the graph and skip the states they are done with in
-runs, so each visits every state about once.  It uses no decomposition,
-recession cone, height or integer-point search.
+non-termination.  Runs in plain integer arithmetic.  `build_graph` first
+clips the window to the columns with real points, by cuts that are each
+a nonnegative combination of two rows.  It then reads each column in
+between once, for its successors and whether one leaves the window, in
+one of two ways.  When at most as many columns as rows are left, it
+calls `lattice.column` per column, the one routine it shares with the
+geometric decision procedure.  Otherwise it clips again on the rows
+divided by their normals' gcds and reads the columns by rows: each row
+bounds every column at once as one range of numerators, divided in C
+iterators.  A graph so costs O((cuts + columns with real points)*k) row
+reads for k rows.  The searches read only the graph and skip the states
+they are done with in runs, so each visits every state about once.  It
+uses no decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import repeat
+from math import gcd, inf
+from operator import floordiv
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .lattice import column
 from .poly2 import HPoly, Record, _setattr
@@ -42,8 +46,9 @@ class TransGraph(Record):
 
     @cached_property
     def starts(self) -> List[int]:
-        # the key is each state's place in 0, 1, -1, 2, -2, ...
-        return sorted(self.span, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
+        # by |x|, with x before -x: a stable sort keeps the order of the
+        # first sort, which puts every x before -x
+        return sorted(sorted(self.span, reverse=True), key=abs)
 
 
 def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, int]]:
@@ -96,6 +101,27 @@ def _clip(rows: Iterable[Tuple[int, int, int]], cols: range) -> range:
     return range(lo, hi + 1)
 
 
+def _row_bounds(rows: Iterable[Tuple[int, int, int]], cols: range) -> Tuple[Iterator, Iterator]:
+    """The least and greatest integer y of every column of `cols` at
+    once: the floor bound (b - a1*z) // a2 of each row with a2 > 0, or
+    the ceiling bound (b - a1*z + a2 + 1) // a2 of each row with a2 < 0,
+    over the columns as one range of numerators, then the max of the
+    lower and the min of the upper bounds; -inf or inf where no row bounds
+    y, and lo > hi in a column with no integer.  Rows with a2 = 0 are not
+    read: they hold on all of `cols` when it has real points at both ends."""
+    lows: List[Iterator] = []
+    highs: List[Iterator] = []
+    z0, z1 = cols.start, cols.stop
+    for a1, a2, b in rows:
+        if a2:
+            if a2 < 0:
+                b += a2 + 1
+            nums = range(b - a1 * z0, b - a1 * z1, -a1) if a1 else repeat(b)
+            (highs if a2 > 0 else lows).append(map(floordiv, nums, repeat(a2)))
+    return tuple(map(f, *its) if len(its) > 1 else its[0] if its else repeat(edge)
+                 for f, its, edge in ((max, lows, -inf), (min, highs, inf)))
+
+
 def build_graph(p: HPoly, bound: int) -> TransGraph:
     """The transition graph of p on the integer states in [-bound,
     bound]: `span` maps each state with an integer successor in the
@@ -109,19 +135,21 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
         # cheaper than reading them: clip them with each row divided by the
         # gcd of its normal, b rounded down, which drops a strip of no integer
         cols = _clip([(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]], cols)
-    for x in cols:
-        col = column(p, x)
-        if col is None:
-            continue
-        lo, hi = col
-        if lo is None or lo < -bound or hi is None or hi > bound:
+        reads = zip(cols, *_row_bounds(p.rows, cols))
+    else:  # the same bounds from column(): an empty column reads as (inf, -inf)
+        reads = ((x, -inf if lo is None else lo, inf if hi is None else hi)
+                 for x in cols for lo, hi in [column(p, x) or (inf, -inf)])
+    for x, lo, hi in reads:
+        if -bound <= lo <= hi <= bound:
+            span[x] = (lo, hi)
+        elif lo <= hi:
             exits.append(x)
-            lo = -bound if lo is None else max(lo, -bound)
-            hi = bound if hi is None else min(hi, bound)
-            if lo > hi:
-                continue
-            col = (lo, hi)
-        span[x] = col
+            if lo < -bound:  # not max() or min(): this runs on every column of a half-plane
+                lo = -bound
+            if hi > bound:
+                hi = bound
+            if lo <= hi:
+                span[x] = (lo, hi)
     return TransGraph(bound, span, frozenset(exits))
 
 

@@ -162,29 +162,53 @@ def test_transgraph_succ_missing_state():
     assert find_escape(TransGraph(2, {0: (1, 1)}, frozenset({1})), None) == [0, 1]
 
 
-@pytest.mark.parametrize("bound", [0, 1, 16, 64])
-def test_each_column_is_read_at_most_once(monkeypatch, bound):
-    # columns are read in ascending order, each at most once; the ones
-    # skipped hold no integer; the searches read none
-    calls = []
+def watch_reads(monkeypatch):
+    # the ranges `_clip` returns and the columns `column` reads, in order
+    clips, reads = [], []
+    real_clip = oracle._clip
 
-    def counted(p, z):
-        calls.append(z)
+    def counted_clip(rows, cols):
+        clips.append(real_clip(rows, cols))
+        return clips[-1]
+
+    def counted_column(p, z):
+        reads.append(z)
         return column(p, z)
 
-    monkeypatch.setattr(oracle, "column", counted)
+    monkeypatch.setattr(oracle, "_clip", counted_clip)
+    monkeypatch.setattr(oracle, "column", counted_column)
+    return clips, reads
+
+
+# 0 <= x <= 3 or 4, |x'| <= 5: the clip leaves as many columns as rows,
+# or one more
+BOX_4_COLUMNS = hpoly([(-1, 0, 0), (1, 0, 3), (0, 1, 5), (0, -1, 5)])
+BOX_5_COLUMNS = hpoly([(-1, 0, 0), (1, 0, 4), (0, 1, 5), (0, -1, 5)])
+
+
+@pytest.mark.parametrize("bound", [0, 1, 16, 64])
+def test_each_column_is_read_at_most_once(monkeypatch, bound):
+    # every window column outside the last clipped range holds no integer;
+    # a range of at most as many columns as rows is read column by column,
+    # ascending, each once; a longer one is clipped again and read by rows,
+    # with no column read; the searches clip and read nothing
+    clips, reads = watch_reads(monkeypatch)
     rng = random.Random(SEED + 13)
-    for p in [build() for build in GOLDENS] + [random_slc(rng) for _ in range(20)]:
-        calls.clear()
+    for p in ([build() for build in GOLDENS] + [BOX_4_COLUMNS, BOX_5_COLUMNS]
+              + [random_slc(rng) for _ in range(20)]):
+        clips.clear()
+        reads.clear()
         g = build_graph(p, bound)
-        assert calls == sorted(set(calls))
-        read = set(calls)
-        assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in read)
-        calls.clear()
+        short = len(clips[0]) <= len(p.rows)
+        assert len(clips) == (1 if short else 2)
+        assert reads == (list(clips[0]) if short else [])
+        assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in clips[-1])
+        clips.clear()
+        reads.clear()
         find_cycle(g)
         find_escape(g, p)
         find_escape(g, p, 2)
-        assert calls == []
+        assert clips == reads == []
 
 
 def build_graph_ref(p, bound):
@@ -258,6 +282,16 @@ def clip_loops(draw):
 @example(hpoly([(2, -2, -3), (-2, 2, 3)]), 64)  # x' = x + 3/2: real points, no integer
 @example(hpoly([(1, -1, -1)]), 1000)  # half-plane
 @example(hpoly([(10**20, 3, 10**20), (-(10**20), -3, 1 - 10**20)]), 1000)  # steep thin strip
+@example(BOX_4_COLUMNS, 64)  # as many clipped columns as rows: read column by column
+@example(BOX_5_COLUMNS, 64)  # one more: read by rows
+@example(hpoly([(1, 1, 5), (-2, 3, 7)]), 64)  # upper rows only: every column exits below
+@example(hpoly([(1, -1, 0), (-3, -2, 4)]), 64)  # lower rows only
+@example(hpoly([(0, 1, 10), (0, -1, 3), (1, -1, 2), (0, 2, 9)]), 64)  # a1 = 0 rows
+@example(hpoly([(1, 0, 20), (-1, 0, 5), (2, -1, 1)]), 64)  # a2 = 0 rows around a one-sided loop
+@example(hpoly([(-1, 0, 30), (3, 0, 7), (0, 0, 4), (-5, -7, 2)]), 64)  # a2 = 0 and zero rows, lower only
+@example(hpoly([(10**20, -1, 0)]), 1000)  # x' >= 10^20 x: bounds of 10^23 against inf
+@example(hpoly([(10**20, -(10**20) + 1, 3), (-3, 10**20, 10**20)]), 1000)  # 10^20 coefficients
+@example(hpoly([(-(10**20), 10**20 + 1, 10**20), (1, -1, 2**60)]), 1000)  # x' >= x - 2^60 under a 10^20 upper row
 def test_build_graph_matches_every_column_reference(p, bound):
     assert_same_graph(build_graph(p, bound), build_graph_ref(p, bound))
 
@@ -285,12 +319,9 @@ def test_wide_window_reads_only_the_polygon(monkeypatch, name):
     p = {"polygon-8": tangent_polygon(random.Random(SEED + 19), 8),
          "polygon-64": tangent_polygon(random.Random(SEED + 19), 64),
          "box": BOX, "hexagon": HEXAGON}[name]
-    reads, cuts = [], []
+    clips, _ = watch_reads(monkeypatch)
+    cuts = []
     real_cut = oracle._cut
-
-    def counted_column(q, z):
-        reads.append(z)
-        return column(q, z)
 
     def counted_cut(rows, z):
         cut = real_cut(rows, z)
@@ -298,13 +329,13 @@ def test_wide_window_reads_only_the_polygon(monkeypatch, name):
             cuts.append(z)
         return cut
 
-    monkeypatch.setattr(oracle, "column", counted_column)
     monkeypatch.setattr(oracle, "_cut", counted_cut)
     start = time.perf_counter()
     g = build_graph(p, 10**9)
     elapsed = time.perf_counter() - start
     _, lo, hi = x_extent(p)
-    assert len(reads) <= math.floor(hi) - math.ceil(lo) + 1 + 2
+    # the graph reads only the columns of the last clipped range
+    assert len(clips[-1]) <= math.floor(hi) - math.ceil(lo) + 1
     assert len(cuts) <= 2 * (len(p.rows) + 1)
     assert elapsed < 0.1
     assert_same_graph(g, build_graph(p, 64))
@@ -458,6 +489,21 @@ def test_searches_match_references_on_hand_built_graphs(name):
     assert find_escape(g, None, 3) == _find_escape_ref(g, g.exits.__contains__, 3) == esc
     for limit in (1, 2, 1000):
         assert find_escape(g, None, limit) == _find_escape_ref(g, g.exits.__contains__, limit)
+
+
+def test_starts_match_the_place_key():
+    # two sorts give the order of the key x -> place of x in 0, 1, -1, 2, -2, ...
+    rng = random.Random(SEED + 20)
+    shuffled = list(range(-40, 41, 3)) + list(range(-7, 8))
+    rng.shuffle(shuffled)
+    graphs = list(HAND_GRAPHS.values()) + [
+        TransGraph(B, {5: (0, 0), -5: (0, 0), 0: (1, 1), -1: (0, 0), 1: (0, 0), -3: (0, 0), 2: (0, 0)}),
+        TransGraph(B, {-2: (0, 0), 2: (0, 0), -1: (0, 0)}),
+        TransGraph(B, {x: (0, 0) for x in shuffled}),
+        TransGraph(B, {}),
+    ]
+    for g in graphs:
+        assert g.starts == sorted(g.span, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
 
 
 WIDE = 5000
