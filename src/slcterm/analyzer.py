@@ -18,6 +18,8 @@ L5.4.2).  Case labels are plain strings: L5.2.x (pointed wedge), L5.3.x
 EMPTY.  Deciding builds no trace: `witness_trace` alone builds states
 from a witness, and checks each transition by substitution; a growth
 trace restarts at most once, at a column past which no run stalls.
+An I- point and a descending trace are the I+ point and the ascending
+trace of the reflected loop R(p) = {(-x, -x')}, negated.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .lattice import (
 )
 from .poly2 import (
     Cone,
+    Constraint,
     EmptyPolyhedronError,
     HalfPlane,
     HPoly,
@@ -93,7 +96,8 @@ class TraceSeed(Record):
     span (a, b) of column 0, alternated around a <= x + x' <= b; for 'ascend'
     or 'descend' the point in I+ or I- that a greedy trace grows from; for
     'outward' (), grown from column 1.  A stalled growth trace restarts once
-    in `witness_trace`, at the column of `lattice.growth_threshold`."""
+    in `witness_trace`, at the column of `lattice.growth_threshold`; 'descend'
+    replays as the negated 'ascend' trace of the reflected loop."""
 
     __slots__ = ("mode", "data")
 
@@ -205,16 +209,21 @@ def cone_regions(c: Cone) -> RegionFlags:
 # integer region feasibility
 # ---------------------------------------------------------------------------
 
-# integer tightenings of the open regions 0 < x < x' and x' < x < 0
+# the integer tightening of the open region 0 < x < x'
 _I_PLUS = hpoly(((-1, 0, -1), (1, -1, -1)))
-_I_MINUS = hpoly(((1, 0, -1), (-1, 1, -1)))
+
+
+def _reflect(p: HPoly) -> HPoly:  # R(x, x') = (-x, -x') maps I- onto I+
+    return HPoly(tuple(Constraint(-a1, -a2, b) for a1, a2, b in p.rows))
 
 
 def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
-    """An integer pair of p inside the open region I+ or I-, or None."""
+    """An integer pair of p inside the open region I+ or I-, or None; I- as
+    the negated I+ point of the reflected loop (no scan tie-break fires)."""
     if region not in ("I+", "I-"):
         raise ValueError("region must be 'I+' or 'I-'")
-    return integer_point_2d(intersect(p, _I_PLUS if region == "I+" else _I_MINUS), scan_limit)
+    pt = integer_point_2d(intersect(_reflect(p) if region == "I-" else p, _I_PLUS), scan_limit)
+    return pt if pt is None or region == "I+" else (-pt[0], -pt[1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +232,29 @@ def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) ->
 
 
 def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
+    # smallest |y| > |s|, nonnegative preferred (a column holding both signs
+    # holds |s| + 1); ascend states are positive and take only y > s
     span = column(p, s)
     if span is None:
         return None
     lo, hi = span
-    if mode == "ascend":
-        y = s + 1 if lo is None else max(lo, s + 1)
-        return y if hi is None or y <= hi else None
-    if mode == "descend":
-        y = s - 1 if hi is None else min(hi, s - 1)
-        return y if lo is None or y >= lo else None
-    # outward: smallest |y| with |y| > |s|, nonnegative preferred; a column
-    # holding both signs holds |s| + 1 itself
     t = abs(s) + 1
     y = t if lo is None else max(lo, t)
     if hi is None or y <= hi:
         return y
+    if mode == "ascend":
+        return None
     y = min(hi, -t)
     return y if lo is None or y >= lo else None
 
 
 def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int) -> list[int]:
     # greedy growth from the region point (outward: column 1), then the threshold
+    if mode == "descend":  # the reflected loop's ascend trace, negated in place
+        trace = _grow_states(_reflect(p), "ascend", (-data[0],), length)
+        for i, s in enumerate(trace):
+            trace[i] = -s
+        return trace
     s = data[0] if data else 1
     for _ in range(2):
         trace = [s]
@@ -252,8 +262,7 @@ def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int) -> lis
             trace.append(s)
         if len(trace) == length:
             return trace
-        q = p if mode == "outward" else intersect(p, _I_MINUS if mode == "descend" else _I_PLUS)
-        s = growth_threshold(decompose(q), -1 if mode == "descend" else 1)
+        s = growth_threshold(decompose(p if mode == "outward" else intersect(p, _I_PLUS)))
     raise ExtensionFailedError(f"growth trace stalled past its threshold column {s}")
 
 

@@ -193,16 +193,17 @@ def column_window(d: MWDecomp) -> Tuple[int, int]:
     return -(d.bound + extra), d.bound + extra
 
 
-def growth_threshold(d: MWDecomp, step: int) -> int:
+def growth_threshold(d: MWDecomp) -> int:
     """A column T from which a greedy growth trace never stalls.
 
-    Ascend, descend (step 1, -1): d decomposes q = p & I+ or p & I-, and T
-    is the far end of its `column_window`.  Every column of q from T on
-    holds an integer y beyond the column, so each step lands beyond T.
-    For a 2D cone of q, inside the region's arc, such columns are unbounded
-    or wider than 1.  Else q's cone is p's ray (a, c), 0 < |a| < |c|; no
-    region row is parallel to it, so q's far columns are p's, which hold
-    p's a-height h >= |a| points of (1/|a|)Z, one of them an integer.
+    Ascend: d decomposes q = p & I+, and T is the high end of its
+    `column_window`.  Every column of q from T on holds an integer y > T,
+    so each step lands beyond T.  For a 2D cone of q, inside I+'s arc,
+    such columns are unbounded or wider than 1.  Else q's cone is p's ray
+    (a, c), 0 < a < c; no region row is parallel to it, so q's far columns
+    are p's, which hold p's a-height h >= a points of (1/a)Z, an integer
+    among them.  Descend is ascend on R(p) = {(-x, -x')}, negated, since
+    `decompose(R(q))` has x_lo, x_hi, bound = -x_hi, -x_lo, bound of q.
 
     Outward: d decomposes p, whose cone is a Line (a, c), 0 < a < |c|,
     c < 0.  Column s is [y1 + c*s/a, y2 + c*s/a] for anchors (0, y1),
@@ -212,8 +213,7 @@ def growth_threshold(d: MWDecomp, step: int) -> int:
     """
     if isinstance(d.cone, Line):
         return d.cone.v[0] * d.bound + 1
-    lo, hi = column_window(d)
-    return hi if step > 0 else lo
+    return column_window(d)[1]
 
 
 def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:

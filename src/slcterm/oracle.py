@@ -20,6 +20,7 @@ uses no decomposition, recession cone, height or integer-point search.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import repeat
 from math import gcd, inf
@@ -127,14 +128,17 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
     bound]: `span` maps each state with an integer successor in the
     window to that span, in ascending order, and `exits` holds the states
     with an integer successor outside it.  Only the columns between the
-    first and last with real points are read; the rest are empty."""
+    first and last with real points are read; the rest are empty.  Raises
+    ValueError when more than sys.maxsize columns are left to read."""
     span: Dict[int, Tuple[int, int]] = {}
     exits = []
     cols = _clip(p.rows, range(-bound, bound + 1))
-    if len(cols) > len(p.rows):
+    if cols.stop - cols.start > len(p.rows):  # not len(): it fails past sys.maxsize
         # cheaper than reading them: clip them with each row divided by the
         # gcd of its normal, b rounded down, which drops a strip of no integer
         cols = _clip([(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]], cols)
+        if cols.stop - cols.start > sys.maxsize:
+            raise ValueError(f"oracle window too wide: {cols.stop - cols.start} columns to read")
         reads = zip(cols, *_row_bounds(p.rows, cols))
     else:  # the same bounds from column(): an empty column reads as (inf, -inf)
         reads = ((x, -inf if lo is None else lo, inf if hi is None else hi)

@@ -28,7 +28,7 @@ from slcterm.analyzer import (
     region_point,
     witness_trace,
 )
-from slcterm.lattice import growth_threshold, integer_point_2d
+from slcterm.lattice import column_window, growth_threshold, integer_point_2d
 from slcterm.poly2 import (
     EmptyPolyhedronError,
     HalfPlane,
@@ -220,6 +220,18 @@ def test_region_feasible_golden():
         region_point(inc_loop(), "diag")
 
 
+def test_region_point_i_minus_matches_a_direct_scan():
+    # I- is answered as the reflected loop's I+ point, negated: the point a
+    # scan of p & I- itself finds first
+    loops = slc_corpus(1000, seed=SEED + 23) + [reflected(wedge_loop(k)) for k in range(2, 31)]
+    hits = 0
+    for p in loops:
+        pt = region_point(p, "I-")
+        assert pt == integer_point_2d(intersect(p, hpoly(I_MINUS_ROWS))), p
+        hits += pt is not None
+    assert hits > 100
+
+
 # decide-level goldens: every dispatch label reachable from decide()
 DECIDE_GOLDEN = [
     # 4x - 2 <= 3x' <= 4x - 1, x >= 3: the conjectural slab, h3 = 2
@@ -403,18 +415,19 @@ def test_witness_trace_zero_length():
     assert witness_trace(inc_loop(), v, 0) == []
 
 
+def int_contains(p, pt):
+    # `contains` on integer states: the same row test without Fractions,
+    # which tracemalloc makes slow on long traces
+    x, y = pt
+    for a1, a2, b in p.rows:
+        if a1 * x + a2 * y > b:
+            return False
+    return True
+
+
 def test_witness_trace_holds_one_trace(monkeypatch):
     # the transitions are re-checked pair by pair, not over a sliced copy
-    # of the trace, so the peak is the returned list alone.  `contains`
-    # builds Fractions, which tracemalloc makes slow on 10^6 transitions;
-    # the row test on integer states is the same check
-    def int_contains(p, pt):
-        x, y = pt
-        for a1, a2, b in p.rows:
-            if a1 * x + a2 * y > b:
-                return False
-        return True
-
+    # of the trace, so the peak is the returned list alone
     p = hpoly([(1, -1, 0), (-1, 1, 0)])  # x' = x
     v = decide(p)
     monkeypatch.setattr(analyzer, "contains", int_contains)
@@ -426,6 +439,23 @@ def test_witness_trace_holds_one_trace(monkeypatch):
         tracemalloc.stop()
     assert len(out) == 10**6 and set(out) == {0}
     assert peak < 1.5 * sys.getsizeof(out)
+
+
+def test_descending_witness_holds_one_trace(monkeypatch):
+    # a descending trace is the reflected loop's ascending one, negated in
+    # place: its peak is that of the mirrored ascending trace, not two lists
+    monkeypatch.setattr(analyzer, "contains", int_contains)
+    peaks = {}
+    for p in (hpoly([(1, -1, -1)]), reflected(hpoly([(1, -1, -1)]))):  # x' >= x + 1 and x' <= x - 1
+        v = decide(p)
+        tracemalloc.start()
+        try:
+            out = witness_trace(p, v, 20000)
+            peaks[v.witness.mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(out)) == 20000
+    assert peaks["descend"] < 1.1 * peaks["ascend"], peaks
 
 
 def test_assume_conjecture():
@@ -531,6 +561,47 @@ def test_decide_deterministic():
         assert decide(p) == decide(p)
 
 
+# the reflection (x, x') -> (-x, -x') swaps I+ with I- and Delta+ with
+# Delta-, so these labels trade places; every other label is its own mirror
+MIRRORED_LABELS = {"L5.2.3": "L5.2.5", "L5.2.6": "L5.2.4", "L5.3.7": "L5.3.9", "L5.3.8": "L5.3.10"}
+MIRRORED_LABELS.update({b: a for a, b in MIRRORED_LABELS.items()})
+
+
+def _metamorphic_corpus():
+    # about 1,500 loops: random, outward strips, thin wedges and the goldens
+    loops = slc_corpus(1300, seed=SEED + 21) + line_strips(150, SEED + 21)
+    loops += [wedge_loop(k) for k in range(2, 31)] + [hpoly(rows) for rows, _, _ in DECIDE_GOLDEN]
+    return loops
+
+
+def test_reflection_mirrors_the_verdict():
+    # R(p) keeps the kind, maps the label through the mirror pairs, and its
+    # witness replays; R is built by conftest, not by the analyzer
+    labels = Counter()
+    for p in _metamorphic_corpus():
+        v, r = decide(p), reflected(p)
+        w = decide(r)
+        assert (w.kind, w.label) == (v.kind, MIRRORED_LABELS.get(v.label, v.label)), p
+        labels[v.label] += 1
+        if w.kind == "non-terminating":
+            trace = witness_trace(r, w, 200)
+            assert len(trace) == 200
+            verify_states(r, trace)
+    assert {"L5.2.1", "L5.3.1", "L5.3.8", "L5.4.1", "CYCLE", "EMPTY"} <= set(labels), labels
+
+
+def test_permuted_and_scaled_rows_keep_the_verdict():
+    # the same point set under row permutation and a positive factor per
+    # row gives an equal Verdict, witness included
+    rng = random.Random(SEED + 22)
+    for p in _metamorphic_corpus():
+        v = decide(p)
+        rows = rng.sample(p.rows, len(p.rows))
+        assert decide(hpoly(rows)) == v, p
+        assert decide(hpoly([(s * a1, s * a2, s * b) for a1, a2, b in rows
+                             for s in [rng.randint(1, 9)]])) == v, p
+
+
 @pytest.mark.parametrize("c", [10**10, 10**20, -10**12], ids=["10", "20", "-12"])
 def test_far_translated_thick_loop(c):
     # thick with every state moved by -c (ids: the signed exponent of c).
@@ -569,9 +640,11 @@ def _growth_cases():
 
 
 def _threshold(p, mode):
-    # the column a stalled growth trace restarts at
-    q = p if mode == "outward" else intersect(p, hpoly(I_MINUS_ROWS if mode == "descend" else I_PLUS_ROWS))
-    return growth_threshold(decompose(q), -1 if mode == "descend" else 1)
+    # the column a stalled growth trace restarts at: for descend, the low
+    # end of p & I-'s window, read without the reflection
+    if mode == "descend":
+        return column_window(decompose(intersect(p, hpoly(I_MINUS_ROWS))))[0]
+    return growth_threshold(decompose(p if mode == "outward" else intersect(p, hpoly(I_PLUS_ROWS))))
 
 
 def test_growth_witness_matches_restart_reference():

@@ -451,6 +451,22 @@ def test_oracle_compare_corpus():
         assert out.endswith("compare: ok\n")
 
 
+def test_oracle_window_past_sys_maxsize():
+    # a half-plane and a two-sided wedge keep 2*10^19 + 1 and 10^19 + 4
+    # columns after both clips, more than a range can count: a usage
+    # error, exit 2; the box and halfint, clipped to 3 and 0 columns,
+    # answer at the same bound
+    bound = str(10**19)
+    for text, width in (("slc v1\n1 -1 -1\n", 2 * 10**19 + 1), ("slc v1\n1 -1 0\n-2 1 3\n", 10**19 + 4)):
+        code, out, err = run_cli("oracle", "-", "--bound", bound, stdin=text)
+        assert (code, out, err) == (2, "", f"error: oracle window too wide: {width} columns to read\n")
+    box = "slc v1\n-1 0 -3\n1 0 5\n0 1 -3\n0 -1 5\n"
+    code, out, err = run_cli("oracle", "-", "--bound", bound, stdin=box)
+    assert (code, out, err) == (0, "cycle: none\nescape: none\n", "")
+    code, out, _ = run_cli("oracle", "-", "--bound", bound, "--compare", stdin=HALFINT)
+    assert (code, out) == (0, "cycle: none\nescape: none\nverdict: terminating L5.3.8\ncompare: ok\n")
+
+
 def test_collatz_orbit_outputs():
     code, out, _ = run_cli("collatz", "orbit", "--d", "2", "--m-list", "1,3",
                            "--r-list", "0,-1", "--start", "7")
