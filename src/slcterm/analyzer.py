@@ -4,8 +4,8 @@ A loop over one integer variable steps from x to x' whenever the pair
 (x, x') satisfies every constraint row.  The loop is non-terminating
 exactly when the transition relation admits a cycle or an infinite
 self-avoiding trace.  Cycles are complete at length <= 2, and two
-one-variable integer slices decide them: a loop cycles exactly when it
-has a fixed point or an adjacent pair v <-> v+1.  Self-avoiding traces
+one-variable integer slices decide and name them: a fixed point s, or
+an adjacent pair v <-> v+1, the cycle (v, v+1).  Self-avoiding traces
 are decided (up to two conjecture-dependent cases) by a dispatch on the
 recession cone of the transition polyhedron: the cone's shape, the
 primitive generator (p, q), and the p-height of the polyhedron select a
@@ -56,7 +56,6 @@ from .poly2 import (
     hpoly,
     intersect,
     is_empty,
-    swap,
 )
 
 
@@ -132,9 +131,20 @@ def cycle1(p: HPoly) -> Optional[int]:
     return integer_point_1d(integer_slice(((0, a1 + a2, b) for a1, a2, b in p.rows), 0))
 
 
-def _adjacent_pairs(p: HPoly) -> bool:
-    # some v with both (v, v+1) and (v+1, v) in p
-    return integer_slice(((0, a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows), 0) is not None
+def _adjacent_pairs(p: HPoly) -> Optional[int]:
+    # the least |v|, nonnegative first, with both (v, v+1) and (v+1, v) in p
+    return integer_point_1d(integer_slice(((0, a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows), 0))
+
+
+def cycle2(p: HPoly) -> Optional[Tuple[int, int]]:
+    """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None:
+    (s, s) for `cycle1`'s fixed point s, else the adjacent pair (v, v+1)
+    of least |v|, nonnegative first."""
+    s = cycle1(p)
+    if s is not None:
+        return s, s
+    v = _adjacent_pairs(p)
+    return None if v is None else (v, v + 1)
 
 
 def has_cycle(p: HPoly) -> bool:
@@ -146,24 +156,7 @@ def has_cycle(p: HPoly) -> bool:
     (v, v+1), (v+1, v).  So a loop cycles iff one of two integer slices,
     (a1+a2)*t <= b and (a1+a2)*v <= b - max(a1, a2), is nonempty.
     """
-    return cycle1(p) is not None or _adjacent_pairs(p)
-
-
-def _swap_point(p: HPoly, scan_limit: int) -> Tuple[int, int]:
-    # the first integer point of p with its swap, which a cycle proves
-    # exists, checked in both orders by integer substitution
-    x, y = pt = integer_point_2d(intersect(p, swap(p)), scan_limit)
-    assert all(a1 * x + a2 * y <= b and a1 * y + a2 * x <= b for a1, a2, b in p.rows)
-    return pt
-
-
-def cycle2(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
-    """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None.
-
-    None exactly when `has_cycle` is False; otherwise the first integer
-    point of p intersected with swap(p), which `has_cycle` proves exists.
-    """
-    return _swap_point(p, scan_limit) if has_cycle(p) else None
+    return cycle2(p) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,6 @@ def _height_case(p: HPoly, d: MWDecomp, pp: int, mode: str, labels, scan_limit: 
     # terminate, and 1 < h < p is the conjecture-dependent case
     grows, h0, h1, conjectural = labels
     h = height(p, d, pp).value
-    assert h is not None
     if h >= pp:
         return _seeded(p, grows, mode, (), scan_limit)
     if h == 0:
@@ -402,17 +394,18 @@ def decide(
 
     One emptiness test per loop answers EMPTY: `is_empty` on at most
     `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, each
-    cycle slice asked once, so `decompose` runs once, on cycle-free loops
-    only.  Every test is in integers, so no `Fraction` is built; nor is a
-    trace: a non-terminating verdict carries its seed for `witness_trace`.
+    cycle slice asked once and naming its cycle, so no column is scanned for
+    them and `decompose` runs once, on cycle-free loops only.  Every test is
+    in integers: no `Fraction` is built, nor a trace; a non-terminating
+    verdict carries its seed for `witness_trace`.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
     s = cycle1(p)
     if s is not None:
         return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
-    if _adjacent_pairs(p):
-        return Verdict("non-terminating", CYCLE, CycleWitness(_swap_point(p, scan_limit)))
+    if (t := _adjacent_pairs(p)) is not None:
+        return Verdict("non-terminating", CYCLE, CycleWitness((t, t + 1)))
     try:
         d = decompose(p)
     except EmptyPolyhedronError:

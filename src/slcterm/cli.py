@@ -84,7 +84,7 @@ def _cmd_decide(args) -> int:
 def _cmd_cycles(args) -> int:
     p = _read_loop(args.file)
     s = cycle1(p)
-    pair = cycle2(p, args.scan_limit)
+    pair = cycle2(p)
     print("cycle1: " + ("none" if s is None else str(s)))
     print("cycle2: " + ("none" if pair is None else _ints(pair)))
     return 0
@@ -249,7 +249,6 @@ def _decide_args(sp) -> None:
 
 def _cycles_args(sp) -> None:
     sp.add_argument("file", help="loop file, or - for stdin")
-    _add_scan_limit(sp)
     sp.set_defaults(func=_cmd_cycles)
 
 

@@ -4,8 +4,8 @@ Column z of a polyhedron is the span of integers y with (z, y) inside,
 found from the rows in integer arithmetic alone.  The p-height of a
 polyhedron is the supremum over integer columns of the number of points
 of (1/p)Z in the column; those points are the integers of the same
-column of the rows scaled to (p*a1, a2, p*b), and the recession cone
-makes the supremum computable from finitely many columns.
+column of the rows scaled to (p*a1, a2, p*b), and a ray or line
+recession cone makes one column attain the supremum.
 `integer_point_2d` decides whether the polyhedron contains an integer
 point at all, again by reducing to a finite column window via the
 cone's translation periodicity.  Windows come from `MWDecomp`'s integers.
@@ -28,12 +28,7 @@ from .poly2 import (
     cone_contains,
     cross,
     decompose,
-    hpoly,
 )
-
-
-class VerticalRecessionError(ValueError):
-    """Height is infinite: the recession cone escapes vertically or is 2D."""
 
 
 class ScanLimitExceededError(RuntimeError):
@@ -44,11 +39,11 @@ DEFAULT_SCAN_LIMIT = 10**6
 
 
 class Height(Record):
-    """A column count: a natural number, or None for unbounded."""
+    """A column count: a natural number."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional[int]) -> None:
+    def __init__(self, value: int) -> None:
         _setattr(self, "value", value)
 
 
@@ -106,44 +101,24 @@ def integer_point_1d(span: Span) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _count(q: HPoly, z: int) -> Optional[int]:
-    # integers in column z of q; None when the column is unbounded
-    span = column(q, z)
-    if span is None:
-        return 0
-    lo, hi = span
-    return None if lo is None or hi is None else hi - lo + 1
-
-
 def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
-    """sup over integer z of |column z of p intersect (1/pp)Z|.
-
-    y lies in (1/pp)Z and in column z of p exactly when pp*y is an
-    integer in column z of the scaled rows (pp*a1, a2, pp*b), so each
-    count is the length of an integer span.  Evaluation uses the
-    recession cone: a Zero cone needs only the columns across the vertex
-    hull; a Line cone makes every column carry the same count; a Ray
-    cone's counts are monotone along the ray and stabilize past the
-    vertex bound, so one far column suffices.
+    """sup over integer z of |column z of p intersect (1/pp)Z|, for a Ray or
+    Line cone (a, c), a != 0, and pp a multiple of |a|; any other cone raises
+    `ValueError`.  y lies in (1/pp)Z and in column z of p exactly when pp*y
+    is an integer in column z of the scaled rows (pp*a1, a2, pp*b).  p lies
+    in a strip along (a, c) whose columns move by c/a, in (1/pp)Z, per step
+    and so hold one count, the sup; p's columns past the vertex bound (all of
+    a Line's) are the strip's, so column 0, or d.bound on the ray's side,
+    has it, and with no vertical direction in the cone that count is finite.
     """
     if pp < 1:
         raise ValueError("denominator pp must be >= 1")
-    q = hpoly([(pp * a1, a2, pp * b) for a1, a2, b in p.rows])
     cone = d.cone
-    if isinstance(cone, Zero):
-        counts = [_count(q, z) for z in range(d.x_lo, d.x_hi + 1)]
-        assert None not in counts, "bounded polyhedron has bounded slices"
-        return Height(max(counts, default=0))
-    if isinstance(cone, (Ray, Line)):
-        a = cone.v[0]
-        if a == 0:
-            raise VerticalRecessionError("vertical recession direction: height is infinite")
-        if isinstance(cone, Line):
-            z0 = 0
-        else:
-            z0 = d.bound if a > 0 else -d.bound
-        return Height(_count(q, z0))
-    raise VerticalRecessionError("two-dimensional recession cone: height is infinite")
+    if not isinstance(cone, (Ray, Line)) or cone.v[0] == 0:
+        raise ValueError("height needs a ray or line cone that is not vertical")
+    z0 = 0 if isinstance(cone, Line) else d.bound if cone.v[0] > 0 else -d.bound
+    span = integer_slice(((pp * a1, a2, pp * b) for a1, a2, b in p.rows), z0)
+    return Height(0 if span is None else span[1] - span[0] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +144,13 @@ def column_window(d: MWDecomp) -> Tuple[int, int]:
     past the vertex bound; a non-vertical line cone repeats every column
     with that period; two-dimensional cones guarantee a hit once the
     column width reaches 1, at an exactly computable threshold.
+
+    The wedge's last `+ 1` is not needed for completeness: the wedge's
+    generators' x parts share a sign, and from a vertex w, |w_x| <= bound,
+    column z of w + cone is a segment of length |z - w_x| / g, g =
+    |v1x * v2x| / |cross(v1, v2)|, so of length >= 1 from |z| = bound +
+    ceil(g) on.  It moves only the column a stalled growth trace restarts
+    at (`growth_threshold`), which witness traces show and tests pin.
     """
     cone = d.cone
     if isinstance(cone, Plane):

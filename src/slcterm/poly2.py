@@ -16,8 +16,9 @@ it raises `EmptyPolyhedronError` where that finds p empty, and one pass
 over the meets gives the integer fields `x_lo`, `x_hi` and `bound`.
 `is_empty` and `x_extent` share one integer variable elimination, O(k^2)
 but cheaper than the edge list on a few rows (`analyzer.decide` runs it
-up to `analyzer._FM_ROWS` rows); only `x_extent` makes `Fraction`s, two,
-for reports.  `lattice.integer_slice` gives integer one-variable bounds.
+up to `analyzer._FM_ROWS` rows).  No module here calls `x_extent`, the
+one that makes `Fraction`s; it stays for the benchmark, which wraps it
+by name.  `lattice.integer_slice` gives integer one-variable bounds.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from slcterm import analyzer, poly2
+from slcterm import analyzer, lattice, poly2
 from slcterm.analyzer import (
     _FM_ROWS,
     CYCLE,
@@ -104,38 +104,67 @@ def _cycle_corpus():
     return slc_corpus(1000) + bounded_corpus(500) + goldens
 
 
+def in_both_orders(p, s1, s2):
+    return all(a1 * s1 + a2 * s2 <= b and a1 * s2 + a2 * s1 <= b for a1, a2, b in p.rows)
+
+
 def test_cycle2_matches_the_unguarded_query():
-    # cycle2 returns the first integer point of p with its swap, and runs
-    # that query only where has_cycle holds: where has_cycle is False the
-    # query comes back empty, and where it is True the query hits
+    # the first integer point of p with its swap is the reference for
+    # whether a 2-cycle exists at all; cycle2's pair holds in both orders
+    # by substitution, and is cycle1's fixed point twice or else the
+    # adjacent pair (v, v+1) of least |v|, nonnegative first
     loops = _cycle_corpus()
-    cyclic = 0
+    adjacent = 0
     for p in loops:
         ref = integer_point_2d(intersect(p, swap(p)))
-        assert cycle2(p) == ref
+        got = cycle2(p)
+        assert (got is None) == (ref is None)
         assert has_cycle(p) == (ref is not None)
-        cyclic += ref is not None
-    assert 0 < cyclic < len(loops)
+        if got is None:
+            continue
+        assert in_both_orders(p, *got), (p.rows, got)
+        s = cycle1(p)
+        if s is not None:
+            assert got == (s, s)
+            continue
+        # every v with |v| <= |got[0]|, by |v| and then nonnegative first
+        r = abs(got[0])
+        v = min((v for v in range(-r, r + 1) if in_both_orders(p, v, v + 1)),
+                key=lambda v: (abs(v), v < 0))
+        assert got == (v, v + 1)
+        adjacent += 1
+    assert 0 < adjacent < len(loops)
 
 
 def test_has_cycle_makes_no_search(monkeypatch):
     # a loop cycles iff p with its swap holds an integer point; has_cycle
-    # decides that from two integer slices, and cycle2 searches only the
-    # loops that cycle.  Counted at analyzer's integer_point_2d global.
+    # decides that from two integer slices, and cycle2 and decide read the
+    # cycle off them: no 2D search and no decomposition on a cycling loop.
+    # Counted at the analyzer's and the lattice's globals.
     real, calls = analyzer.integer_point_2d, []
 
-    def counted(q, *args):
-        calls.append(q)
-        return real(q, *args)
+    def counted(f):
+        def wrapper(q, *args):
+            calls.append(f.__name__)
+            return f(q, *args)
+        return wrapper
 
-    monkeypatch.setattr(analyzer, "integer_point_2d", counted)
+    monkeypatch.setattr(analyzer, "integer_point_2d", counted(analyzer.integer_point_2d))
+    monkeypatch.setattr(analyzer, "decompose", counted(analyzer.decompose))
+    monkeypatch.setattr(lattice, "decompose", counted(lattice.decompose))
+    cycling = 0
     for p in _cycle_corpus():
         ref = real(intersect(p, swap(p)))
         calls.clear()
         assert has_cycle(p) == (ref is not None)
         assert not calls
-        if cycle2(p) is None:
-            assert not calls
+        if ref is None:
+            continue
+        cycling += 1
+        pair, v = cycle2(p), decide(p)
+        assert not calls, calls
+        assert v.label == CYCLE and set(v.witness.states) == set(pair)
+    assert cycling > 100
 
 
 @pytest.mark.parametrize("n", [10**3, 10**6, 10**30])
@@ -687,6 +716,21 @@ def test_no_growth_run_stalls_from_the_threshold():
         if mode == "outward":
             assert column_span(p, 1, -math.inf, math.inf) is not None, p
     assert modes["ascend"] and modes["descend"] and modes["outward"] >= 1000, modes
+
+
+@pytest.mark.parametrize("k, bound, start", [(5, 6, 27), (10, 11, 102)])
+def test_wedge_trace_restarts_past_the_window_margin(k, bound, start):
+    # wedge_loop(k)'s cone has generators (k, k+1) and (k-1, k), cross 1, so
+    # a column of its I+ part holds an integer from bound + k*(k-1) on, and
+    # column_window adds one column more.  The greedy run from the region
+    # point stalls and restarts there: any column from bound + k*(k-1) on
+    # would pass substitution, so the witness pins the margin
+    p = wedge_loop(k)
+    d = decompose(intersect(p, hpoly(I_PLUS_ROWS)))
+    assert d.bound == bound and growth_threshold(d) == start == bound + k * (k - 1) + 1
+    v = decide(p)
+    assert len(greedy_run(p, "ascend", v.witness.data[0], 10)) < 10
+    assert witness_trace(p, v, 10) == greedy_run(p, "ascend", start, 10)
 
 
 @pytest.mark.parametrize("k", [100, 3000, 10**4])

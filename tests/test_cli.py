@@ -331,6 +331,19 @@ def test_cycles_outputs():
     assert code == 0 and out == "cycle1: none\ncycle2: 0 1\n"
     code, out, _ = run_cli("cycles", "-", stdin=SLAB)
     assert code == 0 and out == "cycle1: none\ncycle2: none\n"
+    # -4 <= x + x' <= -2: the fixed point -1 is the 2-cycle (-1, -1)
+    code, out, _ = run_cli("cycles", "-", stdin="slc v1\n1 1 -2\n-1 -1 4\n")
+    assert code == 0 and out == "cycle1: -1\ncycle2: -1 -1\n"
+    # cycles scans no column, so it takes no --scan-limit
+    code, out, err = run_cli("cycles", "-", "--scan-limit", "5", stdin=PAIR)
+    assert code == 2 and out == "" and "unrecognized arguments: --scan-limit 5" in err
+
+
+def test_cycle_verdict_scans_no_column():
+    # the adjacent-pair slice names the 2-cycle, so even a scan limit of 0
+    # columns leaves the CYCLE verdict standing
+    assert run_cli("decide", "-", "--scan-limit", "0", stdin=PAIR) == (
+        0, "non-terminating CYCLE\ncycle: 0 1\n", "")
 
 
 def test_segment_without_integer_points_is_answered():

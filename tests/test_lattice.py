@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from slcterm.lattice import (
     Height,
     ScanLimitExceededError,
-    VerticalRecessionError,
     column,
     height,
     integer_point_1d,
     integer_point_2d,
     integer_slice,
 )
-from slcterm.poly2 import EmptyPolyhedronError, contains, decompose, hpoly
+from slcterm.poly2 import EmptyPolyhedronError, Line, Ray, contains, decompose, hpoly
 from conftest import (
     SEED,
     bounded_corpus,
@@ -27,11 +26,13 @@ from conftest import (
     empty_loop,
     halfint_loop,
     halfplane_loop,
+    line_strips,
     pair_loop,
     quad_loop,
     random_slc,
     reflected,
     slab_loop,
+    slc_corpus,
     thick_loop,
     thin_loop,
     wedge_loop,
@@ -199,28 +200,42 @@ def test_height_counts_golden():
     assert height(p, decompose(p), 3) == Height(0)
 
 
-def test_height_brute():
-    # bounded_corpus boxes lie inside [-15, 15]^2
-    checked = 0
-    for p in bounded_corpus():
+def ray_and_line_loops():
+    # loops whose cone is a Ray or a Line (a, c) with a != 0, the only cones
+    # `height` takes: random loops, line strips, and the strips cut to
+    # x >= 3 or to x <= -3
+    loops = slc_corpus(2000) + [slab_loop(), thin_loop(), thick_loop()]
+    for q in line_strips(40, SEED):
+        loops += [q, hpoly(q.rows + ((-1, 0, -3),)), hpoly(q.rows + ((1, 0, -3),))]
+    for p in loops:
         try:
             d = decompose(p)
         except EmptyPolyhedronError:
             continue
-        checked += 1
-        cols = [rational_column(p, z) for z in range(-15, 16)]
-        for pp in range(1, 8):
-            assert height(p, d, pp) == Height(max(fraction_count(c, pp) for c in cols))
-    assert checked > 100
+        if isinstance(d.cone, (Ray, Line)) and d.cone.v[0] != 0:
+            yield p, d
+
+
+def test_height_brute():
+    # height reads one column; against it, the most points of (1/pp)Z on
+    # exact Fractions in any column from -(bound + 3|a|) to bound + 3|a|,
+    # a run of columns past the vertex bound on both sides, for pp a
+    # multiple of |a| as the dispatch passes it
+    checked = {Ray: 0, Line: 0}
+    for p, d in ray_and_line_loops():
+        a = abs(d.cone.v[0])
+        r = d.bound + 3 * a
+        cols = [rational_column(p, z) for z in range(-r, r + 1)]
+        for pp in (a, 2 * a):
+            assert height(p, d, pp) == Height(max(fraction_count(c, pp) for c in cols)), p.rows
+        checked[type(d.cone)] += 1
+    assert checked[Ray] > 30 and checked[Line] > 30, checked
 
 
 def test_height_golden():
     for build, h in ((slab_loop, 2), (thin_loop, 1), (thick_loop, 3)):
         p = build()
         assert height(p, decompose(p), 3) == Height(h)
-    # bounded: max over the hull columns
-    q = quad_loop()
-    assert height(q, decompose(q), 1) == Height(4)
 
 
 def test_height_rejects_a_denominator_below_one():
@@ -230,13 +245,12 @@ def test_height_rejects_a_denominator_below_one():
 
 
 def test_height_vertical_recession_rejected():
-    p = hpoly([(1, 0, 3), (-1, 0, -3), (0, -1, -5)])  # vertical ray
-    with pytest.raises(VerticalRecessionError):
-        height(p, decompose(p), 1)
-    for build in (halfplane_loop, lambda: hpoly([(-1, 0, 0), (0, -1, 0)])):
-        w = build()  # 2D cones have no column profile
-        with pytest.raises(VerticalRecessionError):
-            height(w, decompose(w), 1)
+    # height takes only a Ray or Line cone that is not vertical: a Zero
+    # cone, a vertical ray, a half-plane and a wedge are each a ValueError
+    for p in (quad_loop(), hpoly([(1, 0, 3), (-1, 0, -3), (0, -1, -5)]),
+              halfplane_loop(), hpoly([(-1, 0, 0), (0, -1, 0)])):
+        with pytest.raises(ValueError, match="ray or line cone"):
+            height(p, decompose(p), 1)
 
 
 def test_height_constant_beyond_vertex_bound():
