@@ -401,11 +401,8 @@ def decide(
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
-    s = cycle1(p)
-    if s is not None:
-        return Verdict("non-terminating", CYCLE, CycleWitness((s,)))
-    if (t := _adjacent_pairs(p)) is not None:
-        return Verdict("non-terminating", CYCLE, CycleWitness((t, t + 1)))
+    if (pair := cycle2(p)) is not None:
+        return Verdict("non-terminating", CYCLE, CycleWitness(pair[:1] if pair[0] == pair[1] else pair))
     try:
         d = decompose(p)
     except EmptyPolyhedronError:

@@ -21,7 +21,6 @@ from .analyzer import (
     EMPTY,
     CycleWitness,
     TraceSeed,
-    cycle1,
     cycle2,
     decide,
     witness_trace,
@@ -83,9 +82,8 @@ def _cmd_decide(args) -> int:
 
 def _cmd_cycles(args) -> int:
     p = _read_loop(args.file)
-    s = cycle1(p)
     pair = cycle2(p)
-    print("cycle1: " + ("none" if s is None else str(s)))
+    print("cycle1: " + (str(pair[0]) if pair is not None and pair[0] == pair[1] else "none"))
     print("cycle2: " + ("none" if pair is None else _ints(pair)))
     return 0
 

@@ -8,7 +8,10 @@ column of the rows scaled to (p*a1, a2, p*b), and a ray or line
 recession cone makes one column attain the supremum.
 `integer_point_2d` decides whether the polyhedron contains an integer
 point at all, again by reducing to a finite column window via the
-cone's translation periodicity.  Windows come from `MWDecomp`'s integers.
+cone's translation periodicity.  Windows come from `MWDecomp`'s integers:
+a side that no generator of the cone reaches stops at the polyhedron's
+first or last real column, so every column scanned holds a real point,
+however far the polyhedron is translated.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from .poly2 import (
     HPoly,
     Line,
     MWDecomp,
-    Plane,
+    Pointed2,
     Ray,
     Record,
-    Zero,
     _setattr,
-    cone_contains,
     cross,
     decompose,
 )
@@ -103,19 +104,22 @@ def integer_point_1d(span: Span) -> Optional[int]:
 
 def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
     """sup over integer z of |column z of p intersect (1/pp)Z|, for a Ray or
-    Line cone (a, c), a != 0, and pp a multiple of |a|; any other cone raises
-    `ValueError`.  y lies in (1/pp)Z and in column z of p exactly when pp*y
-    is an integer in column z of the scaled rows (pp*a1, a2, pp*b).  p lies
-    in a strip along (a, c) whose columns move by c/a, in (1/pp)Z, per step
-    and so hold one count, the sup; p's columns past the vertex bound (all of
-    a Line's) are the strip's, so column 0, or d.bound on the ray's side,
-    has it, and with no vertical direction in the cone that count is finite.
+    Line cone (a, c), a != 0, and pp a multiple of |a|; any other cone or pp
+    raises `ValueError`.  y lies in (1/pp)Z and in column z of p exactly when
+    pp*y is an integer in column z of the scaled rows (pp*a1, a2, pp*b).  p
+    lies in a strip along (a, c) whose columns move by c/a, in (1/pp)Z, per
+    step and so hold one count, the sup; p's columns past the vertex bound
+    (all of a Line's) are the strip's, so column 0, or d.bound on the ray's
+    side, has it, and with no vertical direction in the cone that count is
+    finite.
     """
     if pp < 1:
         raise ValueError("denominator pp must be >= 1")
     cone = d.cone
     if not isinstance(cone, (Ray, Line)) or cone.v[0] == 0:
         raise ValueError("height needs a ray or line cone that is not vertical")
+    if pp % cone.v[0]:
+        raise ValueError(f"denominator pp = {pp} is not a multiple of |a| = {abs(cone.v[0])}")
     z0 = 0 if isinstance(cone, Line) else d.bound if cone.v[0] > 0 else -d.bound
     span = integer_slice(((pp * a1, a2, pp * b) for a1, a2, b in p.rows), z0)
     return Height(0 if span is None else span[1] - span[0] + 1)
@@ -139,11 +143,18 @@ def _window_order(lo: int, hi: int) -> Iterator[int]:
 def column_window(d: MWDecomp) -> Tuple[int, int]:
     """The columns lo..hi that `integer_point_2d` scans for d's polyhedron.
 
-    Complete: the recession cone bounds which columns can differ.  A
-    pointed horizontal ray repeats columns with period v[0] (shift v[1])
-    past the vertex bound; a non-vertical line cone repeats every column
-    with that period; two-dimensional cones guarantee a hit once the
-    column width reaches 1, at an exactly computable threshold.
+    One rule per side.  p = conv(meets) + cone, so when no generator of
+    the cone has x < 0, every real point of p has x >= the least meet x,
+    and the window starts at `d.x_lo`; likewise it ends at `d.x_hi` when
+    no generator has x > 0.  A side that a generator reaches ends at
+    bound + reach, where the cone's periodicity makes the columns past it
+    add nothing: a ray (a, c) repeats columns with period |a| (shift c)
+    past the vertex bound, reach |a| - 1; a cone holding a vertical
+    direction has unbounded far columns, reach 1; a wedge strictly on one
+    side of the vertical has columns of length >= 1 from there on.  A
+    non-vertical line cone (a, c) keeps 0..a - 1: every column is an exact
+    integer translate of one of these.  So every column of the window holds
+    a real point, and a far-off polyhedron is scanned from its own columns.
 
     The wedge's last `+ 1` is not needed for completeness: the wedge's
     generators' x parts share a sign, and from a vertex w, |w_x| <= bound,
@@ -153,26 +164,18 @@ def column_window(d: MWDecomp) -> Tuple[int, int]:
     at (`growth_threshold`), which witness traces show and tests pin.
     """
     cone = d.cone
-    if isinstance(cone, Plane):
-        return 0, 0
-    if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
-        return d.x_lo, d.x_hi
-    if isinstance(cone, Ray):
-        # columns past the vertex bound repeat with period |a| (shift v[1])
-        a = cone.v[0]
-        return (d.x_lo, d.bound + a - 1) if a > 0 else (-d.bound + a + 1, d.x_hi)
-    if isinstance(cone, Line):
-        # every column is an exact integer translate of one of these
+    if isinstance(cone, Line) and cone.v[0]:
         return 0, cone.v[0] - 1
-    # 2D cone: far columns are unbounded (vertical direction inside the
-    # cone) or widen at the generators' slope gap until they must hold
-    # an integer
-    if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
-        extra = 1
-    else:
-        # a wedge strictly on one side: 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
-        extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
-    return -(d.bound + extra), d.bound + extra
+    if isinstance(cone, Ray):
+        reach = abs(cone.v[0]) - 1
+    elif isinstance(cone, Pointed2) and cone.v1[0] * cone.v2[0] > 0:
+        # 1 / slope gap = |v1x * v2x| / |cross(v1, v2)|
+        reach = -(-(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
+    else:  # a vertical direction in the cone, or no generator off the vertical
+        reach = 1
+    xs = [v[0] for v in cone.generators()]
+    return (-(d.bound + reach) if min(xs, default=0) < 0 else d.x_lo,
+            d.bound + reach if max(xs, default=0) > 0 else d.x_hi)
 
 
 def growth_threshold(d: MWDecomp) -> int:

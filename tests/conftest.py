@@ -80,6 +80,12 @@ def wedge_loop(k):
     return hpoly([(k + 1, -k, 0), (-k, k - 1, 0), (-1, 0, -1)])
 
 
+def slope2_wedge(k):
+    # (2k+1)x/k <= x' <= (2k-1)x/(k-1), x >= 1: inside I+ from column 1 on,
+    # but its columns hold an integer only from column k - 1 on
+    return hpoly([(2 * k + 1, -k, 0), (-(2 * k - 1), k - 1, 0), (-1, 0, -1)])
+
+
 def line_strips(n, seed):
     """n loops c1 <= c*x - a*x' <= c2 with 0 < a < |c| and c < 0: bands
     along the line direction (a, c) whose columns hold c2 - c1 + 1

@@ -22,7 +22,7 @@ from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
 from slcterm.poly2 import hpoly
 
-from conftest import SEED, random_slc, slab_loop, wedge_loop
+from conftest import SEED, random_slc, slab_loop, slope2_wedge, wedge_loop
 from test_analyzer import DECIDE_GOLDEN
 
 SLAB = "slc v1\n4 -3 2\n-4 3 -1\n-1 0 -3\n"
@@ -373,10 +373,11 @@ def test_decompose_outputs():
 def test_one_prefix_for_decide_its_report_and_witness():
     # decide's trace line, decide --json's prefix and witness --length 10
     # replay one seed to the same 10 states, or stop at the same limit.
-    # --scan-limit 50 stops some wedges in the seed query
+    # --scan-limit 50 stops the slope-2 wedges in the seed query: their
+    # real columns start at 1 and their integers at k - 1
     loops = [hpoly(rows) for rows, kind, label in DECIDE_GOLDEN
              if kind == "non-terminating" and label != "CYCLE"]
-    loops += [wedge_loop(k) for k in range(2, 31)]
+    loops += [wedge_loop(k) for k in range(2, 31)] + [slope2_wedge(k) for k in (60, 100)]
     outcomes = Counter()
     for p in loops:
         loop = emit_text(p)
@@ -682,10 +683,15 @@ def test_exit_code_3_on_scan_limit():
     # with the default limit the same loop resolves
     code, out, _ = run_cli("decide", "-", stdin=HALFINT)
     assert code == 0 and out == "terminating L5.3.8\n"
-    # a thin wedge whose column window spans ~10^12 columns stops at the
-    # limit instead of building the window
+    # a thin wedge at k = 10^6: I+ cuts it to x >= k - 1, whose first
+    # column holds the seed, so the scan reads one column
     k = 10**6
     wedge = f"slc v1\n{k + 1} {-k} 0\n{-k} {k - 1} 0\n-1 0 -1\n"
+    code, out, err = run_cli("decide", "-", "--scan-limit", "1000", stdin=wedge)
+    assert code == 0 and out.splitlines()[0] == "non-terminating L5.2.1"
+    # the slope-2 thin wedge lies in I+ from column 1 on, but its columns
+    # hold an integer only from k - 1 on: its seed query stops at the limit
+    wedge = f"slc v1\n{2 * k + 1} {-k} 0\n{-(2 * k - 1)} {k - 1} 0\n-1 0 -1\n"
     code, out, err = run_cli("decide", "-", "--scan-limit", "1000", stdin=wedge)
     assert code == 3 and out == "" and "scan" in err
 

@@ -1,23 +1,40 @@
 """Lattice queries: integer slices, columns, heights, 2D feasibility."""
 
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slcterm.analyzer import TraceSeed, Verdict, decide, region_point, witness_trace
 from slcterm.lattice import (
     Height,
     ScanLimitExceededError,
     column,
+    column_window,
     height,
     integer_point_1d,
     integer_point_2d,
     integer_slice,
 )
-from slcterm.poly2 import EmptyPolyhedronError, Line, Ray, contains, decompose, hpoly
+from slcterm.poly2 import (
+    EmptyPolyhedronError,
+    Line,
+    Plane,
+    Ray,
+    Zero,
+    cone_contains,
+    contains,
+    cross,
+    decompose,
+    hpoly,
+    intersect,
+)
 from conftest import (
     SEED,
     bounded_corpus,
@@ -33,8 +50,10 @@ from conftest import (
     reflected,
     slab_loop,
     slc_corpus,
+    slope2_wedge,
     thick_loop,
     thin_loop,
+    translated,
     wedge_loop,
 )
 
@@ -244,6 +263,17 @@ def test_height_rejects_a_denominator_below_one():
         height(p, decompose(p), 0)
 
 
+def test_height_rejects_a_denominator_off_the_cone_period():
+    # 2x' - 3x = 1, cone (2, 3): column 1 holds (1, 2), but for pp = 1 or 3
+    # column 0, the one height reads, holds no point of (1/pp)Z
+    p = hpoly([(-3, 2, 1), (3, -2, -1)])
+    d = decompose(p)
+    for pp in (1, 3):
+        with pytest.raises(ValueError, match=rf"pp = {pp} is not a multiple of \|a\| = 2"):
+            height(p, d, pp)
+    assert height(p, d, 2) == height(p, d, 4) == Height(1)
+
+
 def test_height_vertical_recession_rejected():
     # height takes only a Ray or Line cone that is not vertical: a Zero
     # cone, a vertical ray, a half-plane and a wedge are each a ValueError
@@ -330,3 +360,100 @@ def test_integer_point_2d_unbounded_instances():
             # scan confirms absence inside a wide window
             assert box_integer_point(p, -200, 200) is None
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# the column window
+# ---------------------------------------------------------------------------
+
+
+def reference_column_window(d):
+    """The window before each side stopped at the polyhedron's own columns:
+    every 2D cone centred on 0, whatever side the polyhedron lies on."""
+    cone = d.cone
+    if isinstance(cone, Plane):
+        return 0, 0
+    if isinstance(cone, Zero) or (isinstance(cone, (Ray, Line)) and cone.v[0] == 0):
+        return d.x_lo, d.x_hi
+    if isinstance(cone, Ray):
+        a = cone.v[0]
+        return (d.x_lo, d.bound + a - 1) if a > 0 else (-d.bound + a + 1, d.x_hi)
+    if isinstance(cone, Line):
+        return 0, cone.v[0] - 1
+    if cone_contains(cone, (0, 1)) or cone_contains(cone, (0, -1)):
+        extra = 1
+    else:
+        extra = -(-abs(cone.v1[0] * cone.v2[0]) // abs(cross(cone.v1, cone.v2))) + 1
+    return -(d.bound + extra), d.bound + extra
+
+
+# the integer tightening of the open region 0 < x < x'
+I_PLUS = hpoly([(-1, 0, -1), (1, -1, -1)])
+
+
+def _bench_loops():
+    # the benchmark's corpora for seeds 1-3, read from bench/workloads.py
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return [hpoly(item.rows) for w in mod.WORKLOADS for seed in (1, 2, 3) for item in mod.corpus(w, seed)]
+
+
+def holds_real_point(p, z):
+    col = rational_column(p, z)
+    return col is not None and (col[0] is None or col[1] is None or col[0] <= col[1])
+
+
+def test_column_window_drops_only_empty_columns():
+    # the window lies inside the reference one, and every column it drops
+    # holds no real point: the real columns of p form an interval, so when
+    # lo holds one and lo - 1 does not, no column below lo does (and the
+    # same at hi); short dropped runs are also read one by one
+    loops = _bench_loops() + slc_corpus(10000, seed=11)
+    narrowed = 0
+    for p in loops:
+        for q in (p, intersect(p, I_PLUS), intersect(reflected(p), I_PLUS)):
+            try:
+                d = decompose(q)
+            except EmptyPolyhedronError:
+                continue
+            if isinstance(d.cone, Plane):
+                # its window grew from 0..0 to -1..1, but column 0 comes
+                # first and holds (0, 0), so the scan still reads one column
+                assert column_window(d) == (-1, 1) and integer_point_2d(q, scan_limit=1) == (0, 0)
+                continue
+            (rlo, rhi), (lo, hi) = reference_column_window(d), column_window(d)
+            if lo > hi:
+                assert (rlo, rhi) == (lo, hi), q.rows
+                continue
+            assert rlo <= lo and hi <= rhi, q.rows
+            assert holds_real_point(q, lo) and holds_real_point(q, hi), q.rows
+            dropped = [z for z in (lo - 1, hi + 1) if rlo <= z <= rhi]
+            dropped += [*range(rlo, lo - 1)[-50:], *range(hi + 2, rhi + 1)[:50]]
+            assert not any(holds_real_point(q, z) for z in dropped), q.rows
+            narrowed += (rlo, rhi) != (lo, hi)
+    assert narrowed > 1000, narrowed
+
+
+@pytest.mark.parametrize("k", [10**6, 10**30])
+def test_thin_wedge_region_query_reads_one_column(k):
+    # I+ cuts wedge_loop(k) to x >= k - 1, whose first column holds (k-1, k)
+    assert region_point(wedge_loop(k), "I+", scan_limit=1) == (k - 1, k)
+    assert region_point(reflected(wedge_loop(k)), "I-", scan_limit=1) == (1 - k, -k)
+    # the slope-2 wedge's real columns start at 1, its integers at k - 1
+    with pytest.raises(ScanLimitExceededError):
+        region_point(slope2_wedge(k), "I+", scan_limit=1000)
+
+
+@pytest.mark.parametrize("t", [10**6, 10**30])
+def test_translated_wedge_decides_from_its_own_columns(t):
+    # x + 1 <= x' <= 2x, x >= 1 moved by (t, t): the same seed, moved too
+    base = hpoly([(1, -1, -1), (-2, 1, 0), (-1, 0, -1)])
+    assert decide(base) == Verdict("non-terminating", "L5.2.1", TraceSeed("ascend", (1, 2)))
+    moved = translated(base, -t)
+    for p, sign, mode in ((moved, 1, "ascend"), (reflected(moved), -1, "descend")):
+        v = decide(p)
+        assert v == Verdict("non-terminating", "L5.2.1", TraceSeed(mode, (sign * (t + 1), sign * (t + 2))))
+        trace = witness_trace(p, v, 200)
+        assert len(set(trace)) == 200 and trace[0] == sign * (t + 1)
