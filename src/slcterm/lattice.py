@@ -8,7 +8,7 @@ column of the rows scaled to (p*a1, a2, p*b), and a ray or line
 recession cone makes one column attain the supremum.
 `integer_point_2d` decides whether the polyhedron contains an integer
 point at all, again by reducing to a finite column window via the
-cone's translation periodicity.  Windows come from `MWDecomp`'s integers:
+cone's translation periodicity.  Windows come from `MWDecomp.extent()`:
 a side that no generator of the cone reaches stops at the polyhedron's
 first or last real column, so every column scanned holds a real point,
 however far the polyhedron is translated.
@@ -120,7 +120,7 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
         raise ValueError("height needs a ray or line cone that is not vertical")
     if pp % cone.v[0]:
         raise ValueError(f"denominator pp = {pp} is not a multiple of |a| = {abs(cone.v[0])}")
-    z0 = 0 if isinstance(cone, Line) else d.bound if cone.v[0] > 0 else -d.bound
+    z0 = 0 if isinstance(cone, Line) else d.extent()[2] * (1 if cone.v[0] > 0 else -1)
     span = integer_slice(((pp * a1, a2, pp * b) for a1, a2, b in p.rows), z0)
     return Height(0 if span is None else span[1] - span[0] + 1)
 
@@ -143,18 +143,18 @@ def _window_order(lo: int, hi: int) -> Iterator[int]:
 def column_window(d: MWDecomp) -> Tuple[int, int]:
     """The columns lo..hi that `integer_point_2d` scans for d's polyhedron.
 
-    One rule per side.  p = conv(meets) + cone, so when no generator of
-    the cone has x < 0, every real point of p has x >= the least meet x,
-    and the window starts at `d.x_lo`; likewise it ends at `d.x_hi` when
+    One rule per side.  p = conv(meets) + cone, so when no generator of the
+    cone has x < 0, every real point of p has x >= the least meet x, and the
+    window starts at x_lo from `d.extent()`; likewise it ends at x_hi when
     no generator has x > 0.  A side that a generator reaches ends at
-    bound + reach, where the cone's periodicity makes the columns past it
-    add nothing: a ray (a, c) repeats columns with period |a| (shift c)
-    past the vertex bound, reach |a| - 1; a cone holding a vertical
-    direction has unbounded far columns, reach 1; a wedge strictly on one
-    side of the vertical has columns of length >= 1 from there on.  A
-    non-vertical line cone (a, c) keeps 0..a - 1: every column is an exact
-    integer translate of one of these.  So every column of the window holds
-    a real point, and a far-off polyhedron is scanned from its own columns.
+    bound + reach, where the cone's periodicity makes the columns past it add
+    nothing: a ray (a, c) repeats columns with period |a| (shift c) past the
+    vertex bound, reach |a| - 1; a cone holding a vertical direction has
+    unbounded far columns, reach 1; a wedge strictly on one side of the
+    vertical has columns of length >= 1 from there on.  A non-vertical line
+    cone (a, c) keeps 0..a - 1: every column is an exact integer translate
+    of one of these.  So every column of the window holds a real point, and
+    a far-off polyhedron is scanned from its own columns.
 
     The wedge's last `+ 1` is not needed for completeness: the wedge's
     generators' x parts share a sign, and from a vertex w, |w_x| <= bound,
@@ -174,8 +174,9 @@ def column_window(d: MWDecomp) -> Tuple[int, int]:
     else:  # a vertical direction in the cone, or no generator off the vertical
         reach = 1
     xs = [v[0] for v in cone.generators()]
-    return (-(d.bound + reach) if min(xs, default=0) < 0 else d.x_lo,
-            d.bound + reach if max(xs, default=0) > 0 else d.x_hi)
+    x_lo, x_hi, bound = d.extent()
+    return (-(bound + reach) if min(xs, default=0) < 0 else x_lo,
+            bound + reach if max(xs, default=0) > 0 else x_hi)
 
 
 def growth_threshold(d: MWDecomp) -> int:
@@ -197,7 +198,7 @@ def growth_threshold(d: MWDecomp) -> int:
     s <= -T likewise y > -s.  So each step lands beyond T, on the other side.
     """
     if isinstance(d.cone, Line):
-        return d.cone.v[0] * d.bound + 1
+        return d.cone.v[0] * d.extent()[2] + 1
     return column_window(d)[1]
 
 

@@ -19,6 +19,7 @@ string-encoded so nothing overflows elsewhere.  The JSON functions import
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence
 
 from .analyzer import CycleWitness, TraceSeed, Verdict
@@ -79,8 +80,9 @@ def _bad_row(lineno: int, raw: str) -> BadTokenError:
 def parse_text(data: str) -> HPoly:
     if _TEXT_RE.fullmatch(data):
         ints = map(int, data.split()[2:])  # after the header's two tokens
+        # rows made by tuple.__new__, as Constraint._make makes them, with no Python call per row;
         # a list first: tuple() of an iterator resizes as it grows, raising a long run's peak RSS
-        return HPoly(tuple(list(map(Constraint, ints, ints, ints))))
+        return HPoly(tuple(list(map(tuple.__new__, repeat(Constraint), zip(ints, ints, ints)))))
     lines = data.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise BadHeaderError(lines[0].strip() if lines else "")

@@ -12,28 +12,27 @@ It reads everything off one canonical edge list, built in O(k log k) for
 k rows: the tightest row of each primitive normal, sorted by angle, then
 cut to the rows that touch the polygon by a half-plane intersection over
 two lists, rows and meets, with every test inlined as integer products;
-it raises `EmptyPolyhedronError` where that finds p empty, and one pass
-over the meets gives the integer fields `x_lo`, `x_hi` and `bound`.
+it raises `EmptyPolyhedronError` where that finds p empty.  The integers
+`x_lo`, `x_hi` and `bound` come on demand from `MWDecomp.extent()`.
 `is_empty` and `x_extent` share one integer variable elimination, O(k^2)
 but cheaper than the edge list on a few rows (`analyzer.decide` runs it
-up to `analyzer._FM_ROWS` rows).  No module here calls `x_extent`, the
-one that makes `Fraction`s; it stays for the benchmark, which wraps it
-by name.  `lattice.integer_slice` gives integer one-variable bounds.
+up to `analyzer._FM_ROWS` rows); `x_extent` stays for the benchmark.
+`lattice.integer_slice` gives integer one-variable bounds.  `fractions`
+loads only for reports and replay, in `vertices`, `x_extent`, `contains`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 # A rational point (x1, x2).
-Point = Tuple[Fraction, Fraction]
+Point = Tuple["Fraction", "Fraction"]
 # An integer direction vector.
 IVec = Tuple[int, int]
 Meet = Tuple[int, int, int]  # (x, y, det) with det > 0: the point (x/det, y/det)
-Extent = Tuple[bool, Optional[Fraction], Optional[Fraction]]  # (empty, lo, hi)
+Extent = Tuple[bool, Optional["Fraction"], Optional["Fraction"]]  # (empty, lo, hi)
 
 
 class EmptyPolyhedronError(ValueError):
@@ -208,24 +207,40 @@ Cone = Union[Zero, Ray, Line, HalfPlane, Pointed2, Plane]
 class MWDecomp(Record):
     """Minkowski-Weyl pair: p = conv(vertices) + cone.
 
-    `meets` are the vertices, unreduced and maybe repeated; `lattice` reads
-    x_lo = ceil(min x), x_hi = floor(max x) and bound = ceil(vertex_bound).
-    `vertices` (reduced, distinct, in (x, y) order) and `vertex_bound` (max
-    |coordinate|) are the Fraction view for reports, built on first use;
-    equality compares the view and the cone.
+    `meets` are the vertices, unreduced and maybe repeated.  `extent()` gives
+    x_lo = ceil(min x), x_hi = floor(max x), bound = ceil(vertex_bound) anew
+    on each call, as do the properties of those names.  `vertices` (reduced,
+    distinct, sorted) and `vertex_bound` (max |coordinate|) are the
+    `fractions` view for reports, built on first use; `==` reads it and the cone.
     """
 
-    __slots__ = ("meets", "cone", "x_lo", "x_hi", "bound", "__dict__")  # __dict__ for `vertices`
+    __slots__ = ("meets", "cone", "__dict__")  # __dict__ for `vertices`
+    _fields = ("meets", "cone", "x_lo", "x_hi", "bound")
+    x_lo = property(lambda self: self.extent()[0])
+    x_hi = property(lambda self: self.extent()[1])
+    bound = property(lambda self: self.extent()[2])
 
-    def __init__(self, meets: Tuple[Meet, ...], cone: Cone, x_lo: int, x_hi: int, bound: int) -> None:
+    def __init__(self, meets: Tuple[Meet, ...], cone: Cone) -> None:
         _setattr(self, "meets", meets)
         _setattr(self, "cone", cone)
-        _setattr(self, "x_lo", x_lo)
-        _setattr(self, "x_hi", x_hi)
-        _setattr(self, "bound", bound)
+
+    def extent(self) -> Tuple[int, int, int]:
+        """(x_lo, x_hi, bound), one pass: ceil and floor are monotone, so x_lo is the
+        least ceil(x/det), x_hi the greatest floor(x/det), and bound the greatest
+        ceil(|x|/det) or ceil(|y|/det)."""
+        x, _, d = self.meets[0]
+        x_lo, x_hi, bound = -(-x // d), x // d, 0
+        for x, y, d in self.meets:
+            lo, hi, c = -(-x // d), x // d, -(-(y if y >= 0 else -y) // d)
+            x_lo, x_hi = lo if lo < x_lo else x_lo, hi if hi > x_hi else x_hi
+            cx = lo if x >= 0 else -hi
+            c = cx if cx > c else c
+            bound = c if c > bound else bound
+        return x_lo, x_hi, bound
 
     @cached_property
     def vertices(self) -> Tuple[Point, ...]:
+        from fractions import Fraction
         return tuple(sorted({(Fraction(x, det), Fraction(y, det)) for x, y, det in self.meets}))
 
     @property
@@ -334,6 +349,7 @@ def _x_bounds(rows: Iterable[Tuple[int, int, int]]) -> Optional[Tuple[int, int, 
 def x_extent(p: HPoly) -> Extent:
     """Project onto x1 by eliminating x2: (empty, lo, hi) with None for an
     open side, made Fractions from `_x_bounds`'s integer pairs at the end."""
+    from fractions import Fraction
     bounds = _x_bounds(p.rows)
     if bounds is None:
         return True, None, None
@@ -348,6 +364,7 @@ def is_empty(p: HPoly) -> bool:
 
 def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:
     """Exact membership of a rational point."""
+    from fractions import Fraction
     x, y = Fraction(pt[0]), Fraction(pt[1])
     return all(a1 * x + a2 * y <= b for a1, a2, b in p.rows)
 
@@ -475,8 +492,8 @@ def decompose(p: HPoly) -> MWDecomp:
     its angular gaps; for pointed cones (Zero/Ray/Pointed2), emptiness and
     the true vertices from `_polygon`'s half-plane intersection, O(k).
     Cones with lineality have no vertices: the list holds one canonical
-    anchor per finite bound of the edges.  One pass over the meets then
-    gives x_lo, x_hi and bound.  Raises `EmptyPolyhedronError` if p is empty.
+    anchor per finite bound of the edges.  Raises `EmptyPolyhedronError` if
+    p is empty.
     """
     es = _edges(p)
     cone = _cone(es)
@@ -487,14 +504,4 @@ def decompose(p: HPoly) -> MWDecomp:
     else:
         meets = _polygon(es, cone)
     assert meets, "nonempty pointed polyhedron must expose a vertex"
-    # ceil and floor are monotone: x_lo is the least ceil(x/det), x_hi the
-    # greatest floor(x/det), bound the greatest ceil(|x|/det) or ceil(|y|/det)
-    x, _, d = meets[0]
-    x_lo, x_hi, bound = -(-x // d), x // d, 0
-    for x, y, d in meets:
-        lo, hi, c = -(-x // d), x // d, -(-(y if y >= 0 else -y) // d)
-        x_lo, x_hi = lo if lo < x_lo else x_lo, hi if hi > x_hi else x_hi
-        cx = lo if x >= 0 else -hi
-        c = cx if cx > c else c
-        bound = c if c > bound else bound
-    return MWDecomp(tuple(meets), cone, x_lo, x_hi, bound)
+    return MWDecomp(tuple(meets), cone)

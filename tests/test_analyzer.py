@@ -1,5 +1,6 @@
 """Cycle detection, the recession-cone dispatch, and witness traces."""
 
+import fractions
 import math
 import random
 import sys
@@ -555,14 +556,15 @@ def test_decide_on_many_rows_in_bounded_memory():
 def test_decide_builds_no_fraction(monkeypatch):
     # every test decide makes is in integers: the elimination up to
     # _FM_ROWS rows, the cycle slices and the 2-cycle's substitution check,
-    # the cone flags and the dispatch.  Every module global bound to
-    # Fraction fails when called.
+    # the cone flags and the dispatch.  No slcterm module holds Fraction as
+    # a global (poly2 imports it inside the functions that build one), so
+    # with `fractions.Fraction` patched every build fails.
     def forbidden(*args):
         raise AssertionError(f"Fraction{args} built by decide")
 
     for mod in [m for key, m in sys.modules.items() if key.startswith("slcterm")]:
-        for name in [n for n, value in vars(mod).items() if value is Fraction]:
-            monkeypatch.setattr(mod, name, forbidden)
+        assert Fraction not in vars(mod).values(), mod.__name__
+    monkeypatch.setattr(fractions, "Fraction", forbidden)
     goldens = [build() for build in (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop,
                                      pair_loop, halfplane_loop, halfint_loop, empty_loop)]
     rng = random.Random(SEED + 21)
@@ -577,7 +579,7 @@ def test_decide_builds_no_fraction(monkeypatch):
         assert len(p.rows) > _FM_ROWS and not has_cycle(p)
         v = decide(p)
         assert (v.kind, v.label, v.decomposition.cone) == ("terminating", "L5.5.2", Zero())
-    assert poly2.Fraction is forbidden
+    assert not hasattr(poly2, "Fraction") and fractions.Fraction is forbidden
 
 
 def test_decide_deterministic():

@@ -718,9 +718,9 @@ def test_out_of_memory_exits_2():
 
 @pytest.mark.parametrize("argv,stdin,loaded,unloaded", [
     (["decide", "-"], EMPTY, {"slcterm.analyzer", "slcterm.loopio"},
-     {"dataclasses", "inspect", "json", "slcterm.collatz", "slcterm.oracle"}),
+     {"dataclasses", "decimal", "fractions", "inspect", "json", "numbers", "slcterm.collatz", "slcterm.oracle"}),
     (["decide", "-", "--json"], EMPTY, {"json"},
-     {"dataclasses", "inspect", "slcterm.collatz", "slcterm.oracle"}),
+     {"dataclasses", "decimal", "fractions", "inspect", "numbers", "slcterm.collatz", "slcterm.oracle"}),
     (["oracle", "-"], EMPTY, {"slcterm.oracle"}, {"dataclasses", "inspect", "json", "slcterm.collatz"}),
     (["collatz", "to-slc", "--d", "3", "--m", "4", "--a", "0"], "", {"slcterm.collatz"},
      {"dataclasses", "inspect", "json", "slcterm.oracle"}),

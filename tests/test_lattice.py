@@ -25,6 +25,7 @@ from slcterm.lattice import (
 from slcterm.poly2 import (
     EmptyPolyhedronError,
     Line,
+    MWDecomp,
     Plane,
     Ray,
     Zero,
@@ -51,6 +52,7 @@ from conftest import (
     slab_loop,
     slc_corpus,
     slope2_wedge,
+    tangent_polygon,
     thick_loop,
     thin_loop,
     translated,
@@ -457,3 +459,71 @@ def test_translated_wedge_decides_from_its_own_columns(t):
         assert v == Verdict("non-terminating", "L5.2.1", TraceSeed(mode, (sign * (t + 1), sign * (t + 2))))
         trace = witness_trace(p, v, 200)
         assert len(set(trace)) == 200 and trace[0] == sign * (t + 1)
+
+
+# ---------------------------------------------------------------------------
+# MWDecomp.extent: the integers the windows read, made on demand
+# ---------------------------------------------------------------------------
+
+
+def check_extent(p):
+    # extent() against the Fraction view: ceil(min x), floor(max x) and the
+    # greatest ceil(|coordinate|); the properties read the same three
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
+        return False
+    xs = [x for x, _ in d.vertices]
+    bound = max(math.ceil(abs(c)) for v in d.vertices for c in v)
+    assert d.extent() == (math.ceil(min(xs)), math.floor(max(xs)), bound), p.rows
+    assert (d.x_lo, d.x_hi, d.bound) == d.extent()
+    return True
+
+
+def test_extent_matches_the_view_on_the_bench_corpora():
+    loops = _bench_loops()
+    assert sum(check_extent(q) for p in loops for q in (p, intersect(p, I_PLUS))) > len(loops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-10**12, 10**12)),
+                min_size=1, max_size=12))
+def test_extent_matches_the_view_on_random_rows(rows):
+    check_extent(hpoly(rows))
+
+
+@pytest.fixture
+def extent_calls(monkeypatch):
+    # the decompositions whose extent is computed, in call order
+    calls, real = [], MWDecomp.extent
+
+    def extent(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MWDecomp, "extent", extent)
+    return calls
+
+
+@pytest.mark.parametrize("k", [8, 64, 512])
+def test_polygon_decide_computes_no_extent(extent_calls, k):
+    # a bounded polygon answers L5.5.2 from its cone alone
+    v = decide(tangent_polygon(random.Random(1), k))
+    assert v.label == "L5.5.2" and len(extent_calls) == 0
+
+
+def test_each_lattice_reader_computes_its_extent_once(extent_calls):
+    # README's L5.3.1 loop: the height reads p's decomposition, and the
+    # region query's window reads p & I+'s, once each
+    p = hpoly([(4, -3, 2), (-4, 3, 0), (-1, 0, -3)])
+    v = decide(p)
+    assert v.label == "L5.3.1"
+    assert extent_calls == [decompose(p), decompose(intersect(p, I_PLUS))]
+    assert extent_calls[0] is v.decomposition
+    # a stalled growth trace restarts at growth_threshold: one more
+    # decomposition, p & I+ again, read once
+    p = wedge_loop(30)
+    v = decide(p)
+    extent_calls.clear()
+    assert len(set(witness_trace(p, v, 200))) == 200
+    assert extent_calls == [decompose(intersect(p, I_PLUS))]

@@ -145,8 +145,13 @@ _text = st.builds(lambda head, lines, eol, end: eol.join([head, *lines]) + end,
 @given(_text)
 @example("slc v1\r\n1 2 3\r\n\r\n4\x0c5 6\r\n")
 @example("slc v1\n1 2 3 \u3000\n-0\xa0+0\t007\n1 2 3 4\n")
+@example("slc v1\n1 2 3\n-4 +5 6\n")  # the single match reads it
+@example("slc v1\n1\xa02 3\n-4 +5 6\n")  # read line by line
 def test_parse_text_matches_reference(text):
-    assert outcome(parse_text, text) == outcome(reference_parse, text)
+    got = outcome(parse_text, text)
+    assert got == outcome(reference_parse, text)
+    if isinstance(got, list):  # every row a Constraint, on either path
+        assert all(t is Constraint for t, _ in got)
 
 
 def test_parse_text_matches_reference_at_every_space():
