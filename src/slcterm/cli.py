@@ -151,7 +151,9 @@ def _build_map(args):
             raise ValueError("--m-list and --r-list go together")
         return GenCollatz(args.d, tuple(args.m_list), tuple(args.r_list))
     if args.m is None or args.a is None:
-        raise ValueError("need --m and --a (weak map) or --m-list and --r-list")
+        # `reach` takes only the weak map's options
+        other = " (weak map) or --m-list and --r-list" if hasattr(args, "m_list") else ""
+        raise ValueError(f"need --m and --a{other}")
     return WeakCollatz(args.d, args.m, args.a)
 
 
@@ -173,10 +175,9 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    from .collatz import WeakCollatz, reachability_scan
+    from .collatz import reachability_scan
 
-    t = WeakCollatz(args.d, args.m, args.a)
-    return _print_orbit(reachability_scan(t, args.start, args.steps, args.abs_bound))
+    return _print_orbit(reachability_scan(_build_map(args), args.start, args.steps, args.abs_bound))
 
 
 def _cmd_hist(args) -> int:

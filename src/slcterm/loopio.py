@@ -122,6 +122,8 @@ def parse_json(text: str) -> HPoly:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaMismatchError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaMismatchError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or obj.get("format") != "slc-v1":
         raise SchemaMismatchError("missing format tag 'slc-v1'")
     cons = obj.get("constraints")

@@ -3,17 +3,18 @@
 Restrict the transition relation to integer states in [-B, B] and treat
 it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
-non-termination.  Runs in plain integer arithmetic.  `build_graph` first
-clips the window to the columns with real points, by cuts that are each
-a nonnegative combination of two rows.  It then reads each column in
-between once, for its successors and whether one leaves the window, in
-one of two ways.  When at most as many columns as rows are left, it
-calls `lattice.column` per column, the one routine it shares with the
-geometric decision procedure.  Otherwise it clips again on the rows
-divided by their normals' gcds and reads the columns by rows: each row
-bounds every column at once as one range of numerators, divided in C
-iterators.  A graph so costs O((cuts + columns with real points)*k) row
-reads for k rows.  The searches read only the graph and skip the states
+non-termination.  Runs in plain integer arithmetic.  `build_graph` clips
+the window once, on the rows divided by their normals' gcds (which keep
+every integer point), to the columns from the first to the last with
+real points of those rows, by cuts that are each a nonnegative
+combination of two rows.  It then reads each column in between once,
+for its successors and whether one leaves the window, in one of two
+ways.  When at most as many columns as rows are left, it calls
+`lattice.column` per column, the one routine it shares with the
+geometric decision procedure.  Otherwise it reads the columns by rows:
+each row bounds every column at once as one range of numerators, divided
+in C iterators.  A graph so costs O((cuts + columns with real points)*k)
+row reads for k rows.  The searches read only the graph and skip the states
 they are done with in runs, so each visits every state about once.  It
 uses no decomposition, recession cone, height or integer-point search.
 """
@@ -127,18 +128,19 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
     """The transition graph of p on the integer states in [-bound,
     bound]: `span` maps each state with an integer successor in the
     window to that span, in ascending order, and `exits` holds the states
-    with an integer successor outside it.  Only the columns between the
-    first and last with real points are read; the rest are empty.  Raises
-    ValueError when more than sys.maxsize columns are left to read."""
+    with an integer successor outside it.  Only the columns that `_clip`
+    keeps are read; the rest hold no integer point.  Raises ValueError
+    when more than sys.maxsize columns are left to read."""
     span: Dict[int, Tuple[int, int]] = {}
     exits = []
-    cols = _clip(p.rows, range(-bound, bound + 1))
-    if cols.stop - cols.start > len(p.rows):  # not len(): it fails past sys.maxsize
-        # cheaper than reading them: clip them with each row divided by the
-        # gcd of its normal, b rounded down, which drops a strip of no integer
-        cols = _clip([(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]], cols)
-        if cols.stop - cols.start > sys.maxsize:
-            raise ValueError(f"oracle window too wide: {cols.stop - cols.start} columns to read")
+    # each row divided by the gcd of its normal, b rounded down, keeps every
+    # integer point and drops a strip of none
+    rows = [(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]]
+    cols = _clip(rows, range(-bound, bound + 1))
+    width = cols.stop - cols.start  # not len(): it fails past sys.maxsize
+    if width > sys.maxsize:
+        raise ValueError(f"oracle window too wide: {width} columns to read")
+    if width > len(p.rows):
         reads = zip(cols, *_row_bounds(p.rows, cols))
     else:  # the same bounds from column(): an empty column reads as (inf, -inf)
         reads = ((x, -inf if lo is None else lo, inf if hi is None else hi)

@@ -14,25 +14,24 @@ cut to the rows that touch the polygon by a half-plane intersection over
 two lists, rows and meets, with every test inlined as integer products;
 it raises `EmptyPolyhedronError` where that finds p empty.  The integers
 `x_lo`, `x_hi` and `bound` come on demand from `MWDecomp.extent()`.
-`is_empty` and `x_extent` share one integer variable elimination, O(k^2)
-but cheaper than the edge list on a few rows (`analyzer.decide` runs it
-up to `analyzer._FM_ROWS` rows); `x_extent` stays for the benchmark.
+`x_extent` projects p onto x1 by one integer variable elimination, O(k^2)
+but cheaper than the edge list on a few rows; `is_empty` is its None
+test, which `analyzer.decide` runs up to `analyzer._FM_ROWS` rows.
 `lattice.integer_slice` gives integer one-variable bounds.  `fractions`
-loads only for reports and replay, in `vertices`, `x_extent`, `contains`.
+loads only for reports and replay, in `vertices` and `contains`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 # A rational point (x1, x2).
 Point = Tuple["Fraction", "Fraction"]
 # An integer direction vector.
 IVec = Tuple[int, int]
 Meet = Tuple[int, int, int]  # (x, y, det) with det > 0: the point (x/det, y/det)
-Extent = Tuple[bool, Optional["Fraction"], Optional["Fraction"]]  # (empty, lo, hi)
 
 
 class EmptyPolyhedronError(ValueError):
@@ -308,16 +307,16 @@ def cone_contains(c: Cone, v: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _x_bounds(rows: Iterable[Tuple[int, int, int]]) -> Optional[Tuple[int, int, int, int]]:
-    """The real x1-range of the rows as (lo_num, lo_den, hi_num, hi_den),
-    or None when they have no real point.  Fourier-Motzkin: a row with
-    a2 = 0 bounds x1 alone, and each lower row l and upper row u give
-    (-l2)*u + u2*l.  A bound c*x1 <= d is the pair (d, c), compared by
-    cross-multiplying; an open side is (1, 0) above or (-1, 0) below, which
-    every bound beats.  O(k^2) time and O(k) memory for k rows."""
+def x_extent(p: HPoly) -> Optional[Tuple[int, int, int, int]]:
+    """The real x1-range of p as (lo_num, lo_den, hi_num, hi_den), or None
+    when p has no real point.  Fourier-Motzkin: a row with a2 = 0 bounds
+    x1 alone, and each lower row l and upper row u give (-l2)*u + u2*l.
+    A bound c*x1 <= d is the pair (d, c), compared by cross-multiplying;
+    an open side is (1, 0) above or (-1, 0) below, which every bound
+    beats.  O(k^2) time and O(k) memory for k rows."""
     uppers, lowers = [], []
     ln, ld, hn, hd = -1, 0, 1, 0
-    for row in rows:
+    for row in p.rows:
         a1, a2, b = row
         if a2 > 0:
             uppers.append(row)
@@ -346,20 +345,9 @@ def _x_bounds(rows: Iterable[Tuple[int, int, int]]) -> Optional[Tuple[int, int, 
     return None if ln * hd > hn * ld else (ln, ld, hn, hd)
 
 
-def x_extent(p: HPoly) -> Extent:
-    """Project onto x1 by eliminating x2: (empty, lo, hi) with None for an
-    open side, made Fractions from `_x_bounds`'s integer pairs at the end."""
-    from fractions import Fraction
-    bounds = _x_bounds(p.rows)
-    if bounds is None:
-        return True, None, None
-    ln, ld, hn, hd = bounds
-    return False, Fraction(ln, ld) if ld else None, Fraction(hn, hd) if hd else None
-
-
 def is_empty(p: HPoly) -> bool:
-    """True iff p has no real point, decided in integers by `_x_bounds`."""
-    return _x_bounds(p.rows) is None
+    """True iff p has no real point, decided in integers by `x_extent`."""
+    return x_extent(p) is None
 
 
 def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:

@@ -14,6 +14,20 @@ from pathlib import Path
 
 import pytest
 
+from slcterm import analyzer, loopio, oracle
+
+from conftest import (
+    empty_loop,
+    halfint_loop,
+    halfplane_loop,
+    inc_loop,
+    pair_loop,
+    quad_loop,
+    slab_loop,
+    thick_loop,
+    thin_loop,
+)
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -45,3 +59,23 @@ def test_bench_imports_resolve():
                     assert hasattr(mod, alias.name), f"{path.name}: {node.module}.{alias.name}"
                     imported += 1
     assert imported > 0
+
+
+def test_every_traced_name_is_called():
+    # a traced name that no path reaches reads 0 in every bench report, so
+    # a span can go dead without failing anything: parse, decide, a short
+    # witness and the oracle over the goldens reach each one
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    with tr.installed():
+        for build in (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
+                      halfplane_loop, halfint_loop, empty_loop):
+            p = loopio.parse_text(loopio.emit_text(build()))
+            v = analyzer.decide(p)
+            if v.kind == "non-terminating":
+                analyzer.witness_trace(p, v, 20)
+            g = oracle.build_graph(p, 16)
+            oracle.find_cycle(g)
+            oracle.find_escape(g, p)
+    called = {tr.names[i] for i in tr.name}
+    assert sorted(set(tracer.traced_functions()) - called) == []

@@ -558,6 +558,14 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2 and "need --m and --a" in err
     code, _, err = run_cli("collatz", "to-slc", "--d", "3", "--m", "2", "--a", "0")
     assert code == 2 and "m > d" in err
+    # reach takes the weak map only: a missing --m or --a names both
+    for argv in (("collatz", "reach", "--d", "3", "--start", "4"),
+                 ("collatz", "reach", "--d", "3", "--m", "4", "--start", "4")):
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", "error: need --m and --a\n")
+    # JSON nested past the recursion limit is a schema error, not a traceback
+    code, out, err = run_cli("decide", "-", stdin='{"a":' * 100_000)
+    assert (code, out, err) == (2, "", "error: invalid JSON: nested too deeply\n")
     # negative counts are usage errors that name the option
     for argv in (("oracle", "-", "--bound", "-5", "--compare"),
                  ("oracle", "-", "--trace-cap", "-1"),

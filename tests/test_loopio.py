@@ -205,6 +205,8 @@ def test_json_rejections():
         '{"format": "slc-v1", "constraints": [[1, 2, 3]]}',  # raw ints
         '{"format": "slc-v1", "constraints": [[true, "2", "3"]]}',
         '{"format": "slc-v1", "constraints": [["1.5", "2", "3"]]}',
+        '{"a":' * 100_000,  # past the recursion limit of json.loads
+        '{"a": ' + "[" * 100_000,
     ]
     for text in bad:
         with pytest.raises(SchemaMismatchError):

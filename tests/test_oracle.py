@@ -1,6 +1,5 @@
 """Bounded-window oracle: graph, cycle search, escape search."""
 
-import math
 import random
 import time
 
@@ -188,10 +187,10 @@ BOX_5_COLUMNS = hpoly([(-1, 0, 0), (1, 0, 4), (0, 1, 5), (0, -1, 5)])
 
 @pytest.mark.parametrize("bound", [0, 1, 16, 64])
 def test_each_column_is_read_at_most_once(monkeypatch, bound):
-    # every window column outside the last clipped range holds no integer;
-    # a range of at most as many columns as rows is read column by column,
-    # ascending, each once; a longer one is clipped again and read by rows,
-    # with no column read; the searches clip and read nothing
+    # one clip per graph, and every window column outside it holds no
+    # integer; a range of at most as many columns as rows is read column by
+    # column, ascending, each once; a longer one is read by rows, with no
+    # column read; the searches clip and read nothing
     clips, reads = watch_reads(monkeypatch)
     rng = random.Random(SEED + 13)
     for p in ([build() for build in GOLDENS] + [BOX_4_COLUMNS, BOX_5_COLUMNS]
@@ -199,10 +198,10 @@ def test_each_column_is_read_at_most_once(monkeypatch, bound):
         clips.clear()
         reads.clear()
         g = build_graph(p, bound)
+        assert len(clips) == 1
         short = len(clips[0]) <= len(p.rows)
-        assert len(clips) == (1 if short else 2)
         assert reads == (list(clips[0]) if short else [])
-        assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in clips[-1])
+        assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in clips[0])
         clips.clear()
         reads.clear()
         find_cycle(g)
@@ -333,9 +332,10 @@ def test_wide_window_reads_only_the_polygon(monkeypatch, name):
     start = time.perf_counter()
     g = build_graph(p, 10**9)
     elapsed = time.perf_counter() - start
-    _, lo, hi = x_extent(p)
-    # the graph reads only the columns of the last clipped range
-    assert len(clips[-1]) <= math.floor(hi) - math.ceil(lo) + 1
+    ln, ld, hn, hd = x_extent(p)  # a polygon: both sides closed
+    # the graph reads only the columns of the clipped range, at most
+    # floor(hi) - ceil(lo) + 1
+    assert len(clips) == 1 and len(clips[0]) <= hn // hd + (-ln // ld) + 1
     assert len(cuts) <= 2 * (len(p.rows) + 1)
     assert elapsed < 0.1
     assert_same_graph(g, build_graph(p, 64))

@@ -87,9 +87,9 @@ def test_cross_dot():
     assert dot((2, 3), (4, -1)) == 5
 
 
-# The elimination as it was before `poly2._x_bounds`: the Fourier-Motzkin
-# pairs streamed through one rational bound routine.  It is the reference
-# for `is_empty` and `x_extent`.
+# The elimination as it was before `poly2.x_extent` ran in integers: the
+# Fourier-Motzkin pairs streamed through one rational bound routine.  It is
+# the reference for `is_empty` and `x_extent`.
 
 
 def bound_1d(pairs):
@@ -107,6 +107,15 @@ def bound_1d(pairs):
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return True, None, None
     return False, lo and Fraction(*lo), hi and Fraction(*hi)
+
+
+def as_fractions(bounds):
+    # x_extent's (lo_num, lo_den, hi_num, hi_den) or None as the reference's
+    # (empty, lo, hi), with None for an open side
+    if bounds is None:
+        return True, None, None
+    ln, ld, hn, hd = bounds
+    return False, F(ln, ld) if ld else None, F(hn, hd) if hd else None
 
 
 def x_extent_ref(p):
@@ -157,7 +166,7 @@ def elimination_rows(draw):
 def test_elimination_matches_the_fraction_reference(rows):
     p = hpoly(rows)
     want = x_extent_ref(p)
-    assert x_extent(p) == want
+    assert as_fractions(x_extent(p)) == want
     assert is_empty(p) == want[0]
 
 
@@ -167,7 +176,7 @@ def test_elimination_matches_the_fraction_reference_on_the_corpora():
     for p in loops + [build() for build in (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop,
                                             pair_loop, halfplane_loop, halfint_loop)]:
         want = x_extent_ref(p)
-        assert x_extent(p) == want and is_empty(p) == want[0], p.rows
+        assert as_fractions(x_extent(p)) == want and is_empty(p) == want[0], p.rows
 
 
 def test_bound_1d():
@@ -181,11 +190,11 @@ def test_bound_1d():
 
 
 def test_x_extent():
-    empty, lo, hi = x_extent(slab_loop())
+    empty, lo, hi = as_fractions(x_extent(slab_loop()))
     assert not empty and lo == 3 and hi is None
-    empty, lo, hi = x_extent(quad_loop())
+    empty, lo, hi = as_fractions(x_extent(quad_loop()))
     assert not empty and lo == F(-5, 2) and hi == 2
-    assert x_extent(hpoly([(1, 0, 0), (-1, 0, -1)]))[0]  # x <= 0 and x >= 1
+    assert x_extent(hpoly([(1, 0, 0), (-1, 0, -1)])) is None  # x <= 0 and x >= 1
 
 
 def test_contains_and_swap():
@@ -202,7 +211,7 @@ def test_x_extent_memory_stays_linear_in_rows():
     p = tangent_polygon(random.Random(SEED), 2048)
     tracemalloc.start()
     try:
-        empty, lo, hi = x_extent(p)
+        empty, lo, hi = as_fractions(x_extent(p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
