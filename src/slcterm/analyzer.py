@@ -49,6 +49,7 @@ from .poly2 import (
     Ray,
     Record,
     Zero,
+    _FM_ROWS,
     _setattr,
     contains,
     cross,
@@ -74,10 +75,6 @@ class ExtensionFailedError(RuntimeError):
 
 CYCLE = "CYCLE"
 EMPTY = "EMPTY"
-# `decide` runs `is_empty` on loops of at most this many rows and lets
-# `decompose` test emptiness above: the benchmark's EMPTY loops (`mix`) have
-# at most 6 rows, and its `rows` polygons, 8 or more, are nonempty
-_FM_ROWS = 7
 
 
 class CycleWitness(Record):

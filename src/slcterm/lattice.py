@@ -11,11 +11,13 @@ point at all, again by reducing to a finite column window via the
 cone's translation periodicity.  Windows come from `MWDecomp.extent()`:
 a side that no generator of the cone reaches stops at the polyhedron's
 first or last real column, so every column scanned holds a real point,
-however far the polyhedron is translated.
+however far the polyhedron is translated.  On a few rows the first
+column comes from `poly2.x_extent`, and the window only on a miss.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Tuple
 
 from .poly2 import (
@@ -26,9 +28,11 @@ from .poly2 import (
     Pointed2,
     Ray,
     Record,
+    _FM_ROWS,
     _setattr,
     cross,
     decompose,
+    x_extent,
 )
 
 
@@ -202,13 +206,36 @@ def growth_threshold(d: MWDecomp) -> int:
     return column_window(d)[1]
 
 
-def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
-    """Some integer point of p, or None: the first in `column_window`, by |column|."""
+def _scan_order(p: HPoly) -> Iterator[int]:
+    # p's `column_window` by |column|.  Its first column depends only on
+    # p's real x-range [lo, hi]: ceil(lo) if lo > 0, floor(hi) if hi < 0,
+    # else 0, and the window is empty when that column lies outside the
+    # range.  So on at most `_FM_ROWS` rows it comes straight off
+    # `x_extent`, and p is decomposed and the window built only when the
+    # scan asks for a second column.
+    skip = 0
+    if len(p.rows) <= _FM_ROWS:
+        ext = x_extent(p)
+        if ext is None:
+            return
+        ln, ld, hn, hd = ext
+        z = -(-ln // ld) if ln > 0 else hn // hd if hn < 0 else 0
+        if z * ld < ln or z * hd > hn:  # no integer column
+            return
+        yield z
+        skip = 1
     try:
         d = decompose(p)
     except EmptyPolyhedronError:
-        return None
-    for count, z in enumerate(_window_order(*column_window(d)), 1):
+        return
+    yield from islice(_window_order(*column_window(d)), skip, None)
+
+
+def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
+    """Some integer point of p, or None: the first in `column_window`, by
+    |column|, each column counted once against `scan_limit`.  The first
+    column comes from p's x-range, and the window is built only on a miss."""
+    for count, z in enumerate(_scan_order(p), 1):
         if count > scan_limit:
             raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
         y = integer_point_1d(column(p, z))

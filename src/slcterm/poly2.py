@@ -15,8 +15,9 @@ two lists, rows and meets, with every test inlined as integer products;
 it raises `EmptyPolyhedronError` where that finds p empty.  The integers
 `x_lo`, `x_hi` and `bound` come on demand from `MWDecomp.extent()`.
 `x_extent` projects p onto x1 by one integer variable elimination, O(k^2)
-but cheaper than the edge list on a few rows; `is_empty` is its None
-test, which `analyzer.decide` runs up to `analyzer._FM_ROWS` rows.
+but cheaper than the edge list on a few rows, so it runs only up to
+`_FM_ROWS` rows: `is_empty` is its None test, which `analyzer.decide`
+runs, and `lattice.integer_point_2d` reads its first column off it.
 `lattice.integer_slice` gives integer one-variable bounds.  `fractions`
 loads only for reports and replay, in `vertices` and `contains`.
 """
@@ -305,6 +306,14 @@ def cone_contains(c: Cone, v: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # emptiness and the x1-range by elimination
 # ---------------------------------------------------------------------------
+
+
+# `x_extent` runs on at most this many rows, where its O(k^2) pairs beat
+# `decompose`, for two readers: `analyzer.decide`'s emptiness test (the
+# benchmark's EMPTY loops, `mix`, have at most 6 rows, its `rows` polygons
+# 8 or more) and `lattice.integer_point_2d`'s first column (p & I+ is the
+# loop plus 2 rows)
+_FM_ROWS = 7
 
 
 def x_extent(p: HPoly) -> Optional[Tuple[int, int, int, int]]:

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slcterm import lattice, poly2
 from slcterm.analyzer import TraceSeed, Verdict, decide, region_point, witness_trace
 from slcterm.lattice import (
+    DEFAULT_SCAN_LIMIT,
     Height,
     ScanLimitExceededError,
+    _window_order,
     column,
     column_window,
     height,
@@ -29,6 +32,7 @@ from slcterm.poly2 import (
     Plane,
     Ray,
     Zero,
+    _FM_ROWS,
     cone_contains,
     contains,
     cross,
@@ -58,6 +62,7 @@ from conftest import (
     translated,
     wedge_loop,
 )
+from test_cli import run_cli
 
 F = Fraction
 
@@ -339,6 +344,90 @@ def test_integer_point_2d_scan_limit():
     assert integer_point_2d(halfint_loop(), scan_limit=100) is None
 
 
+def window_scan(p, scan_limit):
+    """Reference for `integer_point_2d`: decompose p, build the whole
+    window and read it by |column|, the first column included."""
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
+        return None
+    for count, z in enumerate(_window_order(*column_window(d)), 1):
+        if count > scan_limit:
+            raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
+        y = integer_point_1d(column(p, z))
+        if y is not None:
+            return (z, y)
+    return None
+
+
+def _answer(f, *args):
+    try:
+        return f(*args)
+    except ScanLimitExceededError:
+        return "limit"
+
+
+def test_integer_point_2d_matches_the_window_scan():
+    # the same point, or the same limit, as the full window scan, on random
+    # loops of 0-7 rows, bounded (boxed) and unbounded, their reflections,
+    # and their translations by +-10^e; the first column lies above 0,
+    # below 0 or at 0, and a miss there falls through to the window
+    rng = random.Random(SEED + 26)
+    bases = [halfint_loop(), reflected(halfint_loop())]
+    for _ in range(500):
+        rows = [tuple(rng.randint(-7, 7) for _ in range(3)) for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.3:
+            c = [rng.randint(0, 9) for _ in range(4)]
+            rows = rows[:3] + [(1, 0, c[0]), (-1, 0, c[1]), (0, 1, c[2]), (0, -1, c[3])]
+        bases.append(hpoly(rows))
+    loops = []
+    for p in bases:
+        loops += [p, reflected(p)]
+        e = rng.randint(0, 30)
+        loops += [translated(p, rng.choice((-1, 1)) * 10**e)]
+    cases = {"above": 0, "below": 0, "zero": 0, "miss": 0}
+    for p in loops:
+        for s in (0, 1, 2, DEFAULT_SCAN_LIMIT):
+            assert _answer(integer_point_2d, p, s) == _answer(window_scan, p, s), (p.rows, s)
+        try:
+            first = next(_window_order(*column_window(decompose(p))), None)
+        except EmptyPolyhedronError:
+            continue
+        if first is not None:
+            cases["above" if first > 0 else "below" if first < 0 else "zero"] += 1
+            cases["miss"] += integer_point_1d(column(p, first)) is None
+    assert min(cases.values()) > 20, cases
+
+
+def test_first_column_answer_counts_against_the_scan_limit():
+    # README's L5.3.1 loop: p & I+'s first column holds the seed, and even
+    # that one column is counted, so a limit of 0 columns stops the query
+    q = intersect(thick_loop(), I_PLUS)
+    with pytest.raises(ScanLimitExceededError):
+        integer_point_2d(q, scan_limit=0)
+    assert integer_point_2d(q, scan_limit=1) == (3, 4)
+    code, out, err = run_cli("decide", "-", "--scan-limit", "0", stdin="slc v1\n4 -3 2\n-4 3 0\n-1 0 -3\n")
+    assert code == 3 and out == "" and "scan" in err
+
+
+def test_many_rows_region_query_runs_no_elimination(monkeypatch):
+    # 10^4 loosened copies of x >= 1 ahead of a thin wedge: above _FM_ROWS
+    # rows the seed query's first column comes from the decomposition, and
+    # x_extent's O(k^2) pairs are never built
+    calls, real = [], poly2.x_extent
+
+    def x_extent(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(poly2, "x_extent", x_extent)  # is_empty's too
+    monkeypatch.setattr(lattice, "x_extent", x_extent)
+    p = hpoly([(-1, 0, j - 1) for j in range(1, 10**4 + 1)] + list(wedge_loop(3000).rows))
+    assert len(p.rows) > _FM_ROWS
+    assert decide(p) == Verdict("non-terminating", "L5.2.1", TraceSeed("ascend", (2999, 3000)))
+    assert calls == []
+
+
 def test_integer_point_2d_against_box_scan():
     # smaller sibling of the acceptance-suite equivalence run
     for p in bounded_corpus(n=120, seed=SEED + 2):
@@ -513,12 +602,13 @@ def test_polygon_decide_computes_no_extent(extent_calls, k):
 
 
 def test_each_lattice_reader_computes_its_extent_once(extent_calls):
-    # README's L5.3.1 loop: the height reads p's decomposition, and the
-    # region query's window reads p & I+'s, once each
+    # README's L5.3.1 loop: the height reads p's decomposition once, and
+    # the seed query reads none, as p & I+'s first column, taken from its
+    # x-range, holds the seed and no window is built
     p = hpoly([(4, -3, 2), (-4, 3, 0), (-1, 0, -3)])
     v = decide(p)
     assert v.label == "L5.3.1"
-    assert extent_calls == [decompose(p), decompose(intersect(p, I_PLUS))]
+    assert extent_calls == [decompose(p)]
     assert extent_calls[0] is v.decomposition
     # a stalled growth trace restarts at growth_threshold: one more
     # decomposition, p & I+ again, read once

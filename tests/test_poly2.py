@@ -544,7 +544,7 @@ def _decomposed(p):
 
 
 def test_edge_list_emptiness_matches_elimination_on_large_loops():
-    # above analyzer._FM_ROWS rows `decide` answers EMPTY from decompose's
+    # above _FM_ROWS rows `decide` answers EMPTY from decompose's
     # edge list alone, so it must agree with x_extent's elimination
     rng = random.Random(SEED + 8)
     empties = 0
