@@ -11,15 +11,16 @@ recession cone of the transition polyhedron: the cone's shape, the
 primitive generator (p, q), and the p-height of the polyhedron select a
 case whose label is reported alongside the verdict.
 
-A verdict is terminating, non-terminating (with a cycle or a trace seed
-as witness) or unknown (the conjecture-dependent cases L5.3.3 and
-L5.4.2).  Case labels are plain strings: L5.2.x (pointed wedge), L5.3.x
-(ray), L5.4.x (line), L5.5.x (half-plane/plane/zero), plus CYCLE and
-EMPTY.  Deciding builds no trace: `witness_trace` alone builds states
-from a witness, and checks each transition by substitution; a growth
-trace restarts at most once, at a column past which no run stalls.
-An I- point and a descending trace are the I+ point and the ascending
-trace of the reflected loop R(p) = {(-x, -x')}, negated.
+A verdict is terminating, non-terminating (with a cycle, or a trace seed
+of mode shift, ascend, descend or outward, as witness) or unknown (the
+conjecture-dependent cases L5.3.3 and L5.4.2).  Case labels are plain
+strings: L5.2.x (pointed wedge), L5.3.x (ray), L5.4.x (line), L5.5.x
+(half-plane/plane/zero), plus CYCLE and EMPTY.  Deciding builds no
+trace: `witness_trace` alone builds states from a witness, and checks
+each transition by substitution; a growth trace restarts at most once,
+at a column past which no run stalls.  An I- point and a descending
+trace are the I+ point and the ascending trace of the reflected loop
+R(p) = {(-x, -x')}, negated.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ class CycleWitness(Record):
 
 class TraceSeed(Record):
     """The seed of a self-avoiding trace, as the dispatch found it: for mode
-    'shift' the transition (a, b), walked as x -> x + (b - a); for 'band' the
-    span (a, b) of column 0, alternated around a <= x + x' <= b; for 'ascend'
+    'shift' the transition (a, b), walked as x -> x + (b - a); for 'ascend'
     or 'descend' the point in I+ or I- that a greedy trace grows from; for
     'outward' (), grown from column 1.  A stalled growth trace restarts once
     in `witness_trace`, at the column of `lattice.growth_threshold`; 'descend'
@@ -270,12 +270,6 @@ def witness_trace(p: HPoly, v: Verdict, length: int) -> list[int]:
     elif w.mode == "shift":
         a, b = w.data
         out = [a + i * (b - a) for i in range(length)]
-    elif w.mode == "band":
-        # walk the band a <= x + x' <= b: odd steps land on sum a, even on sum b
-        a, b = w.data
-        out = [2 * abs(a) if a != 0 else 1]
-        while len(out) < length:
-            out.append((a if len(out) % 2 == 1 else b) - out[-1])
     else:
         out = _grow_states(p, w.mode, w.data, length)
     for x, y in pairwise(out):
@@ -329,6 +323,19 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
     Returns a non-terminating verdict with a trace seed, a terminating
     verdict, or unknown for the conjecture-dependent cases L5.3.3 and
     L5.4.2; the label names the case that decided.
+
+    Cycle-freeness settles two cases without a query:
+
+    - A wedge that meets Delta+ but neither I+ nor I- is spanned by (1, 1)
+      and some g with g1 > g2.  A real point (a, b) of p with a < b runs
+      along g to the diagonal at some (c, c), then along (1, 1), so p holds
+      the integer fixed point (ceil(c), ceil(c)).  A cycle-free p thus has
+      no real point in I+, and terminates (L5.2.6); Delta- is the mirror
+      case (L5.2.4).
+    - A line cone (1, -1) makes p a strip a <= x + x' <= b.  An integer
+      point of sum n puts the fixed point (n/2, n/2) in the strip when n is
+      even, and the 2-cycle (s, s+1), (s+1, s) when n = 2s + 1.  A
+      cycle-free strip holds no integer point, and terminates (L5.4.9).
     """
     cone = d.cone
 
@@ -342,9 +349,9 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
             return _seeded(p, label, "ascend" if flags.i_plus else "descend", (), scan_limit)
         assert isinstance(cone, Pointed2), "a half-plane or plane cone meets I+ or I-"
         if flags.delta_plus:
-            return _shift_case(p, ("I+",), "L5.2.3", "L5.2.6", scan_limit)
+            return Verdict("terminating", "L5.2.6")
         if flags.delta_minus:
-            return _shift_case(p, ("I-",), "L5.2.5", "L5.2.4", scan_limit)
+            return Verdict("terminating", "L5.2.4")
         return Verdict("terminating", "L5.2.2")
 
     pp, q = cone.v
@@ -369,10 +376,6 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
     if pp == q:  # the diagonal line (1, 1)
         return _shift_case(p, ("I+", "I-"), "L5.4.6", "L5.4.7", scan_limit)
     if pp == -q:  # the anti-diagonal line (1, -1)
-        # every column is a translate of column 0, so its length is the 1-height
-        span = column(p, 0)
-        if span is not None and span[1] - span[0] >= 1:
-            return _seeded(p, "L5.4.8", "band", span, scan_limit)
         return Verdict("terminating", "L5.4.9")
     # 0 < p < |q|
     mode = "ascend" if q > 0 else "outward"

@@ -79,7 +79,7 @@ def test_equality_needs_the_same_class_and_fields():
     assert Ray((1, 2)) != Ray((2, 1))
     assert Height(1) != CycleWitness((1,))
     assert WeakCollatz(3, 4, 0) != WeakCollatz(3, 4, 1)
-    assert TraceSeed("shift", (1, 2)) != TraceSeed("band", (1, 2))
+    assert TraceSeed("shift", (1, 2)) != TraceSeed("ascend", (1, 2))
     assert len({Zero(), Plane(), Ray((1, 0)), Line((1, 0)), Ray((1, 0))}) == 4
 
 
