@@ -8,6 +8,9 @@ Each command imports only what it runs.  `decide`, `cycles`,
 `loopio`; `oracle` adds `oracle`, and the `collatz` commands add
 `collatz`.  `json` is loaded by a JSON loop file, `decide --json` and
 `collatz to-slc --json`.
+
+The parser is built from one table, `_COMMANDS`, of each command's
+help, handler and arguments; only the command argv names gets them.
 """
 
 from __future__ import annotations
@@ -17,22 +20,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analyzer import (
-    EMPTY,
-    CycleWitness,
-    TraceSeed,
-    cycle2,
-    decide,
-    witness_trace,
-)
+from .analyzer import EMPTY, CycleWitness, TraceSeed, cycle2, decide, witness_trace
 from .lattice import DEFAULT_SCAN_LIMIT, ScanLimitExceededError
-from .loopio import (
-    emit_json,
-    emit_report,
-    emit_text,
-    parse_json,
-    parse_text,
-)
+from .loopio import emit_json, emit_report, emit_text, parse_json, parse_text
 from .poly2 import Cone, EmptyPolyhedronError, HalfPlane, HPoly, decompose
 
 
@@ -149,7 +139,7 @@ def _build_map(args):
             raise ValueError("give either --m/--a or --m-list/--r-list, not both")
         if args.m_list is None or args.r_list is None:
             raise ValueError("--m-list and --r-list go together")
-        return GenCollatz(args.d, tuple(args.m_list), tuple(args.r_list))
+        return GenCollatz(args.d, args.m_list, args.r_list)
     if args.m is None or args.a is None:
         # `reach` takes only the weak map's options
         other = " (weak map) or --m-list and --r-list" if hasattr(args, "m_list") else ""
@@ -157,7 +147,12 @@ def _build_map(args):
     return WeakCollatz(args.d, args.m, args.a)
 
 
-def _print_orbit(res) -> int:
+def _cmd_orbit(args) -> int:
+    # `orbit` and `reach` print the same record: orbit prefix and outcome
+    from . import collatz
+
+    run = collatz.reachability_scan if args.subcommand == "reach" else collatz.orbit
+    res = run(_build_map(args), args.start, args.steps, args.abs_bound)
     print(f"orbit: {_ints(res.prefix)}")
     if res.outcome == "reached-target":
         print(f"outcome: reached-target k={res.k}")
@@ -166,18 +161,6 @@ def _print_orbit(res) -> int:
     else:
         print(f"outcome: {res.outcome}")
     return 0
-
-
-def _cmd_orbit(args) -> int:
-    from .collatz import orbit
-
-    return _print_orbit(orbit(_build_map(args), args.start, args.steps, args.abs_bound))
-
-
-def _cmd_reach(args) -> int:
-    from .collatz import reachability_scan
-
-    return _print_orbit(reachability_scan(_build_map(args), args.start, args.steps, args.abs_bound))
 
 
 def _cmd_hist(args) -> int:
@@ -217,114 +200,57 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_scan_limit(sp) -> None:
-    sp.add_argument(
-        "--scan-limit",
-        type=_count,
-        default=DEFAULT_SCAN_LIMIT,
-        help="max columns per integer-point query (default %(default)s)",
-    )
+# each argument is (flag, add_argument keywords); the lists below are the
+# options that several commands share
+_FILE = [("file", dict(help="loop file, or - for stdin"))]
+_SCAN_LIMIT = [("--scan-limit", dict(type=_count, default=DEFAULT_SCAN_LIMIT,
+                                     help="max columns per integer-point query (default %(default)s)"))]
+_WEAK = [("--d", dict(type=int, required=True, help="modulus")),
+         ("--m", dict(type=int, help="weak-map multiplier")),
+         ("--a", dict(type=int, help="weak-map offset"))]
+_GEN = [("--m-list", dict(type=_int_list, help="comma-separated branch multipliers")),
+        ("--r-list", dict(type=_int_list, help="comma-separated branch offsets"))]
+_RUN = [("--start", dict(type=int, required=True)), ("--steps", dict(type=_count, default=1000))]
+_ABS_BOUND = [("--abs-bound", dict(type=_count, default=10**18))]
 
-
-def _add_weak_args(sp) -> None:
-    sp.add_argument("--d", type=int, required=True, help="modulus")
-    sp.add_argument("--m", type=int, help="weak-map multiplier")
-    sp.add_argument("--a", type=int, help="weak-map offset")
-
-
-def _add_gen_args(sp) -> None:
-    sp.add_argument("--m-list", type=_int_list, help="comma-separated branch multipliers")
-    sp.add_argument("--r-list", type=_int_list, help="comma-separated branch offsets")
-
-
-def _decide_args(sp) -> None:
-    sp.add_argument("file", help="loop file (text or JSON), or - for stdin")
-    sp.add_argument("--assume-reachability", action="store_true",
-                    help="treat conjecture-backed cases as terminating")
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
-    _add_scan_limit(sp)
-    sp.set_defaults(func=_cmd_decide)
-
-
-def _cycles_args(sp) -> None:
-    sp.add_argument("file", help="loop file, or - for stdin")
-    sp.set_defaults(func=_cmd_cycles)
-
-
-def _decompose_args(sp) -> None:
-    sp.add_argument("file", help="loop file, or - for stdin")
-    sp.set_defaults(func=_cmd_decompose)
-
-
-def _witness_args(sp) -> None:
-    sp.add_argument("file", help="loop file, or - for stdin")
-    sp.add_argument("--length", type=_count, required=True, help="number of states to emit")
-    _add_scan_limit(sp)
-    sp.set_defaults(func=_cmd_witness)
-
-
-def _oracle_args(sp) -> None:
-    sp.add_argument("file", help="loop file, or - for stdin")
-    sp.add_argument("--bound", type=_count, default=64, help="state window is [-B, B] (default %(default)s)")
-    sp.add_argument("--trace-cap", type=_count, default=1000,
-                    help="max states in an escape trace (default %(default)s)")
-    sp.add_argument("--compare", action="store_true",
-                    help="also run the analyzer and cross-check; exit 4 on disagreement")
-    _add_scan_limit(sp)
-    sp.set_defaults(func=_cmd_oracle)
-
-
-def _orbit_args(sp) -> None:
-    _add_weak_args(sp)
-    _add_gen_args(sp)
-    sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=_count, default=1000)
-    sp.add_argument("--abs-bound", type=_count, default=10**18)
-    sp.set_defaults(func=_cmd_orbit)
-
-
-def _reach_args(sp) -> None:
-    _add_weak_args(sp)
-    sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=_count, default=1000)
-    sp.add_argument("--abs-bound", type=_count, default=10**18)
-    sp.set_defaults(func=_cmd_reach)
-
-
-def _hist_args(sp) -> None:
-    _add_weak_args(sp)
-    _add_gen_args(sp)
-    sp.add_argument("--start", type=int, required=True)
-    sp.add_argument("--steps", type=_count, default=1000)
-    sp.add_argument("--alpha", type=int, default=1)
-    sp.set_defaults(func=_cmd_hist)
-
-
-def _to_slc_args(sp) -> None:
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--sign", choices=("+", "-"), default="+",
-                    help="positive or negative restriction (use --sign=-)")
-    sp.add_argument("--json", action="store_true", help="emit the loop as JSON")
-    sp.set_defaults(func=_cmd_to_slc)
-
-
-_COLLATZ_COMMANDS = {
-    "orbit": ("iterate a map and report the outcome", _orbit_args),
-    "reach": ("scan a weak-map orbit for an exact-division point", _reach_args),
-    "hist": ("residue histogram of an orbit mod d**alpha", _hist_args),
-    "to-slc": ("encode a weak map's monotone restriction as a loop", _to_slc_args),
-}
-
-
+# name -> (help, handler, arguments); `collatz` holds a table of subcommands
 _COMMANDS = {
-    "decide": ("run the full analysis on a loop file", _decide_args),
-    "cycles": ("search for cycles of length 1 and 2", _cycles_args),
-    "decompose": ("print the Minkowski-Weyl decomposition", _decompose_args),
-    "witness": ("print a verified non-termination trace", _witness_args),
-    "oracle": ("brute-force the loop on a bounded state window", _oracle_args),
-    "collatz": ("Collatz-style map utilities", _COLLATZ_COMMANDS),
+    "decide": ("run the full analysis on a loop file", _cmd_decide, [
+        ("file", dict(help="loop file (text or JSON), or - for stdin")),
+        ("--assume-reachability", dict(action="store_true",
+                                       help="treat conjecture-backed cases as terminating")),
+        ("--json", dict(action="store_true", help="emit a JSON report")),
+        *_SCAN_LIMIT,
+    ]),
+    "cycles": ("search for cycles of length 1 and 2", _cmd_cycles, _FILE),
+    "decompose": ("print the Minkowski-Weyl decomposition", _cmd_decompose, _FILE),
+    "witness": ("print a verified non-termination trace", _cmd_witness, [
+        *_FILE,
+        ("--length", dict(type=_count, required=True, help="number of states to emit")),
+        *_SCAN_LIMIT,
+    ]),
+    "oracle": ("brute-force the loop on a bounded state window", _cmd_oracle, [
+        *_FILE,
+        ("--bound", dict(type=_count, default=64, help="state window is [-B, B] (default %(default)s)")),
+        ("--trace-cap", dict(type=_count, default=1000,
+                             help="max states in an escape trace (default %(default)s)")),
+        ("--compare", dict(action="store_true",
+                           help="also run the analyzer and cross-check; exit 4 on disagreement")),
+        *_SCAN_LIMIT,
+    ]),
+    "collatz": ("Collatz-style map utilities", None, {
+        "orbit": ("iterate a map and report the outcome", _cmd_orbit, _WEAK + _GEN + _RUN + _ABS_BOUND),
+        "reach": ("scan a weak-map orbit for an exact-division point", _cmd_orbit,
+                  _WEAK + _RUN + _ABS_BOUND),
+        "hist": ("residue histogram of an orbit mod d**alpha", _cmd_hist,
+                 _WEAK + _GEN + _RUN + [("--alpha", dict(type=int, default=1))]),
+        "to-slc": ("encode a weak map's monotone restriction as a loop", _cmd_to_slc, [
+            *[(flag, dict(type=int, required=True)) for flag in ("--d", "--m", "--a")],
+            ("--sign", dict(choices=("+", "-"), default="+",
+                            help="positive or negative restriction (use --sign=-)")),
+            ("--json", dict(action="store_true", help="emit the loop as JSON")),
+        ]),
+    }),
 }
 
 
@@ -333,14 +259,16 @@ def _add_commands(sub, commands, argv: Sequence[str]) -> None:
     # gets its arguments.  The parsers above a command take no option with
     # a value, so the first argument that is not an option names it.
     i = next((i for i, a in enumerate(argv) if not a.startswith("-")), len(argv))
-    for name, (help_, args) in commands.items():
+    for name, (help_, func, args) in commands.items():
         sp = sub.add_parser(name, help=help_)
         if argv[i : i + 1] != [name]:
             continue
-        if isinstance(args, dict):  # collatz: a table of subcommands
+        if func is None:  # collatz: a table of subcommands
             _add_commands(sp.add_subparsers(dest="subcommand", required=True), args, argv[i + 1 :])
-        else:
-            args(sp)
+            continue
+        for flag, kwargs in args:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
 
 
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:

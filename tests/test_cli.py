@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,7 +23,22 @@ from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
 from slcterm.poly2 import hpoly
 
-from conftest import SEED, random_slc, slab_loop, slope2_wedge, wedge_loop
+from conftest import (
+    SEED,
+    empty_loop,
+    halfint_loop,
+    halfplane_loop,
+    inc_loop,
+    pair_loop,
+    quad_loop,
+    random_slc,
+    slab_loop,
+    slc_corpus,
+    slope2_wedge,
+    thick_loop,
+    thin_loop,
+    wedge_loop,
+)
 from test_analyzer import DECIDE_GOLDEN
 
 SLAB = "slc v1\n4 -3 2\n-4 3 -1\n-1 0 -3\n"
@@ -583,6 +599,27 @@ def test_exit_code_2_on_bad_input(tmp_path):
         assert code == 2 and out == "" and f"argument {argv[-2]}: must be >= 0" in err
 
 
+# sha256 over (argv, stdout, stderr, exit code) of each run below, in
+# order.  It changes only with a declared change of the CLI's output.
+CLI_DIGEST = "3507a9d01adb968119305a2afcb2ced4e9fce4921253739c795f729c1e11e564"
+
+
+def test_cli_bytes_digest():
+    goldens = (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
+               halfplane_loop, halfint_loop, empty_loop)
+    h = hashlib.sha256()
+    for p in [f() for f in goldens] + slc_corpus(300, seed=11):
+        loop = emit_text(p)
+        runs = [("decide", "-"), ("decide", "-", "--json"), ("cycles", "-"), ("decompose", "-"),
+                ("oracle", "-", "--bound", "16", "--compare")]
+        for argv in runs:
+            code, out, err = run_cli(*argv, stdin=loop)
+            h.update(repr((argv, out, err, code)).encode())
+            if argv == ("decide", "-") and out.startswith("non-terminating"):
+                runs.append(("witness", "-", "--length", "20"))  # run last, after oracle
+    assert h.hexdigest() == CLI_DIGEST
+
+
 # stdout, stderr and exit code of the help and usage-error paths, as the
 # parser printed them when it gave every command its arguments on each run
 USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage_pins.json").read_text())
@@ -630,6 +667,40 @@ def test_help_and_usage_errors_pinned(pin, monkeypatch, tmp_path):
     got = run_cli(*pin["argv"], stdin="slc v1\n1 1 1\n")
     # only an invalid-choice list may differ, by the CPython patch release
     assert got == (pin["code"], pin["stdout"], in_probe_style(pin["stderr"], invalid_choice_probe()))
+
+
+def table_paths(commands=cli._COMMANDS, prefix=()):
+    # every command path in the table: ("decide",), ("collatz",), ("collatz", "orbit"), ...
+    for name, (_, _, args) in commands.items():
+        yield prefix + (name,)
+        if isinstance(args, dict):
+            yield from table_paths(args, prefix + (name,))
+
+
+def test_every_table_command_has_a_help_pin():
+    pinned = {tuple(pin["argv"][:-1]) for pin in USAGE_PINS if pin["argv"][-1:] == ["--help"]}
+    assert pinned == {(), *table_paths()}
+
+
+def subparsers(parser):
+    # name -> parser of each command that `parser` lists
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+@pytest.mark.parametrize("path", list(table_paths()), ids=" ".join)
+def test_only_the_named_command_gets_arguments(path):
+    # the parser for one command lists every command, but adds no argument
+    # beyond -h to any parser off the named command's path
+    def walk(parser, depth):
+        for name, sp in subparsers(parser).items():
+            dests = [a.dest for a in sp._actions]
+            if path[depth : depth + 1] == (name,):
+                assert len(dests) > 1, path  # its arguments, or collatz's subcommands
+                walk(sp, depth + 1)
+            else:
+                assert dests == ["help"], (path, name)
+
+    walk(cli._build_parser([*path, "-"]), 0)
 
 
 @contextlib.contextmanager
