@@ -26,7 +26,7 @@ R(p) = {(-x, -x')}, negated.
 from __future__ import annotations
 
 from itertools import pairwise
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .lattice import (
     DEFAULT_SCAN_LIMIT,
@@ -51,7 +51,6 @@ from .poly2 import (
     Record,
     Zero,
     _FM_ROWS,
-    _setattr,
     contains,
     cross,
     decompose,
@@ -83,9 +82,6 @@ class CycleWitness(Record):
 
     __slots__ = ("states",)
 
-    def __init__(self, states: Tuple[int, ...]) -> None:
-        _setattr(self, "states", states)
-
 
 class TraceSeed(Record):
     """The seed of a self-avoiding trace, as the dispatch found it: for mode
@@ -97,25 +93,14 @@ class TraceSeed(Record):
 
     __slots__ = ("mode", "data")
 
-    def __init__(self, mode: str, data: Tuple[int, ...]) -> None:
-        _setattr(self, "mode", mode)
-        _setattr(self, "data", data)
 
-
-class Verdict(Record):
+class Verdict(Record, defaults=(None, None)):
     """`kind` is "terminating", "non-terminating" or "unknown"; `decomposition`
     is the loop's decomposition when `decide` made one, for reports, and
     `==`, `hash` and `repr` skip it."""
 
     __slots__ = ("kind", "label", "witness", "decomposition")
     _fields = ("kind", "label", "witness")
-
-    def __init__(self, kind: str, label: str, witness: Union[CycleWitness, TraceSeed, None] = None,
-                 decomposition: Optional[MWDecomp] = None) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "label", label)
-        _setattr(self, "witness", witness)
-        _setattr(self, "decomposition", decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +148,6 @@ def has_cycle(p: HPoly) -> bool:
 
 class RegionFlags(Record):
     __slots__ = ("i_plus", "i_minus", "delta_plus", "delta_minus")
-
-    def __init__(self, i_plus: bool, i_minus: bool, delta_plus: bool, delta_minus: bool) -> None:
-        _setattr(self, "i_plus", i_plus)
-        _setattr(self, "i_minus", i_minus)
-        _setattr(self, "delta_plus", delta_plus)
-        _setattr(self, "delta_minus", delta_minus)
 
 
 def cone_regions(c: Cone) -> RegionFlags:

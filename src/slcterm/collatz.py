@@ -12,9 +12,9 @@ analyzer.
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
-from .poly2 import HPoly, Record, _setattr, hpoly
+from .poly2 import HPoly, Record, hpoly
 
 
 class ReductionPreconditionError(ValueError):
@@ -26,10 +26,7 @@ class WeakCollatz(Record):
 
     __slots__ = ("d", "m", "a")
 
-    def __init__(self, d: int, m: int, a: int) -> None:
-        _setattr(self, "d", d)
-        _setattr(self, "m", m)
-        _setattr(self, "a", a)
+    def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("modulus d must be >= 2")
         if self.m == 0:
@@ -43,10 +40,7 @@ class GenCollatz(Record):
 
     __slots__ = ("d", "m", "r")
 
-    def __init__(self, d: int, m: Tuple[int, ...], r: Tuple[int, ...]) -> None:
-        _setattr(self, "d", d)
-        _setattr(self, "m", m)
-        _setattr(self, "r", r)
+    def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("modulus d must be >= 2")
         if len(self.m) != self.d or len(self.r) != self.d:
@@ -91,18 +85,10 @@ def as_generalized(t: WeakCollatz) -> GenCollatz:
 # ---------------------------------------------------------------------------
 
 
-class OrbitResult(Record):
+class OrbitResult(Record, defaults=(None, None, None)):
     """`outcome` is "reached-target", "entered-cycle", "exceeded-bound" or "exceeded-steps"."""
 
     __slots__ = ("outcome", "prefix", "first_index", "period", "k")
-
-    def __init__(self, outcome: str, prefix: Tuple[int, ...], first_index: Optional[int] = None,
-                 period: Optional[int] = None, k: Optional[int] = None) -> None:
-        _setattr(self, "outcome", outcome)
-        _setattr(self, "prefix", prefix)
-        _setattr(self, "first_index", first_index)
-        _setattr(self, "period", period)
-        _setattr(self, "k", k)
 
 
 def orbit(

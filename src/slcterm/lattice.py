@@ -29,7 +29,6 @@ from .poly2 import (
     Ray,
     Record,
     _FM_ROWS,
-    _setattr,
     cross,
     decompose,
     x_extent,
@@ -47,9 +46,6 @@ class Height(Record):
     """A column count: a natural number."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        _setattr(self, "value", value)
 
 
 # The integers of a slice: (lo, hi) with None for an unbounded side, or

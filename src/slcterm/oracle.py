@@ -26,25 +26,19 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd, inf
 from operator import floordiv
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .lattice import column
-from .poly2 import HPoly, Record, _setattr
+from .poly2 import HPoly, Record
 
 
-class TransGraph(Record):
+class TransGraph(Record, defaults=(frozenset(),)):
     """Successor spans per state; columns are intervals, so the
     successors of x inside the window form one inclusive range.  `exits`
     holds the states with a successor outside [-bound, bound].  `starts`
     sorts the states with successors once: 0, 1, -1, 2, -2, ..."""
 
     __slots__ = ("bound", "span", "exits", "__dict__")  # __dict__ for `starts`
-
-    def __init__(self, bound: int, span: Dict[int, Tuple[int, int]],
-                 exits: FrozenSet[int] = frozenset()) -> None:
-        _setattr(self, "bound", bound)
-        _setattr(self, "span", span)
-        _setattr(self, "exits", exits)
 
     @cached_property
     def starts(self) -> List[int]:

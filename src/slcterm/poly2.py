@@ -39,10 +39,6 @@ class EmptyPolyhedronError(ValueError):
     """Operation requires a nonempty polyhedron."""
 
 
-class ZeroVectorError(ValueError):
-    """Operation requires a nonzero vector."""
-
-
 class Constraint(NamedTuple):
     """One row: a1*x1 + a2*x2 <= b."""
 
@@ -55,22 +51,37 @@ _setattr = object.__setattr__
 
 
 class Record:
-    """Base of the frozen value classes: fields live in `__slots__`.
+    """Base of the frozen value classes, built like frozen dataclasses: a
+    class declares its fields in `__slots__`, and trailing defaults by the
+    class keyword `defaults`, e.g. `class V(Record, defaults=(None,))`.
 
-    `==` holds between instances of one class whose `_fields` are equal,
-    `hash` agrees with it, and `repr` reads `Name(field=value, ...)`.
-    `_fields` is the slots unless a class names fewer.  Assignment and
-    deletion raise `AttributeError`; each `__init__` sets its fields with
-    `_setattr`.
+    Each class with slots gets an `__init__` taking its slots in order, as
+    positional or keyword arguments, generated once by `exec` as
+    `dataclasses` does: one `_setattr` per field, then `__post_init__()`
+    if the class has one, for checks.  `==` holds between instances of one
+    class whose `_fields` are equal, `hash` agrees with it, and `repr`
+    reads `Name(field=value, ...)`.  `_fields` is the slots unless a class
+    names fewer.  Assignment and deletion raise `AttributeError`.
     """
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, defaults: tuple = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        slots = tuple(f for f in cls.__slots__ if f != "__dict__")
         if "_fields" not in vars(cls):
-            cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+            cls._fields = slots
+        if slots:
+            # defined in a class of the same name, so that its __qualname__
+            # and argument errors read `Name.__init__` as a hand-written one's
+            body = "".join(f"\n  _setattr(self, {f!r}, {f})" for f in slots)
+            if hasattr(cls, "__post_init__"):
+                body += "\n  self.__post_init__()"
+            ns = {"_setattr": _setattr, "__name__": cls.__module__}
+            exec(f"class {cls.__name__}:\n def __init__(self, {', '.join(slots)}):{body}", ns)
+            cls.__init__ = vars(ns[cls.__name__])["__init__"]
+            cls.__init__.__defaults__ = defaults
 
     def _key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -106,9 +117,6 @@ class HPoly(Record):
     """Conjunction of integer constraint rows."""
 
     __slots__ = ("rows",)
-
-    def __init__(self, rows: Tuple[Constraint, ...]) -> None:
-        _setattr(self, "rows", rows)
 
 
 def hpoly(rows: Sequence[Sequence[int]]) -> HPoly:
@@ -148,9 +156,6 @@ class Ray(ConeClass):
     __slots__ = ("v",)
     kind = "ray"
 
-    def __init__(self, v: IVec) -> None:
-        _setattr(self, "v", v)
-
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v,)
 
@@ -160,9 +165,6 @@ class Line(ConeClass):
     __slots__ = ("v",)
     kind = "line"
 
-    def __init__(self, v: IVec) -> None:
-        _setattr(self, "v", v)
-
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v, (-self.v[0], -self.v[1]))
 
@@ -170,10 +172,6 @@ class Line(ConeClass):
 class HalfPlane(ConeClass):
     __slots__ = ("boundary", "interior_witness")
     kind = "half-plane"
-
-    def __init__(self, boundary: IVec, interior_witness: IVec) -> None:
-        _setattr(self, "boundary", boundary)
-        _setattr(self, "interior_witness", interior_witness)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.boundary, (-self.boundary[0], -self.boundary[1]), self.interior_witness)
@@ -184,10 +182,6 @@ class Pointed2(ConeClass):
     # cross(v1, v2) > 0 but membership accepts either order.
     __slots__ = ("v1", "v2")
     kind = "wedge"
-
-    def __init__(self, v1: IVec, v2: IVec) -> None:
-        _setattr(self, "v1", v1)
-        _setattr(self, "v2", v2)
 
     def generators(self) -> Tuple[IVec, ...]:
         return (self.v1, self.v2)
@@ -219,10 +213,6 @@ class MWDecomp(Record):
     x_lo = property(lambda self: self.extent()[0])
     x_hi = property(lambda self: self.extent()[1])
     bound = property(lambda self: self.extent()[2])
-
-    def __init__(self, meets: Tuple[Meet, ...], cone: Cone) -> None:
-        _setattr(self, "meets", meets)
-        _setattr(self, "cone", cone)
 
     def extent(self) -> Tuple[int, int, int]:
         """(x_lo, x_hi, bound), one pass: ceil and floor are monotone, so x_lo is the
@@ -262,8 +252,6 @@ class MWDecomp(Record):
 def primitive(v: Sequence[int]) -> IVec:
     """Unique primitive integer vector on the ray through integer v (v != 0)."""
     g = gcd(v[0], v[1])
-    if g == 0:
-        raise ZeroVectorError("zero vector has no direction")
     return (v[0] // g, v[1] // g)
 
 

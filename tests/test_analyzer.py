@@ -671,6 +671,30 @@ def test_permuted_and_scaled_rows_keep_the_verdict():
                              for s in [rng.randint(1, 9)]])) == v, p
 
 
+def test_translated_loops_keep_kind_and_label():
+    # moving every state by +-2^b moves the integer points with it, so the
+    # kind and label stay; the witness moves too, so it is not compared
+    for p in _metamorphic_corpus():
+        v = decide(p)
+        for c in (s * 2**b for b in (8, 64, 256) for s in (1, -1)):
+            w = decide(translated(p, c))
+            assert (w.kind, w.label) == (v.kind, v.label), (p, c)
+
+
+def test_a_loosened_row_keeps_the_verdict():
+    # a copy of one row with a larger bound is redundant: the point set and
+    # the whole Verdict, witness included, stay.  On a 5-row loop the region
+    # queries (the loop and 2 rows) cross from _FM_ROWS rows to more
+    rng = random.Random(SEED + 23)
+    sizes = Counter()
+    for p in _metamorphic_corpus():
+        a1, a2, b = rng.choice(p.rows)
+        q = hpoly(list(p.rows) + [(a1, a2, b + rng.randint(1, 9))])
+        assert decide(q) == decide(p), (p, q)
+        sizes[len(q.rows)] += 1
+    assert sizes[_FM_ROWS - 1] > 0, sizes
+
+
 @pytest.mark.parametrize("c", [10**10, 10**20, -10**12], ids=["10", "20", "-12"])
 def test_far_translated_thick_loop(c):
     # thick with every state moved by -c (ids: the signed exponent of c).

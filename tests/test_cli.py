@@ -18,13 +18,14 @@ import pytest
 
 import slcterm
 from slcterm import cli, poly2
-from slcterm.analyzer import CycleWitness, Verdict
+from slcterm.analyzer import CycleWitness, Verdict, cycle2, decide, region_point, witness_trace
 from slcterm.cli import main
 from slcterm.loopio import emit_json, emit_text
-from slcterm.poly2 import hpoly
+from slcterm.poly2 import EmptyPolyhedronError, decompose, hpoly
 
 from conftest import (
     SEED,
+    bounded_corpus,
     empty_loop,
     halfint_loop,
     halfplane_loop,
@@ -618,6 +619,40 @@ def test_cli_bytes_digest():
             if argv == ("decide", "-") and out.startswith("non-terminating"):
                 runs.append(("witness", "-", "--length", "20"))  # run last, after oracle
     assert h.hexdigest() == CLI_DIGEST
+
+
+# sha256 over the library's outputs per loop, in order: the verdict, the
+# decomposition, the I+ and I- points, the 2-cycle and a 200-state witness
+# of each non-terminating verdict.  It changes only with a declared change
+# of these outputs.
+LIBRARY_DIGEST = "9522ce627382edba6ef8bccb7492a1d320930b9805fcdb5eea665867dfd514ce"
+
+
+def test_library_outputs_digest():
+    goldens = (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
+               halfplane_loop, halfint_loop, empty_loop)
+    loops = [f() for f in goldens] + slc_corpus(1000, seed=11) + bounded_corpus(300)
+    loops += [wedge_loop(k) for k in range(2, 31)]
+    h = hashlib.sha256()
+    kinds = Counter()
+    for p in loops:
+        v = decide(p)
+        kinds[v.kind] += 1
+        h.update(repr(v).encode())
+        try:
+            h.update(repr(decompose(p)).encode())
+        except EmptyPolyhedronError:
+            h.update(b"empty")
+        for region in ("I+", "I-"):
+            try:
+                h.update(repr(region_point(p, region)).encode())
+            except Exception as e:  # its name is the output
+                h.update(type(e).__name__.encode())
+        h.update(repr(cycle2(p)).encode())
+        if v.kind == "non-terminating":
+            h.update(repr(witness_trace(p, v, 200)).encode())
+    assert len(loops) == 1338 and kinds["non-terminating"] == 716
+    assert h.hexdigest() == LIBRARY_DIGEST
 
 
 # stdout, stderr and exit code of the help and usage-error paths, as the

@@ -1,12 +1,19 @@
-"""The frozen value classes: equality, hashing, repr, immutability, defaults."""
+"""The frozen value classes: equality, hashing, repr, immutability,
+defaults and generated constructors; and no module imports a name it
+does not use."""
 
+import ast
 import copy
+import inspect
 import pickle
 import re
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import slcterm
 from slcterm import decide, hpoly
 from slcterm.analyzer import CycleWitness, RegionFlags, TraceSeed, Verdict
 from slcterm.collatz import GenCollatz, OrbitResult, WeakCollatz
@@ -111,6 +118,60 @@ def test_defaults_and_keywords():
     assert OrbitResult("reached-target", (4,), k=0).k == 0
     assert WeakCollatz(d=3, m=4, a=0) == WeakCollatz(3, 4, 0)
     assert GenCollatz(d=2, m=(1, 3), r=(0, -1)).r == (0, -1)
+
+
+# the trailing defaults each class declares; every other field is required
+DEFAULTS = {
+    "Verdict": {"witness": None, "decomposition": None},
+    "OrbitResult": {"first_index": None, "period": None, "k": None},
+    "TransGraph": {"exits": frozenset()},
+}
+
+
+@pytest.mark.parametrize("build,text", RECORDS, ids=IDS)
+def test_constructor_takes_the_slots_in_order(build, text):
+    r = build()
+    cls = type(r)
+    slots = [f for f in cls.__slots__ if f != "__dict__"]
+    if not slots:  # Zero and Plane keep object's constructor
+        assert cls.__init__ is object.__init__ and cls() == r
+        with pytest.raises(TypeError):
+            cls(1)
+        return
+    params = inspect.signature(cls).parameters.values()
+    assert [q.name for q in params] == slots
+    assert all(q.kind is q.POSITIONAL_OR_KEYWORD for q in params)
+    assert {q.name: q.default for q in params if q.default is not q.empty} == DEFAULTS.get(cls.__name__, {})
+    values = {f: getattr(r, f) for f in slots}
+    by_position, by_keyword = cls(*values.values()), cls(**values)
+    assert by_position == by_keyword == r
+    assert all(getattr(by_position, f) is v and getattr(by_keyword, f) is v for f, v in values.items())
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    # argument errors name the class as a hand-written constructor's do
+    name = f"{cls.__name__}.__init__()" if sys.version_info >= (3, 11) else "__init__()"
+    with pytest.raises(TypeError, match=re.escape(f"{name} missing 1 required positional argument: '{slots[0]}'")):
+        cls(**{f: v for f, v in values.items() if f != slots[0]})
+    with pytest.raises(TypeError, match=re.escape(f"{name} got an unexpected keyword argument 'extra'")):
+        cls(**values, extra=1)
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values.values(), 1)
+
+
+def test_modules_import_only_what_they_use():
+    # every name bound by a top-level import is read somewhere in the
+    # module, or exported through `__all__`
+    for path in sorted(Path(slcterm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound, exported = set(), set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                exported = set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert bound <= used | exported, (path.name, sorted(bound - used - exported))
 
 
 def test_verdict_skips_its_decomposition():
