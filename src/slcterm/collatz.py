@@ -34,6 +34,9 @@ class WeakCollatz(Record):
         if gcd(abs(self.m), self.d) != 1:
             raise ValueError("m must be coprime to d")
 
+    def __call__(self, x: int) -> int:
+        return (self.m * x - self.a) // self.d
+
 
 class GenCollatz(Record):
     """Branch map T(x) = (m_i * x - r_i) / d for x = i (mod d)."""
@@ -53,25 +56,11 @@ class GenCollatz(Record):
             if (mi * i - ri) % self.d != 0:
                 raise ValueError(f"branch {i}: m_i*i must equal r_i mod d")
 
-
-Mapping = Union[WeakCollatz, GenCollatz]
-
-
-def weak_apply(t: WeakCollatz, x: int) -> int:
-    return (t.m * x - t.a) // t.d
-
-
-def gen_apply(t: GenCollatz, x: int) -> int:
-    i = x % t.d
-    num = t.m[i] * x - t.r[i]
-    assert num % t.d == 0
-    return num // t.d
-
-
-def apply_map(t: Mapping, x: int) -> int:
-    if isinstance(t, WeakCollatz):
-        return weak_apply(t, x)
-    return gen_apply(t, x)
+    def __call__(self, x: int) -> int:
+        i = x % self.d
+        num = self.m[i] * x - self.r[i]
+        assert num % self.d == 0
+        return num // self.d
 
 
 def as_generalized(t: WeakCollatz) -> GenCollatz:
@@ -92,7 +81,7 @@ class OrbitResult(Record, defaults=(None, None, None)):
 
 
 def orbit(
-    t: Mapping, n: int, max_steps: int, abs_bound: int,
+    t: Callable[[int], int], n: int, max_steps: int, abs_bound: int,
     target: Optional[Callable[[int], bool]] = None,
 ) -> OrbitResult:
     """Iterate until a target value, a repeated value, a bound escape, or
@@ -110,7 +99,7 @@ def orbit(
     if abs(n) > abs_bound:
         return OrbitResult("exceeded-bound", tuple(values))
     for _ in range(max_steps):
-        v = apply_map(t, values[-1])
+        v = t(values[-1])
         values.append(v)
         if target is not None and target(v):
             return OrbitResult("reached-target", tuple(values), k=len(values) - 1)
@@ -128,7 +117,7 @@ def reachability_scan(t: WeakCollatz, n: int, max_steps: int, abs_bound: int) ->
     return orbit(t, n, max_steps, abs_bound, lambda v: (t.m * v - t.a) % t.d == 0)
 
 
-def residue_histogram(t: Mapping, n: int, steps: int, alpha: int = 1) -> Dict[int, int]:
+def residue_histogram(t: Union[WeakCollatz, GenCollatz], n: int, steps: int, alpha: int = 1) -> Dict[int, int]:
     """Counts of T^k(n) mod d**alpha over k = 0 .. steps-1."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -138,7 +127,7 @@ def residue_histogram(t: Mapping, n: int, steps: int, alpha: int = 1) -> Dict[in
     for k in range(steps):
         counts[v % mod] = counts.get(v % mod, 0) + 1
         if k + 1 < steps:
-            v = apply_map(t, v)
+            v = t(v)
     return counts
 
 

@@ -270,27 +270,6 @@ def _norm_line_dir(v: IVec) -> IVec:
     return v
 
 
-def cone_contains(c: Cone, v: Sequence[int]) -> bool:
-    """Exact membership of an integer vector in the cone's point set."""
-    vx, vy = int(v[0]), int(v[1])
-    if isinstance(c, Plane):
-        return True
-    if isinstance(c, Zero):
-        return vx == 0 and vy == 0
-    if vx == 0 and vy == 0:
-        return True
-    if isinstance(c, Ray):
-        return cross(c.v, (vx, vy)) == 0 and dot(c.v, (vx, vy)) > 0
-    if isinstance(c, Line):
-        return cross(c.v, (vx, vy)) == 0
-    if isinstance(c, HalfPlane):  # v on the witness's side of the boundary
-        return cross(c.boundary, (vx, vy)) * cross(c.boundary, c.interior_witness) >= 0
-    assert isinstance(c, Pointed2)
-    det = cross(c.v1, c.v2)
-    # v = alpha*v1 + beta*v2 with alpha, beta >= 0: signs of the numerators times det
-    return cross((vx, vy), c.v2) * det >= 0 and cross(c.v1, (vx, vy)) * det >= 0
-
-
 # ---------------------------------------------------------------------------
 # emptiness and the x1-range by elimination
 # ---------------------------------------------------------------------------
@@ -356,11 +335,6 @@ def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:
 
 def intersect(p: HPoly, q: HPoly) -> HPoly:
     return HPoly(p.rows + q.rows)
-
-
-def swap(p: HPoly) -> HPoly:
-    """Exchange the roles of x1 and x2 in every row."""
-    return HPoly(tuple(Constraint(a2, a1, b) for a1, a2, b in p.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
-    cone_contains,
     contains,
     cross,
     dot,
@@ -164,6 +163,12 @@ def reflected(p):
     return hpoly([(-a1, -a2, b) for a1, a2, b in p.rows])
 
 
+def swap(p):
+    """p with the roles of x and x' exchanged in every row: the reference
+    for `analyzer.cycle2`, whose pairs are the points of p and swap(p)."""
+    return hpoly([(a2, a1, b) for a1, a2, b in p.rows])
+
+
 def random_slc(rng, max_rows=6, coeff=7):
     k = rng.randint(1, max_rows)
     return hpoly(
@@ -300,6 +305,28 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
             return trace
         t = max(t + 1, abs(trace[-1]) + 1)
     raise AssertionError("growth trace failed to stabilize")
+
+
+def cone_contains(c, v):
+    """Exact membership of an integer vector in the cone's point set: the
+    reference for the cone shapes `poly2.decompose` reports."""
+    vx, vy = v
+    if isinstance(c, Plane):
+        return True
+    if isinstance(c, Zero):
+        return vx == 0 and vy == 0
+    if vx == 0 and vy == 0:
+        return True
+    if isinstance(c, Ray):
+        return cross(c.v, v) == 0 and dot(c.v, v) > 0
+    if isinstance(c, Line):
+        return cross(c.v, v) == 0
+    if isinstance(c, HalfPlane):  # v on the witness's side of the boundary
+        return cross(c.boundary, v) * cross(c.boundary, c.interior_witness) >= 0
+    assert isinstance(c, Pointed2)
+    det = cross(c.v1, c.v2)
+    # v = alpha*v1 + beta*v2 with alpha, beta >= 0: signs of the numerators times det
+    return cross(v, c.v2) * det >= 0 and cross(c.v1, v) * det >= 0
 
 
 def halfplane_normal(c):

@@ -39,12 +39,10 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
-    cone_contains,
     cross,
     decompose,
     hpoly,
     intersect,
-    swap,
 )
 
 from conftest import (
@@ -53,6 +51,7 @@ from conftest import (
     SEED,
     bounded_corpus,
     column_span,
+    cone_contains,
     empty_loop,
     greedy_run,
     halfint_loop,
@@ -67,6 +66,7 @@ from conftest import (
     restarting_growth_states,
     slab_loop,
     slc_corpus,
+    swap,
     tangent_polygon,
     thick_loop,
     thin_loop,

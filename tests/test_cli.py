@@ -655,9 +655,12 @@ def test_library_outputs_digest():
     assert h.hexdigest() == LIBRARY_DIGEST
 
 
-# stdout, stderr and exit code of the help and usage-error paths, as the
-# parser printed them when it gave every command its arguments on each run
-USAGE_PINS = json.loads((Path(__file__).parent / "cli_usage_pins.json").read_text())
+# the CLI's byte pins: argv, stdin, and the exit code, stdout and stderr
+# they give; an entry that reads a loop names it as `loop`.  The help and
+# usage-error pins are as the parser printed them when it gave every
+# command its arguments on each run.  CI replays the same entries through
+# the installed `slcterm`
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 _CHOICES = re.compile(r"\(choose from ('[^']*'(?:, '[^']*')*)\)")
@@ -695,11 +698,18 @@ def test_in_probe_style_rewrites_only_choice_lists():
     assert in_probe_style("usage: x\n", "(choose from a)") == "usage: x\n"
 
 
-@pytest.mark.parametrize("pin", USAGE_PINS, ids=[" ".join(p["argv"]) or "(none)" for p in USAGE_PINS])
+def pin_id(pin):
+    argv = " ".join(pin["argv"]) or "(none)"
+    return f"{argv} < {pin['loop']}" if "loop" in pin else argv
+
+
+# every pin: the name dates from when the table held only the help and
+# usage-error paths
+@pytest.mark.parametrize("pin", PINS, ids=map(pin_id, PINS))
 def test_help_and_usage_errors_pinned(pin, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
     monkeypatch.chdir(tmp_path)  # so the relative loop file is missing
-    got = run_cli(*pin["argv"], stdin="slc v1\n1 1 1\n")
+    got = run_cli(*pin["argv"], stdin=pin["stdin"])
     # only an invalid-choice list may differ, by the CPython patch release
     assert got == (pin["code"], pin["stdout"], in_probe_style(pin["stderr"], invalid_choice_probe()))
 
@@ -713,7 +723,7 @@ def table_paths(commands=cli._COMMANDS, prefix=()):
 
 
 def test_every_table_command_has_a_help_pin():
-    pinned = {tuple(pin["argv"][:-1]) for pin in USAGE_PINS if pin["argv"][-1:] == ["--help"]}
+    pinned = {tuple(pin["argv"][:-1]) for pin in PINS if pin["argv"][-1:] == ["--help"]}
     assert pinned == {(), *table_paths()}
 
 

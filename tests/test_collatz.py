@@ -13,12 +13,10 @@ from slcterm.collatz import (
     ReductionPreconditionError,
     WeakCollatz,
     as_generalized,
-    gen_apply,
     orbit,
     reachability_scan,
     residue_histogram,
     to_slc,
-    weak_apply,
 )
 from slcterm.poly2 import Ray, contains, decompose
 
@@ -69,7 +67,7 @@ def test_weak_matches_generalized():
                 t = WeakCollatz(d, m, a)
                 g = as_generalized(t)
                 for x in range(-60, 61):
-                    assert weak_apply(t, x) == gen_apply(g, x)
+                    assert t(x) == g(x)
 
 
 @st.composite
@@ -87,7 +85,7 @@ def gen_maps(draw):
 @given(gen_maps(), st.integers(-(10**9), 10**9))
 def test_gen_apply_exact_division(g, x):
     i = x % g.d
-    assert g.d * gen_apply(g, x) + g.r[i] == g.m[i] * x
+    assert g.d * g(x) + g.r[i] == g.m[i] * x
 
 
 def test_classical_orbit_of_seven():
@@ -250,7 +248,7 @@ def test_orbit_invariants_random():
         vals = res.prefix
         assert vals[0] == n
         for x, y in zip(vals, vals[1:]):
-            assert y == gen_apply(g, x)
+            assert y == g(x)
         if res.outcome == "entered-cycle":
             assert vals[res.first_index] == vals[-1]
             assert res.period == len(vals) - 1 - res.first_index

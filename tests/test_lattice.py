@@ -33,7 +33,6 @@ from slcterm.poly2 import (
     Ray,
     Zero,
     _FM_ROWS,
-    cone_contains,
     contains,
     cross,
     decompose,
@@ -45,6 +44,7 @@ from conftest import (
     bounded_corpus,
     box_integer_point,
     column_span,
+    cone_contains,
     empty_loop,
     halfint_loop,
     halfplane_loop,

@@ -18,7 +18,6 @@ from slcterm.poly2 import (
     Pointed2,
     Ray,
     Zero,
-    cone_contains,
     contains,
     cross,
     decompose,
@@ -27,12 +26,12 @@ from slcterm.poly2 import (
     intersect,
     is_empty,
     primitive,
-    swap,
     x_extent,
 )
 from conftest import (
     SEED,
     bounded_corpus,
+    cone_contains,
     halfint_loop,
     halfplane_loop,
     halfplane_normal,
@@ -45,6 +44,7 @@ from conftest import (
     scaled,
     slab_loop,
     slc_corpus,
+    swap,
     tangent_polygon,
     thick_loop,
     thin_loop,

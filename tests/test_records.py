@@ -174,6 +174,19 @@ def test_modules_import_only_what_they_use():
         assert bound <= used | exported, (path.name, sorted(bound - used - exported))
 
 
+def test_public_names_are_used_or_documented():
+    # every public top-level function and class is read by the package's
+    # own code or named in README: a reference that only tests need lives
+    # in tests/conftest.py
+    trees = [ast.parse(path.read_text()) for path in Path(slcterm.__file__).parent.glob("*.py")]
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    readme = set(re.findall(r"\w+", (Path(__file__).parents[1] / "README.md").read_text()))
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert defined <= used | readme, sorted(defined - used - readme)
+
+
 def test_verdict_skips_its_decomposition():
     p = hpoly(README_LOOP)
     v = decide(p)
