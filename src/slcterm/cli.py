@@ -190,11 +190,17 @@ def _cmd_to_slc(args) -> int:
 
 
 def _int_list(text: str):
-    return tuple(int(tok) for tok in text.split(","))
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 def _count(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
