@@ -3,20 +3,24 @@
 Restrict the transition relation to integer states in [-B, B] and treat
 it as a finite directed graph.  Cycles found here are real cycles of the
 loop; escape traces show the bounded window leaking, not
-non-termination.  Runs in plain integer arithmetic.  `build_graph` clips
-the window once, on the rows divided by their normals' gcds (which keep
-every integer point), to the columns from the first to the last with
-real points of those rows, by cuts that are each a nonnegative
+non-termination.  Runs in plain integer arithmetic.  `build_graph` first
+reduces the rows to one per primitive normal: a row divided by the gcd
+of its normal, b rounded down, keeps every integer point, and of the rows
+that share a normal the one with the least b implies the others.  It
+clips the window once, on those rows, to the columns from the first to
+the last with real points, by cuts that are each a nonnegative
 combination of two rows.  It then reads each column in between once,
 for its successors and whether one leaves the window, in one of two
-ways.  When at most as many columns as rows are left, it calls
-`lattice.column` per column, the one routine it shares with the
-geometric decision procedure.  Otherwise it reads the columns by rows:
-each row bounds every column at once as one range of numerators, divided
-in C iterators.  A graph so costs O((cuts + columns with real points)*k)
-row reads for k rows.  The searches read only the graph and skip the states
-they are done with in runs, so each visits every state about once.  It
-uses no decomposition, recession cone, height or integer-point search.
+ways.  When at most as many columns as reduced rows are left, it calls
+`lattice.column` per column on the reduced rows, the one routine it
+shares with the geometric decision procedure.  Otherwise it reads the
+columns by rows: each row bounds every column at once as one range of
+numerators, divided in C iterators.  A graph so costs k + O((cuts +
+columns with real points)*n) row reads for k rows with n distinct
+primitive normals.  The searches read only the graph and skip the states
+they are done with in runs, so each visits every state about once; the
+escape search returns at once when no state exits the window.  It uses
+no decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
@@ -128,17 +132,26 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
     span: Dict[int, Tuple[int, int]] = {}
     exits = []
     # each row divided by the gcd of its normal, b rounded down, keeps every
-    # integer point and drops a strip of none
-    rows = [(a1 // g, a2 // g, b // g) for a1, a2, b in p.rows for g in [gcd(a1, a2) or 1]]
+    # integer point and drops a strip of none; of the rows that share a
+    # normal, the one with the least b implies the others
+    least: Dict[Tuple[int, int], int] = {}
+    for a1, a2, b in p.rows:
+        g = gcd(a1, a2) or 1
+        normal = a1 // g, a2 // g
+        b //= g
+        if b < least.get(normal, inf):
+            least[normal] = b
+    rows = [(a1, a2, b) for (a1, a2), b in least.items()]
     cols = _clip(rows, range(-bound, bound + 1))
     width = cols.stop - cols.start  # not len(): it fails past sys.maxsize
     if width > sys.maxsize:
         raise ValueError(f"oracle window too wide: {width} columns to read")
-    if width > len(p.rows):
-        reads = zip(cols, *_row_bounds(p.rows, cols))
+    if width > len(rows):
+        reads = zip(cols, *_row_bounds(rows, cols))
     else:  # the same bounds from column(): an empty column reads as (inf, -inf)
+        q = HPoly(tuple(rows))
         reads = ((x, -inf if lo is None else lo, inf if hi is None else hi)
-                 for x in cols for lo, hi in [column(p, x) or (inf, -inf)])
+                 for x in cols for lo, hi in [column(q, x) or (inf, -inf)])
     for x, lo, hi in reads:
         if -bound <= lo <= hi <= bound:
             span[x] = (lo, hi)
@@ -206,8 +219,12 @@ def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int
     """A trace of at most `limit` distinct states inside the window whose
     last state has an integer successor outside it, if one exists.
     Breadth-first from each start, smallest |state| first, so the trace
-    is a shortest path from its start.  Exits are read from `g.exits`, not `p`."""
+    is a shortest path from its start.  Exits are read from `g.exits`, not
+    `p`; every trace ends in one, so a graph without exits returns None
+    at once."""
     span, exits = g.span, g.exits
+    if not exits:  # every escape trace ends in an exit
+        return None
     no_escape: set[int] = set()
     seen: Dict[int, int] = {}  # skips states in no_escape or found by this search
     for start in g.starts:

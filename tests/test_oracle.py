@@ -1,7 +1,10 @@
 """Bounded-window oracle: graph, cycle search, escape search."""
 
+import ast
+import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -180,26 +183,27 @@ def watch_reads(monkeypatch):
 
 
 # 0 <= x <= 3 or 4, |x'| <= 5: the clip leaves as many columns as rows,
-# or one more
+# or one more; a scaled copy of x <= 4 adds a row but no normal
 BOX_4_COLUMNS = hpoly([(-1, 0, 0), (1, 0, 3), (0, 1, 5), (0, -1, 5)])
 BOX_5_COLUMNS = hpoly([(-1, 0, 0), (1, 0, 4), (0, 1, 5), (0, -1, 5)])
+BOX_5_COLUMNS_5_ROWS = hpoly([(-1, 0, 0), (1, 0, 4), (0, 1, 5), (0, -1, 5), (2, 0, 8)])
 
 
 @pytest.mark.parametrize("bound", [0, 1, 16, 64])
 def test_each_column_is_read_at_most_once(monkeypatch, bound):
     # one clip per graph, and every window column outside it holds no
-    # integer; a range of at most as many columns as rows is read column by
-    # column, ascending, each once; a longer one is read by rows, with no
-    # column read; the searches clip and read nothing
+    # integer; a range of at most as many columns as primitive normals is
+    # read column by column, ascending, each once; a longer one is read by
+    # rows, with no column read; the searches clip and read nothing
     clips, reads = watch_reads(monkeypatch)
     rng = random.Random(SEED + 13)
-    for p in ([build() for build in GOLDENS] + [BOX_4_COLUMNS, BOX_5_COLUMNS]
+    for p in ([build() for build in GOLDENS] + [BOX_4_COLUMNS, BOX_5_COLUMNS, BOX_5_COLUMNS_5_ROWS]
               + [random_slc(rng) for _ in range(20)]):
         clips.clear()
         reads.clear()
         g = build_graph(p, bound)
         assert len(clips) == 1
-        short = len(clips[0]) <= len(p.rows)
+        short = len(clips[0]) <= len(least_rows(p))
         assert reads == (list(clips[0]) if short else [])
         assert all(column(p, z) is None for z in range(-bound, bound + 1) if z not in clips[0])
         clips.clear()
@@ -283,6 +287,7 @@ def clip_loops(draw):
 @example(hpoly([(10**20, 3, 10**20), (-(10**20), -3, 1 - 10**20)]), 1000)  # steep thin strip
 @example(BOX_4_COLUMNS, 64)  # as many clipped columns as rows: read column by column
 @example(BOX_5_COLUMNS, 64)  # one more: read by rows
+@example(BOX_5_COLUMNS_5_ROWS, 64)  # as many rows, one more than normals: read by rows
 @example(hpoly([(1, 1, 5), (-2, 3, 7)]), 64)  # upper rows only: every column exits below
 @example(hpoly([(1, -1, 0), (-3, -2, 4)]), 64)  # lower rows only
 @example(hpoly([(0, 1, 10), (0, -1, 3), (1, -1, 2), (0, 2, 9)]), 64)  # a1 = 0 rows
@@ -364,6 +369,87 @@ def test_integer_free_strip_clips_to_nothing(monkeypatch, rows):
     assert reads == [] and elapsed < 0.1
     assert_same_graph(g, TransGraph(10**9, {}))
     assert_same_graph(build_graph(p, 1000), build_graph_ref(p, 1000))
+
+
+def with_redundant_rows(p, rng, first=False):
+    """p with a scaled (s*row), a loosened (b + c, c >= 0) and a duplicate
+    copy of each row after its rows, or before them when `first`: each
+    copy is implied by the row it copies."""
+    copies = []
+    for a1, a2, b in p.rows:
+        s = rng.randint(2, 10**6)
+        copies += [(s * a1, s * a2, s * b), (a1, a2, b + rng.randint(0, 40)), (a1, a2, b)]
+    rng.shuffle(copies)
+    return hpoly(copies + list(p.rows) if first else list(p.rows) + copies)
+
+
+def _redundant_families():
+    rng = random.Random(SEED + 21)
+    return ([build() for build in GOLDENS] + [random_slc(rng) for _ in range(60)]
+            + [tangent_polygon(rng, k) for k in (8, 16, 36)])
+
+
+@pytest.mark.parametrize("bound", [0, 16, 64])
+def test_redundant_rows_leave_the_graph_unchanged(bound):
+    rng = random.Random(SEED + 22)
+    for p in _redundant_families():
+        g = build_graph(p, bound)
+        for first in (False, True):
+            q = with_redundant_rows(p, rng, first)
+            h = build_graph(q, bound)
+            assert_same_graph(h, g)
+            assert find_cycle(h) == find_cycle(g)
+            for limit in (3, 1000):
+                assert find_escape(h, q, limit) == find_escape(g, p, limit)
+
+
+def least_rows(p):
+    # {primitive normal: least b} over p's rows, each divided by the gcd
+    # of its normal with b rounded down
+    least = {}
+    for a1, a2, b in p.rows:
+        g = math.gcd(a1, a2) or 1
+        normal = (a1 // g, a2 // g)
+        least[normal] = min(least.get(normal, b // g), b // g)
+    return least
+
+
+def test_column_reads_one_row_per_primitive_normal(monkeypatch):
+    # a short range is read through column() on the reduced rows: one per
+    # primitive normal, the one with the least b
+    read = []
+
+    def counted_column(q, z):
+        read.append(q.rows)
+        return column(q, z)
+
+    monkeypatch.setattr(oracle, "column", counted_column)
+    rng = random.Random(SEED + 23)
+    calls = 0
+    for p in _redundant_families():
+        q = with_redundant_rows(p, rng)
+        for bound in (0, 1, 16):
+            read.clear()
+            build_graph(q, bound)
+            calls += len(read)
+            for rows in read:
+                assert len(rows) == len(least_rows(q)) == len(least_rows(p))
+                assert {(a1, a2): b for a1, a2, b in rows} == least_rows(q)
+    assert calls > 100
+
+
+def test_oracle_imports_from_the_package_only_column_hpoly_and_record():
+    # the row reduction is the oracle's own: it borrows no poly2 helper
+    # such as _edges or primitive, and nothing of the decision procedure
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "slcterm"):
+            module = (node.module or "").removeprefix("slcterm.")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, "*") for alias in node.names if alias.name.split(".")[0] == "slcterm"}
+    assert ("poly2", "HPoly") in imported
+    assert imported <= {("lattice", "column"), ("poly2", "HPoly"), ("poly2", "Record")}, imported
 
 
 def _escapes_ref(p, bound, x):
