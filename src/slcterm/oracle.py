@@ -19,7 +19,8 @@ numerators, divided in C iterators.  A graph so costs k + O((cuts +
 columns with real points)*n) row reads for k rows with n distinct
 primitive normals.  The searches read only the graph and skip the states
 they are done with in runs, so each visits every state about once; the
-escape search returns at once when no state exits the window.  It uses
+escape search starts from every state with a successor, exits included,
+and returns at once when no state exits the window.  It uses
 no decomposition, recession cone, height or integer-point search.
 """
 
@@ -40,7 +41,8 @@ class TransGraph(Record, defaults=(frozenset(),)):
     """Successor spans per state; columns are intervals, so the
     successors of x inside the window form one inclusive range.  `exits`
     holds the states with a successor outside [-bound, bound].  `starts`
-    sorts the states with successors once: 0, 1, -1, 2, -2, ..."""
+    sorts the states with successors, in the window or outside it, once:
+    0, 1, -1, 2, -2, ..."""
 
     __slots__ = ("bound", "span", "exits", "__dict__")  # __dict__ for `starts`
 
@@ -48,7 +50,8 @@ class TransGraph(Record, defaults=(frozenset(),)):
     def starts(self) -> List[int]:
         # by |x|, with x before -x: a stable sort keeps the order of the
         # first sort, which puts every x before -x
-        return sorted(sorted(self.span, reverse=True), key=abs)
+        states = self.span.keys() | self.exits if self.exits else self.span
+        return sorted(sorted(states, reverse=True), key=abs)
 
 
 def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, int]]:
@@ -184,11 +187,13 @@ def _next(skip: Dict[int, int], y: int) -> int:
 
 def find_cycle(g: TransGraph) -> Optional[List[int]]:
     """Deterministic DFS: starts by increasing |state|, successors
-    ascending.  Returns the first back edge's cycle, in trace order."""
+    ascending.  Returns the first back edge's cycle, in trace order.  A
+    state whose successors all leave the window is no start: it is on
+    no cycle."""
     span = g.span
     finished: Dict[int, int] = {}
     for start in g.starts:
-        if start in finished:
+        if start in finished or start not in span:
             continue
         path = [start]
         index = {start: 0}
@@ -219,9 +224,10 @@ def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int
     """A trace of at most `limit` distinct states inside the window whose
     last state has an integer successor outside it, if one exists.
     Breadth-first from each start, smallest |state| first, so the trace
-    is a shortest path from its start.  Exits are read from `g.exits`, not
-    `p`; every trace ends in one, so a graph without exits returns None
-    at once."""
+    is a shortest path from its start; an exit whose successors all leave
+    the window starts too, and is its own trace.  Exits are read from
+    `g.exits`, not `p`; every trace ends in one, so a graph without exits
+    returns None at once."""
     span, exits = g.span, g.exits
     if not exits:  # every escape trace ends in an exit
         return None

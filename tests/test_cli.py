@@ -292,7 +292,7 @@ def test_oracle_compare_mismatch_exits_4(monkeypatch):
     monkeypatch.setattr(cli, "decide", lambda p, scan_limit: Verdict("terminating", "L5.5.2"))
     code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=PAIR)
     assert code == 4
-    assert out == ("cycle: 0 1\nescape: none\nverdict: terminating L5.5.2\n"
+    assert out == ("cycle: 0 1\nescape: -2\nverdict: terminating L5.5.2\n"
                    "compare: mismatch (bounded graph has a cycle)\n")
 
 
@@ -408,7 +408,7 @@ def test_exit_code_2_on_bad_input(tmp_path):
 
 # sha256 over (argv, stdout, stderr, exit code) of each run below, in
 # order.  It changes only with a declared change of the CLI's output.
-CLI_DIGEST = "3507a9d01adb968119305a2afcb2ced4e9fce4921253739c795f729c1e11e564"
+CLI_DIGEST = "c0d6da6a64b4ebfa811812cbbcd8e895106f0436e39a384f3d0e1b70ab216840"
 
 
 def test_cli_bytes_digest():

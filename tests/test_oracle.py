@@ -99,6 +99,8 @@ def test_find_escape_golden():
     assert find_escape(build_graph(slab_loop(), 10), slab_loop()) == [8, 10]
     assert find_escape(build_graph(thin_loop(), 100), thin_loop()) == [55, 73, 97]
     assert find_escape(build_graph(empty_loop(), 5), empty_loop()) is None
+    # 0 -> 1 leaves [0, 0]: 0 has no successor in the window, but escapes
+    assert find_escape(build_graph(inc_loop(), 0), inc_loop()) == [0]
 
 
 def test_find_escape_contract():
@@ -462,10 +464,11 @@ def _escapes_ref(p, bound, x):
 
 
 def _find_escape_ref(g, escapes, limit):
-    # the BFS that tests each edge; escapes(x) says whether x has a
-    # successor outside the window
+    # the BFS that tests each edge, from every state with a successor;
+    # escapes(x) says whether x has a successor outside the window
     no_escape = set()
-    for start in sorted(g.span, key=lambda x: (abs(x), x < 0)):
+    window = range(-g.bound, g.bound + 1)
+    for start in sorted(set(g.span) | set(filter(escapes, window)), key=lambda x: (abs(x), x < 0)):
         if start in no_escape:
             continue
         parent, queue, found = {start: None}, [start], None
@@ -555,6 +558,13 @@ HAND_GRAPHS = {
     # limit 3, and -1 then escapes without revisiting 0's dead end 5
     "too-long-then-later-start": TransGraph(B, {0: (5, 5), 1: (2, 2), 2: (3, 3), 3: (4, 4),
                                                 4: (6, 6), -1: (5, 6)}, frozenset({6})),
+    # no state has a successor in the window: 1 and -2 escape on their own,
+    # and 1 comes first
+    "exits-only": TransGraph(B, {}, frozenset({-2, 1})),
+    # the exit 4 is too far from 0 for limit 3; the next start is the exit
+    # -1, whose successors all leave the window, and it is its own trace
+    "exit-only-after-a-long-trace": TransGraph(B, {0: (2, 2), 2: (3, 3), 3: (4, 4)},
+                                               frozenset({4, -1})),
 }
 HAND_EXPECTED = {  # (cycle, escape within 3 states)
     "self-loop": ([3], None),
@@ -564,6 +574,8 @@ HAND_EXPECTED = {  # (cycle, escape within 3 states)
     "dense-acyclic": (None, [0, 6]),
     "dense-acyclic-no-exit": (None, None),
     "too-long-then-later-start": (None, [-1, 6]),
+    "exits-only": (None, [1]),
+    "exit-only-after-a-long-trace": (None, [-1]),
 }
 
 
@@ -586,10 +598,11 @@ def test_starts_match_the_place_key():
         TransGraph(B, {5: (0, 0), -5: (0, 0), 0: (1, 1), -1: (0, 0), 1: (0, 0), -3: (0, 0), 2: (0, 0)}),
         TransGraph(B, {-2: (0, 0), 2: (0, 0), -1: (0, 0)}),
         TransGraph(B, {x: (0, 0) for x in shuffled}),
+        TransGraph(B, {x: (0, 0) for x in shuffled[::2]}, frozenset(shuffled[1::3])),
         TransGraph(B, {}),
     ]
     for g in graphs:
-        assert g.starts == sorted(g.span, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
+        assert g.starts == sorted(g.span.keys() | g.exits, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
 
 
 WIDE = 5000
