@@ -20,8 +20,8 @@ columns with real points)*n) row reads for k rows with n distinct
 primitive normals.  The searches read only the graph and skip the states
 they are done with in runs, so each visits every state about once; the
 escape search starts from every state with a successor, exits included,
-and returns at once when no state exits the window.  It uses
-no decomposition, recession cone, height or integer-point search.
+and returns at once when no state exits the window.  It uses no
+decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class TransGraph(Record, defaults=(frozenset(),)):
     @cached_property
     def starts(self) -> List[int]:
         # by |x|, with x before -x: a stable sort keeps the order of the
-        # first sort, which puts every x before -x
-        states = self.span.keys() | self.exits if self.exits else self.span
+        # first sort, which puts every x before -x.  Without exits the
+        # span's keys go in ascending, as built, which sorts in linear time
+        states = self.exits.union(self.span) if self.exits else self.span
         return sorted(sorted(states, reverse=True), key=abs)
 
 
@@ -142,7 +143,7 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
         g = gcd(a1, a2) or 1
         normal = a1 // g, a2 // g
         b //= g
-        if b < least.get(normal, inf):
+        if normal not in least or b < least[normal]:
             least[normal] = b
     rows = [(a1, a2, b) for (a1, a2), b in least.items()]
     cols = _clip(rows, range(-bound, bound + 1))
