@@ -2,6 +2,8 @@
 
 Exit codes: 0 analysis completed, 2 bad input or usage, or out of
 memory, 3 scan limit exceeded, 4 oracle disagreement under --compare.
+`oracle --bound B` is the oracle's one size knob: its escape trace
+holds at most 2B + 1 states.
 
 Each command imports only what it runs.  `decide`, `cycles`,
 `decompose` and `witness` load `poly2`, `lattice`, `analyzer` and
@@ -107,7 +109,7 @@ def _cmd_oracle(args) -> int:
     p = _read_loop(args.file)
     g = build_graph(p, args.bound)
     cyc = find_cycle(g)
-    esc = find_escape(g, p, args.trace_cap)
+    esc = find_escape(g, p)
     print("cycle: " + ("none" if cyc is None else _ints(cyc)))
     print("escape: " + ("none" if esc is None else _ints(esc)))
     if args.compare:
@@ -238,8 +240,6 @@ _COMMANDS = {
     "oracle": ("brute-force the loop on a bounded state window", _cmd_oracle, [
         *_FILE,
         ("--bound", dict(type=_count, default=64, help="state window is [-B, B] (default %(default)s)")),
-        ("--trace-cap", dict(type=_count, default=1000,
-                             help="max states in an escape trace (default %(default)s)")),
         ("--compare", dict(action="store_true",
                            help="also run the analyzer and cross-check; exit 4 on disagreement")),
         *_SCAN_LIMIT,

@@ -18,10 +18,11 @@ columns by rows: each row bounds every column at once as one range of
 numerators, divided in C iterators.  A graph so costs k + O((cuts +
 columns with real points)*n) row reads for k rows with n distinct
 primitive normals.  The searches read only the graph and skip the states
-they are done with in runs, so each visits every state about once; the
+they are done with in runs, so each visits every state about once.  The
 escape search starts from every state with a successor, exits included,
-and returns at once when no state exits the window.  It uses no
-decomposition, recession cone, height or integer-point search.
+keeps what a failed start reached as done, so it expands each state at
+most once, and returns at once when no state exits the window.  It uses
+no decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
@@ -221,30 +222,34 @@ def find_cycle(g: TransGraph) -> Optional[List[int]]:
     return None
 
 
-def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int]]:
-    """A trace of at most `limit` distinct states inside the window whose
-    last state has an integer successor outside it, if one exists.
-    Breadth-first from each start, smallest |state| first, so the trace
-    is a shortest path from its start; an exit whose successors all leave
-    the window starts too, and is its own trace.  Exits are read from
-    `g.exits`, not `p`; every trace ends in one, so a graph without exits
-    returns None at once."""
+def find_escape(g: TransGraph, p: HPoly) -> Optional[List[int]]:
+    """A trace inside the window whose last state has an integer
+    successor outside it, if one exists: breadth-first from each start,
+    smallest |state| first, so the trace is a shortest path from the
+    first start that reaches an exit.  An exit whose successors all
+    leave the window starts too, and is its own trace.  The states a
+    failed start reached reach no exit, so later starts skip them, and
+    each state is expanded at most once.  Exits are read from `g.exits`,
+    not `p`; every trace ends in one, so a graph without exits returns
+    None at once."""
     span, exits = g.span, g.exits
     if not exits:  # every escape trace ends in an exit
         return None
-    no_escape: set[int] = set()
-    seen: Dict[int, int] = {}  # skips states in no_escape or found by this search
+    seen: Dict[int, int] = {}  # skips the states some start has reached
     for start in g.starts:
-        if start in no_escape:
+        if start in seen:
             continue
         parent: Dict[int, Optional[int]] = {start: None}
         seen[start] = start + 1
         queue = [start]
-        found = None
         for x in queue:
             if x in exits:
-                found = x
-                break
+                trace: List[int] = []
+                node: Optional[int] = x
+                while node is not None:
+                    trace.append(node)
+                    node = parent[node]
+                return trace[::-1]
             if x not in span:
                 continue
             y, hi = span[x]
@@ -258,16 +263,4 @@ def find_escape(g: TransGraph, p: HPoly, limit: int = 1000) -> Optional[List[int
                 seen[y] = hi + 1
                 queue.append(y)
                 y += 1
-        if found is None:
-            no_escape.update(parent)
-            continue
-        trace: List[int] = []
-        node: Optional[int] = found
-        while node is not None:
-            trace.append(node)
-            node = parent[node]
-        trace.reverse()
-        if len(trace) <= limit:
-            return trace
-        seen = {s: s + 1 for s in no_escape}
     return None

@@ -93,9 +93,6 @@ def test_find_cycle_edges_close():
 def test_find_escape_golden():
     g = build_graph(inc_loop(), 5)
     assert find_escape(g, inc_loop()) == [0, 1, 2, 3, 4, 5]
-    # a shorter cap discards long traces but keeps later starts alive
-    assert find_escape(g, inc_loop(), 3) == [3, 4, 5]
-    assert find_escape(g, inc_loop(), 5) == [1, 2, 3, 4, 5]
     assert find_escape(build_graph(slab_loop(), 10), slab_loop()) == [8, 10]
     assert find_escape(build_graph(thin_loop(), 100), thin_loop()) == [55, 73, 97]
     assert find_escape(build_graph(empty_loop(), 5), empty_loop()) is None
@@ -111,11 +108,11 @@ def test_find_escape_contract():
     for _ in range(150):
         p = random_slc(rng)
         g = build_graph(p, 16)
-        trace = find_escape(g, p, 50)
+        trace = find_escape(g, p)
         if trace is None:
             continue
         seen += 1
-        assert len(trace) <= 50
+        assert len(trace) <= 33  # the window's states
         assert all(abs(s) <= 16 for s in trace)
         for a, b in zip(trace, trace[1:]):
             assert contains(p, (a, b))
@@ -212,7 +209,6 @@ def test_each_column_is_read_at_most_once(monkeypatch, bound):
         reads.clear()
         find_cycle(g)
         find_escape(g, p)
-        find_escape(g, p, 2)
         assert clips == reads == []
 
 
@@ -401,8 +397,7 @@ def test_redundant_rows_leave_the_graph_unchanged(bound):
             h = build_graph(q, bound)
             assert_same_graph(h, g)
             assert find_cycle(h) == find_cycle(g)
-            for limit in (3, 1000):
-                assert find_escape(h, q, limit) == find_escape(g, p, limit)
+            assert find_escape(h, q) == find_escape(g, p)
 
 
 def least_rows(p):
@@ -463,9 +458,10 @@ def _escapes_ref(p, bound, x):
     return hi is None or hi > bound or lo is None or lo < -bound
 
 
-def _find_escape_ref(g, escapes, limit):
-    # the BFS that tests each edge, from every state with a successor;
-    # escapes(x) says whether x has a successor outside the window
+def _find_escape_ref(g, escapes):
+    # the BFS that tests each edge, from every state with a successor,
+    # skipping what failed starts reached; escapes(x) says whether x has
+    # a successor outside the window
     no_escape = set()
     window = range(-g.bound, g.bound + 1)
     for start in sorted(set(g.span) | set(filter(escapes, window)), key=lambda x: (abs(x), x < 0)):
@@ -487,8 +483,7 @@ def _find_escape_ref(g, escapes, limit):
         while found is not None:
             trace.append(found)
             found = parent[found]
-        if len(trace) <= limit:
-            return trace[::-1]
+        return trace[::-1]
     return None
 
 
@@ -523,9 +518,7 @@ def test_exits_match_rereading_columns(bound):
         g = build_graph(p, bound)
         window = range(-bound, bound + 1)
         assert g.exits == {x for x in window if _escapes_ref(p, bound, x)}
-        for limit in (1, 3, 1000):
-            assert find_escape(g, p, limit) == _find_escape_ref(
-                g, lambda x: _escapes_ref(p, bound, x), limit)
+        assert find_escape(g, p) == _find_escape_ref(g, lambda x: _escapes_ref(p, bound, x))
 
 
 @pytest.mark.parametrize("bound,loops", [(0, 150), (1, 150), (16, 150), (64, 150), (300, 40)])
@@ -536,8 +529,7 @@ def test_searches_match_edge_by_edge_references(bound, loops):
     for p in [build() for build in GOLDENS] + [random_slc(rng, coeff=20) for _ in range(loops)]:
         g = build_graph(p, bound)
         assert find_cycle(g) == _find_cycle_ref(g)
-        for limit in (1, 3, 1000):
-            assert find_escape(g, p, limit) == _find_escape_ref(g, g.exits.__contains__, limit)
+        assert find_escape(g, p) == _find_escape_ref(g, g.exits.__contains__)
 
 
 B = 6
@@ -554,29 +546,45 @@ HAND_GRAPHS = {
                        frozenset({6, -1})),
     "dense-acyclic": TransGraph(B, {x: (x + 1, B) for x in range(-B, B)}, frozenset({B})),
     "dense-acyclic-no-exit": TransGraph(B, {x: (x + 1, B) for x in range(-B, B)}),
-    # 0 reaches no exit; from 1 the only exit trace is too long for
-    # limit 3, and -1 then escapes without revisiting 0's dead end 5
+    # 0 reaches no exit; 1 then escapes by the only exit trace, however
+    # long, before -1 starts
     "too-long-then-later-start": TransGraph(B, {0: (5, 5), 1: (2, 2), 2: (3, 3), 3: (4, 4),
                                                 4: (6, 6), -1: (5, 6)}, frozenset({6})),
     # no state has a successor in the window: 1 and -2 escape on their own,
     # and 1 comes first
     "exits-only": TransGraph(B, {}, frozenset({-2, 1})),
-    # the exit 4 is too far from 0 for limit 3; the next start is the exit
-    # -1, whose successors all leave the window, and it is its own trace
+    # 0 reaches the exit 4, however far, before the exit -1, whose
+    # successors all leave the window, starts as its own trace
     "exit-only-after-a-long-trace": TransGraph(B, {0: (2, 2), 2: (3, 3), 3: (4, 4)},
                                                frozenset({4, -1})),
+    # 0 reaches only the cycle 2, 3, which leads to no exit; -1 reaches 2
+    # and 3 too, but skips them and escapes through 4
+    "dead-end-then-later-start": TransGraph(B, {0: (2, 3), 2: (3, 3), 3: (2, 2), -1: (2, 4),
+                                                4: (6, 6)}, frozenset({6})),
 }
-HAND_EXPECTED = {  # (cycle, escape within 3 states)
+HAND_EXPECTED = {  # (cycle, escape)
     "self-loop": ([3], None),
     "back-edge-past-a-run": ([5, 6], None),
     "back-edge-between-runs": ([4, 7], [0, 4, 7]),
     "gaps": (None, [0, 2, 6]),
     "dense-acyclic": (None, [0, 6]),
     "dense-acyclic-no-exit": (None, None),
-    "too-long-then-later-start": (None, [-1, 6]),
+    "too-long-then-later-start": (None, [1, 2, 3, 4, 6]),
     "exits-only": (None, [1]),
-    "exit-only-after-a-long-trace": (None, [-1]),
+    "exit-only-after-a-long-trace": (None, [0, 2, 3, 4]),
+    "dead-end-then-later-start": ([2, 3], [-1, 4, 6]),
 }
+
+
+class ReadCounter(dict):
+    # a span that counts its span[x] reads per state
+    def __init__(self, span):
+        super().__init__(span)
+        self.counts = dict.fromkeys(span, 0)
+
+    def __getitem__(self, x):
+        self.counts[x] += 1
+        return super().__getitem__(x)
 
 
 @pytest.mark.parametrize("name", HAND_GRAPHS)
@@ -584,9 +592,22 @@ def test_searches_match_references_on_hand_built_graphs(name):
     g = HAND_GRAPHS[name]
     cyc, esc = HAND_EXPECTED[name]
     assert find_cycle(g) == _find_cycle_ref(g) == cyc
-    assert find_escape(g, None, 3) == _find_escape_ref(g, g.exits.__contains__, 3) == esc
-    for limit in (1, 2, 1000):
-        assert find_escape(g, None, limit) == _find_escape_ref(g, g.exits.__contains__, limit)
+    assert find_escape(g, None) == _find_escape_ref(g, g.exits.__contains__) == esc
+    # no start expands a state that an earlier start reached
+    reads = ReadCounter(g.span)
+    assert find_escape(TransGraph(g.bound, reads, g.exits), None) == esc
+    assert max(reads.counts.values(), default=0) <= 1
+
+
+def test_find_escape_expands_each_state_at_most_once():
+    # x' = x + 1 at B = 2000: the one trace from 0 runs through the whole
+    # window, and the search reads each state's span once
+    p = inc_loop()
+    g = build_graph(p, 2000)
+    reads = ReadCounter(g.span)
+    trace = find_escape(TransGraph(g.bound, reads, g.exits), p)
+    assert sum(reads.counts.values()) <= 4001  # the window's states
+    assert trace == list(range(2001))
 
 
 def test_starts_match_the_place_key():
