@@ -13,6 +13,7 @@ Each command imports only what it runs.  `decide`, `cycles`,
 
 The parser is built from one table, `_COMMANDS`, of each command's
 help, handler and arguments; only the command argv names gets them.
+An argument that command does not take is reported by its own parser.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _add_commands(sub, commands, argv: Sequence[str]) -> None:
             continue
         for flag, kwargs in args:
             sp.add_argument(flag, **kwargs)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, parser=sp)
 
 
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
@@ -289,12 +290,13 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # integers are arbitrary precision: lift the int/str digit cap while
     # main runs (argument parsing too), and give the caller's cap back after
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = _build_parser(argv).parse_args(argv)
+        args, extra = _build_parser(argv).parse_known_args(argv)
+        if extra:  # as parse_args words it, but from the command's parser
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except ScanLimitExceededError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -306,8 +308,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return 2
     finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -17,18 +17,19 @@ shares with the geometric decision procedure.  Otherwise it reads the
 columns by rows: each row bounds every column at once as one range of
 numerators, divided in C iterators.  A graph so costs k + O((cuts +
 columns with real points)*n) row reads for k rows with n distinct
-primitive normals.  The searches read only the graph and skip the states
-they are done with in runs, so each visits every state about once.  The
-escape search starts from every state with a successor, exits included,
-keeps what a failed start reached as done, so it expands each state at
-most once, and returns at once when no state exits the window.  It uses
-no decomposition, recession cone, height or integer-point search.
+primitive normals.  The searches read only the graph, take their starts
+in place order 0, 1, -1, 2, -2, ..., and skip the states they are done
+with in runs, so each visits every state about once.  The cycle search
+starts from the states with a successor in the window.  The escape
+search starts from every state with a successor, exits included, keeps
+what a failed start reached as done, so it expands each state at most
+once, and returns at once when no state exits the window.  It uses no
+decomposition, recession cone, height or integer-point search.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cached_property
 from itertools import repeat
 from math import gcd, inf
 from operator import floordiv
@@ -41,19 +42,9 @@ from .poly2 import HPoly, Record
 class TransGraph(Record, defaults=(frozenset(),)):
     """Successor spans per state; columns are intervals, so the
     successors of x inside the window form one inclusive range.  `exits`
-    holds the states with a successor outside [-bound, bound].  `starts`
-    sorts the states with successors, in the window or outside it, once:
-    0, 1, -1, 2, -2, ..."""
+    holds the states with a successor outside [-bound, bound]."""
 
-    __slots__ = ("bound", "span", "exits", "__dict__")  # __dict__ for `starts`
-
-    @cached_property
-    def starts(self) -> List[int]:
-        # by |x|, with x before -x: a stable sort keeps the order of the
-        # first sort, which puts every x before -x.  Without exits the
-        # span's keys go in ascending, as built, which sorts in linear time
-        states = self.exits.union(self.span) if self.exits else self.span
-        return sorted(sorted(states, reverse=True), key=abs)
+    __slots__ = ("bound", "span", "exits")
 
 
 def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, int]]:
@@ -177,6 +168,14 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
 # so each state is visited about once however many spans cover it.
 
 
+def _place_order(states: Iterable[int]) -> List[int]:
+    # the search starts 0, 1, -1, 2, -2, ...: by |x|, with x before -x.  A
+    # stable sort keeps the order of the first sort, which puts every x
+    # before -x; the span's keys go in ascending, as built, which sorts in
+    # linear time
+    return sorted(sorted(states, reverse=True), key=abs)
+
+
 def _next(skip: Dict[int, int], y: int) -> int:
     # the first state >= y that is not done
     while y in skip:
@@ -188,14 +187,14 @@ def _next(skip: Dict[int, int], y: int) -> int:
 
 
 def find_cycle(g: TransGraph) -> Optional[List[int]]:
-    """Deterministic DFS: starts by increasing |state|, successors
-    ascending.  Returns the first back edge's cycle, in trace order.  A
-    state whose successors all leave the window is no start: it is on
-    no cycle."""
+    """Deterministic DFS from the states of `span`, in place order 0, 1,
+    -1, 2, -2, ..., successors ascending.  Returns the first back edge's
+    cycle, in trace order.  A state whose successors all leave the window
+    is no start: it is on no cycle."""
     span = g.span
     finished: Dict[int, int] = {}
-    for start in g.starts:
-        if start in finished or start not in span:
+    for start in _place_order(span):
+        if start in finished:
             continue
         path = [start]
         index = {start: 0}
@@ -224,19 +223,20 @@ def find_cycle(g: TransGraph) -> Optional[List[int]]:
 
 def find_escape(g: TransGraph, p: HPoly) -> Optional[List[int]]:
     """A trace inside the window whose last state has an integer
-    successor outside it, if one exists: breadth-first from each start,
-    smallest |state| first, so the trace is a shortest path from the
-    first start that reaches an exit.  An exit whose successors all
-    leave the window starts too, and is its own trace.  The states a
-    failed start reached reach no exit, so later starts skip them, and
-    each state is expanded at most once.  Exits are read from `g.exits`,
-    not `p`; every trace ends in one, so a graph without exits returns
-    None at once."""
+    successor outside it: breadth-first from each state of `span` or
+    `exits`, in place order 0, 1, -1, 2, -2, ..., so the trace is a
+    shortest path from the first start that reaches an exit.  An exit
+    whose successors all leave the window starts too, and is its own
+    trace.  The states a failed start reached reach no exit, so later
+    starts skip them, and each state is expanded at most once.  Exits are
+    read from `g.exits`, not `p`.  Returns None exactly when `g.exits` is
+    empty: every trace ends in an exit, and every exit is a start, so some
+    start returns a trace."""
     span, exits = g.span, g.exits
-    if not exits:  # every escape trace ends in an exit
+    if not exits:
         return None
     seen: Dict[int, int] = {}  # skips the states some start has reached
-    for start in g.starts:
+    for start in _place_order(exits.union(span)):
         if start in seen:
             continue
         parent: Dict[int, Optional[int]] = {start: None}
@@ -263,4 +263,3 @@ def find_escape(g: TransGraph, p: HPoly) -> Optional[List[int]]:
                 seen[y] = hi + 1
                 queue.append(y)
                 y += 1
-    return None

@@ -24,7 +24,6 @@ loads only for reports and replay, in `vertices` and `contains`.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -61,7 +60,8 @@ class Record:
     if the class has one, for checks.  `==` holds between instances of one
     class whose `_fields` are equal, `hash` agrees with it, and `repr`
     reads `Name(field=value, ...)`.  `_fields` is the slots unless a class
-    names fewer.  Assignment and deletion raise `AttributeError`.
+    names fewer, as `analyzer.Verdict` does.  Assignment and deletion raise
+    `AttributeError`.
     """
 
     __slots__ = ()
@@ -69,7 +69,7 @@ class Record:
 
     def __init_subclass__(cls, defaults: tuple = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        slots = tuple(f for f in cls.__slots__ if f != "__dict__")
+        slots = cls.__slots__
         if "_fields" not in vars(cls):
             cls._fields = slots
         if slots:
@@ -105,12 +105,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state) -> None:
-        # copy and pickle hand back (__dict__ or None, {slot: value})
-        d, slots = state
-        for f, value in slots.items():
+        # copy and pickle hand back (None, {slot: value})
+        for f, value in state[1].items():
             _setattr(self, f, value)
-        if d:
-            self.__dict__.update(d)
 
 
 class HPoly(Record):
@@ -201,18 +198,14 @@ Cone = Union[Zero, Ray, Line, HalfPlane, Pointed2, Plane]
 class MWDecomp(Record):
     """Minkowski-Weyl pair: p = conv(vertices) + cone.
 
-    `meets` are the vertices, unreduced and maybe repeated.  `extent()` gives
-    x_lo = ceil(min x), x_hi = floor(max x), bound = ceil(vertex_bound) anew
-    on each call, as do the properties of those names.  `vertices` (reduced,
-    distinct, sorted) and `vertex_bound` (max |coordinate|) are the
-    `fractions` view for reports, built on first use; `==` reads it and the cone.
+    `meets` are the vertices, unreduced and maybe repeated; `==`, `hash`
+    and `repr` read them and the cone.  `extent()` gives x_lo = ceil(min x),
+    x_hi = floor(max x) and bound = ceil(vertex_bound) anew on each call.
+    `vertices` (reduced, distinct, sorted) and `vertex_bound` (max
+    |coordinate|) are the `fractions` view for reports, built on each access.
     """
 
-    __slots__ = ("meets", "cone", "__dict__")  # __dict__ for `vertices`
-    _fields = ("meets", "cone", "x_lo", "x_hi", "bound")
-    x_lo = property(lambda self: self.extent()[0])
-    x_hi = property(lambda self: self.extent()[1])
-    bound = property(lambda self: self.extent()[2])
+    __slots__ = ("meets", "cone")
 
     def extent(self) -> Tuple[int, int, int]:
         """(x_lo, x_hi, bound), one pass: ceil and floor are monotone, so x_lo is the
@@ -228,7 +221,7 @@ class MWDecomp(Record):
             bound = c if c > bound else bound
         return x_lo, x_hi, bound
 
-    @cached_property
+    @property
     def vertices(self) -> Tuple[Point, ...]:
         from fractions import Fraction
         return tuple(sorted({(Fraction(x, det), Fraction(y, det)) for x, y, det in self.meets}))
@@ -236,12 +229,6 @@ class MWDecomp(Record):
     @property
     def vertex_bound(self) -> Fraction:
         return max(abs(c) for v in self.vertices for c in v)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MWDecomp) and (self.vertices, self.cone) == (other.vertices, other.cone)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.cone))
 
 
 # ---------------------------------------------------------------------------

@@ -791,7 +791,7 @@ def test_wedge_trace_restarts_past_the_window_margin(k, bound, start):
     # would pass substitution, so the witness pins the margin
     p = wedge_loop(k)
     d = decompose(intersect(p, hpoly(I_PLUS_ROWS)))
-    assert d.bound == bound and growth_threshold(d) == start == bound + k * (k - 1) + 1
+    assert d.extent()[2] == bound and growth_threshold(d) == start == bound + k * (k - 1) + 1
     v = decide(p)
     assert len(greedy_run(p, "ascend", v.witness.data[0], 10)) < 10
     assert witness_trace(p, v, 10) == greedy_run(p, "ascend", start, 10)

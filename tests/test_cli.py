@@ -431,7 +431,7 @@ def test_cli_bytes_digest():
 # decomposition, the I+ and I- points, the 2-cycle and a 200-state witness
 # of each non-terminating verdict.  It changes only with a declared change
 # of these outputs.
-LIBRARY_DIGEST = "9522ce627382edba6ef8bccb7492a1d320930b9805fcdb5eea665867dfd514ce"
+LIBRARY_DIGEST = "c0038108700018ff876bfc43989e0d2b82c07a7014cec38f94b29908c20ae32f"
 
 
 def test_library_outputs_digest():
@@ -559,17 +559,14 @@ def test_only_the_named_command_gets_arguments(path):
 @contextlib.contextmanager
 def no_digit_cap():
     # lift CPython's int <-> str digit cap, and put the old one back
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if cap is not None:
-        sys.set_int_max_str_digits(0)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if cap is not None:
-            sys.set_int_max_str_digits(cap)
+        sys.set_int_max_str_digits(cap)
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap")
 def test_main_gives_the_digit_cap_back():
     before = sys.get_int_max_str_digits()
     for argv, stdin in ((("decide", "-"), INC), (("decide", "-"), "slc v2\n"), (("decide", "--bogus"), None)):
@@ -607,6 +604,16 @@ def test_integers_past_the_int_str_digit_limit():
     got = re.findall(r"\(([^,()]+), ([^,()]+)\)", line)
     with no_digit_cap():
         assert tuple((Fraction(x), Fraction(y)) for x, y in got) == want_vertices
+
+
+def test_out_of_memory_exits_2_in_process(monkeypatch):
+    # main's handler, run here without a capped subprocess: a command that
+    # runs out of memory prints one line and exits 2
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decide", exhausted)
+    assert run_cli("decide", "-", stdin=INC) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

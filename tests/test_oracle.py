@@ -33,6 +33,7 @@ from conftest import (
     thin_loop,
     wedge_loop,
 )
+from test_lattice import _bench_loops
 
 GOLDENS = (slab_loop, thin_loop, thick_loop, inc_loop, quad_loop, pair_loop,
            halfplane_loop, halfint_loop, empty_loop)
@@ -599,6 +600,18 @@ def test_searches_match_references_on_hand_built_graphs(name):
     assert max(reads.counts.values(), default=0) <= 1
 
 
+@pytest.mark.parametrize("bound", [0, 16, 64])
+def test_find_escape_is_none_exactly_without_exits(bound):
+    # every exit is itself a start, so a graph with exits always has a
+    # trace, and it ends in an exit
+    cases = [(g, None) for g in HAND_GRAPHS.values()]
+    cases += [(build_graph(p, bound), p) for p in _bench_loops()]
+    assert sum(bool(g.exits) for g, _ in cases) > len(cases) // 4
+    for g, p in cases:
+        esc = find_escape(g, p)
+        assert esc is None if not g.exits else esc[-1] in g.exits, p
+
+
 def test_find_escape_expands_each_state_at_most_once():
     # x' = x + 1 at B = 2000: the one trace from 0 runs through the whole
     # window, and the search reads each state's span once
@@ -623,7 +636,9 @@ def test_starts_match_the_place_key():
         TransGraph(B, {}),
     ]
     for g in graphs:
-        assert g.starts == sorted(g.span.keys() | g.exits, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
+        # the orders find_cycle and find_escape start in
+        for states in (g.span, g.exits.union(g.span)):
+            assert oracle._place_order(states) == sorted(states, key=lambda x: 2 * x if x >= 0 else 1 - 2 * x)
 
 
 WIDE = 5000
