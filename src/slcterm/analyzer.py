@@ -26,7 +26,6 @@ R(p) = {(-x, -x')}, negated.
 from __future__ import annotations
 
 from itertools import pairwise
-from typing import Optional, Tuple
 
 from .lattice import (
     DEFAULT_SCAN_LIMIT,
@@ -38,7 +37,7 @@ from .lattice import (
     integer_slice,
 )
 from .poly2 import (
-    Cone,
+    ConeClass,
     Constraint,
     EmptyPolyhedronError,
     HalfPlane,
@@ -108,17 +107,17 @@ class Verdict(Record, defaults=(None, None)):
 # ---------------------------------------------------------------------------
 
 
-def cycle1(p: HPoly) -> Optional[int]:
+def cycle1(p: HPoly) -> int | None:
     """Integer fixed point x with (x, x) in p, or None."""
     return integer_point_1d(integer_slice(((0, a1 + a2, b) for a1, a2, b in p.rows), 0))
 
 
-def _adjacent_pairs(p: HPoly) -> Optional[int]:
+def _adjacent_pairs(p: HPoly) -> int | None:
     # the least |v|, nonnegative first, with both (v, v+1) and (v+1, v) in p
     return integer_point_1d(integer_slice(((0, a1 + a2, b - max(a1, a2)) for a1, a2, b in p.rows), 0))
 
 
-def cycle2(p: HPoly) -> Optional[Tuple[int, int]]:
+def cycle2(p: HPoly) -> tuple[int, int] | None:
     """Integer pair (s1, s2) with both (s1,s2) and (s2,s1) in p, or None:
     (s, s) for `cycle1`'s fixed point s, else the adjacent pair (v, v+1)
     of least |v|, nonnegative first."""
@@ -150,7 +149,7 @@ class RegionFlags(Record):
     __slots__ = ("i_plus", "i_minus", "delta_plus", "delta_minus")
 
 
-def cone_regions(c: Cone) -> RegionFlags:
+def cone_regions(c: ConeClass) -> RegionFlags:
     """Exact intersection flags of the cone with I+ (directions (x, x')
     with 0 < x < x'), I- (x' < x < 0), Delta+ (1, 1) and Delta- (-1, -1),
     from signs of integer cross products with the generators: an arc under
@@ -186,7 +185,7 @@ def _reflect(p: HPoly) -> HPoly:  # R(x, x') = (-x, -x') maps I- onto I+
     return HPoly(tuple(Constraint(-a1, -a2, b) for a1, a2, b in p.rows))
 
 
-def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
+def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int] | None:
     """An integer pair of p inside the open region I+ or I-, or None; I- as
     the negated I+ point of the reflected loop (no scan tie-break fires)."""
     if region not in ("I+", "I-"):
@@ -200,7 +199,7 @@ def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) ->
 # ---------------------------------------------------------------------------
 
 
-def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
+def _next_state(p: HPoly, s: int, mode: str) -> int | None:
     # smallest |y| > |s|, nonnegative preferred (a column holding both signs
     # holds |s| + 1); ascend states are positive and take only y > s
     span = column(p, s)
@@ -217,7 +216,7 @@ def _next_state(p: HPoly, s: int, mode: str) -> Optional[int]:
     return y if lo is None or y >= lo else None
 
 
-def _grow_states(p: HPoly, mode: str, data: Tuple[int, ...], length: int) -> list[int]:
+def _grow_states(p: HPoly, mode: str, data: tuple[int, ...], length: int) -> list[int]:
     # greedy growth from the region point (outward: column 1), then the threshold
     if mode == "descend":  # the reflected loop's ascend trace, negated in place
         trace = _grow_states(_reflect(p), "ascend", (-data[0],), length)
@@ -262,7 +261,7 @@ def witness_trace(p: HPoly, v: Verdict, length: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _seeded(p: HPoly, label: str, mode: str, data: Tuple[int, ...], scan_limit: int) -> Verdict:
+def _seeded(p: HPoly, label: str, mode: str, data: tuple[int, ...], scan_limit: int) -> Verdict:
     # ascend/descend grow from the region's point nearest the origin: one
     # query, which reaches a far-off region at once
     if mode in ("ascend", "descend"):

@@ -9,7 +9,8 @@ Each command imports only what it runs.  `decide`, `cycles`,
 `decompose` and `witness` load `poly2`, `lattice`, `analyzer` and
 `loopio`; `oracle` adds `oracle`, and the `collatz` commands add
 `collatz`.  `json` is loaded by a JSON loop file, `decide --json` and
-`collatz to-slc --json`.
+`collatz to-slc --json`.  None loads `typing` or `pathlib`, though a
+site hook may.
 
 The parser is built from one table, `_COMMANDS`, of each command's
 help, handler and arguments; only the command argv names gets them.
@@ -20,17 +21,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .analyzer import EMPTY, CycleWitness, TraceSeed, cycle2, decide, witness_trace
 from .lattice import DEFAULT_SCAN_LIMIT, ScanLimitExceededError
 from .loopio import emit_json, emit_report, emit_text, parse_json, parse_text
-from .poly2 import Cone, EmptyPolyhedronError, HalfPlane, HPoly, decompose
+from .poly2 import ConeClass, EmptyPolyhedronError, HalfPlane, HPoly, decompose
 
 
 def _read_loop(path: str) -> HPoly:
-    data = sys.stdin.read() if path == "-" else Path(path).read_text()
+    if path == "-":
+        data = sys.stdin.read()
+    else:
+        with open(path) as f:
+            data = f.read()
     if data.lstrip().startswith("{"):
         return parse_json(data)
     return parse_text(data)
@@ -44,7 +48,7 @@ def _fmt_pt(pt) -> str:
     return f"({pt[0]}, {pt[1]})"
 
 
-def _fmt_cone(c: Cone) -> str:
+def _fmt_cone(c: ConeClass) -> str:
     if isinstance(c, HalfPlane):
         args = [f"boundary={_fmt_pt(c.boundary)}", f"witness={_fmt_pt(c.interior_witness)}"]
     else:
@@ -287,7 +291,7 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # integers are arbitrary precision: lift the int/str digit cap while
     # main runs (argument parsing too), and give the caller's cap back after
     cap = sys.get_int_max_str_digits()

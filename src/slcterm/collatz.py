@@ -11,8 +11,8 @@ analyzer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd
-from typing import Callable, Dict, Optional, Union
 
 from .poly2 import HPoly, Record, hpoly
 
@@ -82,7 +82,7 @@ class OrbitResult(Record, defaults=(None, None, None)):
 
 def orbit(
     t: Callable[[int], int], n: int, max_steps: int, abs_bound: int,
-    target: Optional[Callable[[int], bool]] = None,
+    target: Callable[[int], bool] | None = None,
 ) -> OrbitResult:
     """Iterate until a target value, a repeated value, a bound escape, or
     step exhaustion.
@@ -117,12 +117,12 @@ def reachability_scan(t: WeakCollatz, n: int, max_steps: int, abs_bound: int) ->
     return orbit(t, n, max_steps, abs_bound, lambda v: (t.m * v - t.a) % t.d == 0)
 
 
-def residue_histogram(t: Union[WeakCollatz, GenCollatz], n: int, steps: int, alpha: int = 1) -> Dict[int, int]:
+def residue_histogram(t: WeakCollatz | GenCollatz, n: int, steps: int, alpha: int = 1) -> dict[int, int]:
     """Counts of T^k(n) mod d**alpha over k = 0 .. steps-1."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     mod = t.d**alpha
-    counts: Dict[int, int] = {}
+    counts: dict[int, int] = {}
     v = n
     for k in range(steps):
         counts[v % mod] = counts.get(v % mod, 0) + 1

@@ -17,8 +17,8 @@ column comes from `poly2.x_extent`, and the window only on a miss.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Tuple
 
 from .poly2 import (
     EmptyPolyhedronError,
@@ -48,13 +48,10 @@ class Height(Record):
     __slots__ = ("value",)
 
 
-# The integers of a slice: (lo, hi) with None for an unbounded side, or
-# None when no integer fits.
-Span = Optional[Tuple[Optional[int], Optional[int]]]
-
-
-def integer_slice(rows: Iterable[Tuple[int, int, int]], z: int) -> Span:
-    """The integers y with a1*z + a2*y <= b for every row (a1, a2, b).
+def integer_slice(rows: Iterable[tuple[int, int, int]], z: int) -> tuple[int | None, int | None] | None:
+    """The integers y with a1*z + a2*y <= b for every row (a1, a2, b), as a
+    span (lo, hi) with None for an unbounded side, or None when no integer
+    fits.
 
     Each row is rounded on its own, which gives the same span as rounding
     the exact rational bounds.  It stops at the first row that leaves
@@ -80,12 +77,12 @@ def integer_slice(rows: Iterable[Tuple[int, int, int]], z: int) -> Span:
     return lo, hi
 
 
-def column(p: HPoly, z: int) -> Span:
+def column(p: HPoly, z: int) -> tuple[int | None, int | None] | None:
     """The integers y with (z, y) in p, rounded straight from the raw rows."""
     return integer_slice(p.rows, z)
 
 
-def integer_point_1d(span: Span) -> Optional[int]:
+def integer_point_1d(span: tuple[int | None, int | None] | None) -> int | None:
     """Some integer of span, or None; smallest |k|, nonnegative preferred."""
     if span is None:
         return None
@@ -140,7 +137,7 @@ def _window_order(lo: int, hi: int) -> Iterator[int]:
             yield -k
 
 
-def column_window(d: MWDecomp) -> Tuple[int, int]:
+def column_window(d: MWDecomp) -> tuple[int, int]:
     """The columns lo..hi that `integer_point_2d` scans for d's polyhedron.
 
     One rule per side.  p = conv(meets) + cone, so when no generator of the
@@ -227,7 +224,7 @@ def _scan_order(p: HPoly) -> Iterator[int]:
     yield from islice(_window_order(*column_window(d)), skip, None)
 
 
-def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Optional[Tuple[int, int]]:
+def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int] | None:
     """Some integer point of p, or None: the first in `column_window`, by
     |column|, each column counted once against `scan_limit`.  The first
     column comes from p's x-range, and the window is built only on a miss."""

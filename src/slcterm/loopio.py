@@ -19,11 +19,11 @@ string-encoded so nothing overflows elsewhere.  The JSON functions import
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Sequence
 
 from .analyzer import CycleWitness, TraceSeed, Verdict
-from .poly2 import Cone, Constraint, HPoly, MWDecomp, hpoly
+from .poly2 import ConeClass, Constraint, HPoly, MWDecomp, hpoly
 
 HEADER = "slc v1"
 
@@ -86,7 +86,7 @@ def parse_text(data: str) -> HPoly:
     lines = data.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise BadHeaderError(lines[0].strip() if lines else "")
-    rows: List[Constraint] = []
+    rows: list[Constraint] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         m = _ROW_RE.fullmatch(raw)
         if m is not None:
@@ -106,7 +106,7 @@ def emit_text(p: HPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _int_from_json(v: Any) -> int:
+def _int_from_json(v: object) -> int:
     # bools are ints in Python; reject them and anything non-exact
     if isinstance(v, bool) or not isinstance(v, str):
         raise SchemaMismatchError(f"expected string-encoded integer, got {v!r}")
@@ -149,11 +149,11 @@ def emit_json(p: HPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cone_json(c: Cone) -> Dict[str, Any]:
+def _cone_json(c: ConeClass) -> dict[str, object]:
     return {"kind": c.kind, "generators": [list(g) for g in c.generators()]}
 
 
-def _witness_json(v: Verdict, prefix: Optional[Sequence[int]]) -> Optional[Dict[str, Any]]:
+def _witness_json(v: Verdict, prefix: Sequence[int] | None) -> dict[str, object] | None:
     w = v.witness
     if isinstance(w, CycleWitness):
         return {"type": "cycle", "states": list(w.states)}
@@ -162,12 +162,12 @@ def _witness_json(v: Verdict, prefix: Optional[Sequence[int]]) -> Optional[Dict[
     return None
 
 
-def emit_report(v: Verdict, decomp: Optional[MWDecomp], assume_reachability: bool,
-                prefix: Optional[Sequence[int]] = None) -> str:
+def emit_report(v: Verdict, decomp: MWDecomp | None, assume_reachability: bool,
+                prefix: Sequence[int] | None = None) -> str:
     # a trace seed is reported by `prefix`, the first states of its trace
     import json
 
-    obj: Dict[str, Any] = {
+    obj: dict[str, object] = {
         "report": "v1",
         "verdict": v.kind,
         "case": v.label,

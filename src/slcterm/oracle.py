@@ -30,10 +30,10 @@ decomposition, recession cone, height or integer-point search.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 from math import gcd, inf
 from operator import floordiv
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .lattice import column
 from .poly2 import HPoly, Record
@@ -47,7 +47,7 @@ class TransGraph(Record, defaults=(frozenset(),)):
     __slots__ = ("bound", "span", "exits")
 
 
-def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, int]]:
+def _cut(rows: Iterable[tuple[int, int, int]], z: int) -> tuple[int, int] | None:
     """A row c*x <= e implied by the rows that column z violates, or None
     when the column holds real points.  A violated row with a2 = 0 is
     its own cut.  Else the tightest lower row l bounds y above the
@@ -73,7 +73,7 @@ def _cut(rows: Iterable[Tuple[int, int, int]], z: int) -> Optional[Tuple[int, in
     return u2 * l1 - l2 * u1, u2 * lb - l2 * ub
 
 
-def _clip(rows: Iterable[Tuple[int, int, int]], cols: range) -> range:
+def _clip(rows: Iterable[tuple[int, int, int]], cols: range) -> range:
     """The columns of `cols` (a step-1 range) from the first to the last
     with real points; empty when there are none.  From each end, a cut
     violated at the column fails on a half-line through it: jump past
@@ -97,7 +97,7 @@ def _clip(rows: Iterable[Tuple[int, int, int]], cols: range) -> range:
     return range(lo, hi + 1)
 
 
-def _row_bounds(rows: Iterable[Tuple[int, int, int]], cols: range) -> Tuple[Iterator, Iterator]:
+def _row_bounds(rows: Iterable[tuple[int, int, int]], cols: range) -> tuple[Iterator, Iterator]:
     """The least and greatest integer y of every column of `cols` at
     once: the floor bound (b - a1*z) // a2 of each row with a2 > 0, or
     the ceiling bound (b - a1*z + a2 + 1) // a2 of each row with a2 < 0,
@@ -105,8 +105,8 @@ def _row_bounds(rows: Iterable[Tuple[int, int, int]], cols: range) -> Tuple[Iter
     lower and the min of the upper bounds; -inf or inf where no row bounds
     y, and lo > hi in a column with no integer.  Rows with a2 = 0 are not
     read: they hold on all of `cols` when it has real points at both ends."""
-    lows: List[Iterator] = []
-    highs: List[Iterator] = []
+    lows: list[Iterator] = []
+    highs: list[Iterator] = []
     z0, z1 = cols.start, cols.stop
     for a1, a2, b in rows:
         if a2:
@@ -125,12 +125,12 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
     with an integer successor outside it.  Only the columns that `_clip`
     keeps are read; the rest hold no integer point.  Raises ValueError
     when more than sys.maxsize columns are left to read."""
-    span: Dict[int, Tuple[int, int]] = {}
+    span: dict[int, tuple[int, int]] = {}
     exits = []
     # each row divided by the gcd of its normal, b rounded down, keeps every
     # integer point and drops a strip of none; of the rows that share a
     # normal, the one with the least b implies the others
-    least: Dict[Tuple[int, int], int] = {}
+    least: dict[tuple[int, int], int] = {}
     for a1, a2, b in p.rows:
         g = gcd(a1, a2) or 1
         normal = a1 // g, a2 // g
@@ -168,7 +168,7 @@ def build_graph(p: HPoly, bound: int) -> TransGraph:
 # so each state is visited about once however many spans cover it.
 
 
-def _place_order(states: Iterable[int]) -> List[int]:
+def _place_order(states: Iterable[int]) -> list[int]:
     # the search starts 0, 1, -1, 2, -2, ...: by |x|, with x before -x.  A
     # stable sort keeps the order of the first sort, which puts every x
     # before -x; the span's keys go in ascending, as built, which sorts in
@@ -176,7 +176,7 @@ def _place_order(states: Iterable[int]) -> List[int]:
     return sorted(sorted(states, reverse=True), key=abs)
 
 
-def _next(skip: Dict[int, int], y: int) -> int:
+def _next(skip: dict[int, int], y: int) -> int:
     # the first state >= y that is not done
     while y in skip:
         z = skip[y]
@@ -186,13 +186,13 @@ def _next(skip: Dict[int, int], y: int) -> int:
     return y
 
 
-def find_cycle(g: TransGraph) -> Optional[List[int]]:
+def find_cycle(g: TransGraph) -> list[int] | None:
     """Deterministic DFS from the states of `span`, in place order 0, 1,
     -1, 2, -2, ..., successors ascending.  Returns the first back edge's
     cycle, in trace order.  A state whose successors all leave the window
     is no start: it is on no cycle."""
     span = g.span
-    finished: Dict[int, int] = {}
+    finished: dict[int, int] = {}
     for start in _place_order(span):
         if start in finished:
             continue
@@ -221,7 +221,7 @@ def find_cycle(g: TransGraph) -> Optional[List[int]]:
     return None
 
 
-def find_escape(g: TransGraph, p: HPoly) -> Optional[List[int]]:
+def find_escape(g: TransGraph, p: HPoly) -> list[int] | None:
     """A trace inside the window whose last state has an integer
     successor outside it: breadth-first from each state of `span` or
     `exits`, in place order 0, 1, -1, 2, -2, ..., so the trace is a
@@ -235,17 +235,17 @@ def find_escape(g: TransGraph, p: HPoly) -> Optional[List[int]]:
     span, exits = g.span, g.exits
     if not exits:
         return None
-    seen: Dict[int, int] = {}  # skips the states some start has reached
+    seen: dict[int, int] = {}  # skips the states some start has reached
     for start in _place_order(exits.union(span)):
         if start in seen:
             continue
-        parent: Dict[int, Optional[int]] = {start: None}
+        parent: dict[int, int | None] = {start: None}
         seen[start] = start + 1
         queue = [start]
         for x in queue:
             if x in exits:
-                trace: List[int] = []
-                node: Optional[int] = x
+                trace: list[int] = []
+                node: int | None = x
                 while node is not None:
                     trace.append(node)
                     node = parent[node]

@@ -24,26 +24,17 @@ loads only for reports and replay, in `vertices` and `contains`.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
-
-# A rational point (x1, x2).
-Point = Tuple["Fraction", "Fraction"]
-# An integer direction vector.
-IVec = Tuple[int, int]
-Meet = Tuple[int, int, int]  # (x, y, det) with det > 0: the point (x/det, y/det)
 
 
 class EmptyPolyhedronError(ValueError):
     """Operation requires a nonempty polyhedron."""
 
 
-class Constraint(NamedTuple):
-    """One row: a1*x1 + a2*x2 <= b."""
-
-    a1: int
-    a2: int
-    b: int
+# one row: a1*x1 + a2*x2 <= b
+Constraint = namedtuple("Constraint", "a1 a2 b")
 
 
 _setattr = object.__setattr__
@@ -65,7 +56,7 @@ class Record:
     """
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, defaults: tuple = (), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -120,9 +111,13 @@ def hpoly(rows: Sequence[Sequence[int]]) -> HPoly:
     """Build an HPoly from (a1, a2, b) integer triples."""
     out = []
     for a1, a2, b in rows:
-        if a1 != int(a1) or a2 != int(a2) or b != int(b):
+        try:
+            row = Constraint(int(a1), int(a2), int(b))
+        except (TypeError, ValueError, OverflowError):  # None, "x", inf, nan
+            row = None
+        if row != (a1, a2, b):
             raise ValueError("constraint coefficients must be integers")
-        out.append(Constraint(int(a1), int(a2), int(b)))
+        out.append(row)
     return HPoly(tuple(out))
 
 
@@ -137,7 +132,7 @@ class ConeClass(Record):
     __slots__ = ()
     kind: str
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         raise NotImplementedError
 
 
@@ -145,7 +140,7 @@ class Zero(ConeClass):
     __slots__ = ()
     kind = "zero"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return ()
 
 
@@ -153,7 +148,7 @@ class Ray(ConeClass):
     __slots__ = ("v",)
     kind = "ray"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return (self.v,)
 
 
@@ -162,7 +157,7 @@ class Line(ConeClass):
     __slots__ = ("v",)
     kind = "line"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return (self.v, (-self.v[0], -self.v[1]))
 
 
@@ -170,7 +165,7 @@ class HalfPlane(ConeClass):
     __slots__ = ("boundary", "interior_witness")
     kind = "half-plane"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return (self.boundary, (-self.boundary[0], -self.boundary[1]), self.interior_witness)
 
 
@@ -180,7 +175,7 @@ class Pointed2(ConeClass):
     __slots__ = ("v1", "v2")
     kind = "wedge"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return (self.v1, self.v2)
 
 
@@ -188,18 +183,16 @@ class Plane(ConeClass):
     __slots__ = ()
     kind = "plane"
 
-    def generators(self) -> Tuple[IVec, ...]:
+    def generators(self) -> tuple[tuple[int, int], ...]:
         return ((1, 0), (0, 1), (-1, -1))
-
-
-Cone = Union[Zero, Ray, Line, HalfPlane, Pointed2, Plane]
 
 
 class MWDecomp(Record):
     """Minkowski-Weyl pair: p = conv(vertices) + cone.
 
-    `meets` are the vertices, unreduced and maybe repeated; `==`, `hash`
-    and `repr` read them and the cone.  `extent()` gives x_lo = ceil(min x),
+    `meets` are the vertices, unreduced and maybe repeated, each a triple
+    (x, y, det) with det > 0: the point (x/det, y/det).  `==`, `hash` and
+    `repr` read them and the cone.  `extent()` gives x_lo = ceil(min x),
     x_hi = floor(max x) and bound = ceil(vertex_bound) anew on each call.
     `vertices` (reduced, distinct, sorted) and `vertex_bound` (max
     |coordinate|) are the `fractions` view for reports, built on each access.
@@ -207,7 +200,7 @@ class MWDecomp(Record):
 
     __slots__ = ("meets", "cone")
 
-    def extent(self) -> Tuple[int, int, int]:
+    def extent(self) -> tuple[int, int, int]:
         """(x_lo, x_hi, bound), one pass: ceil and floor are monotone, so x_lo is the
         least ceil(x/det), x_hi the greatest floor(x/det), and bound the greatest
         ceil(|x|/det) or ceil(|y|/det)."""
@@ -222,7 +215,7 @@ class MWDecomp(Record):
         return x_lo, x_hi, bound
 
     @property
-    def vertices(self) -> Tuple[Point, ...]:
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
         from fractions import Fraction
         return tuple(sorted({(Fraction(x, det), Fraction(y, det)) for x, y, det in self.meets}))
 
@@ -236,7 +229,7 @@ class MWDecomp(Record):
 # ---------------------------------------------------------------------------
 
 
-def primitive(v: Sequence[int]) -> IVec:
+def primitive(v: Sequence[int]) -> tuple[int, int]:
     """Unique primitive integer vector on the ray through integer v (v != 0)."""
     g = gcd(v[0], v[1])
     return (v[0] // g, v[1] // g)
@@ -250,7 +243,7 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _norm_line_dir(v: IVec) -> IVec:
+def _norm_line_dir(v: tuple[int, int]) -> tuple[int, int]:
     # first component >= 0; vertical directions normalize to (0, 1)
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
         return (-v[0], -v[1])
@@ -270,7 +263,7 @@ def _norm_line_dir(v: IVec) -> IVec:
 _FM_ROWS = 7
 
 
-def x_extent(p: HPoly) -> Optional[Tuple[int, int, int, int]]:
+def x_extent(p: HPoly) -> tuple[int, int, int, int] | None:
     """The real x1-range of p as (lo_num, lo_den, hi_num, hi_den), or None
     when p has no real point.  Fourier-Motzkin: a row with a2 = 0 bounds
     x1 alone, and each lower row l and upper row u give (-l2)*u + u2*l.
@@ -313,7 +306,7 @@ def is_empty(p: HPoly) -> bool:
     return x_extent(p) is None
 
 
-def contains(p: HPoly, pt: Sequence[Union[int, Fraction]]) -> bool:
+def contains(p: HPoly, pt: Sequence[int | Fraction]) -> bool:
     """Exact membership of a rational point."""
     from fractions import Fraction
     x, y = Fraction(pt[0]), Fraction(pt[1])
@@ -328,7 +321,7 @@ def intersect(p: HPoly, q: HPoly) -> HPoly:
 # the canonical edge list: recession cone and decomposition
 # ---------------------------------------------------------------------------
 
-_AXES: Tuple[IVec, ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_AXES: tuple[tuple[int, int], ...] = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _edges(p: HPoly) -> list:
@@ -363,7 +356,7 @@ def _edges(p: HPoly) -> list:
     return [best[key][2] for key in sorted(best)]
 
 
-def _cone(es: list) -> Cone:
+def _cone(es: list) -> ConeClass:
     # {v : a.v <= 0 for each edge}: the widest angular gap between
     # consecutive normals gives the shape, and its two ends the generators
     if not es:
@@ -382,7 +375,7 @@ def _cone(es: list) -> Cone:
     return Zero()
 
 
-def _polygon(es: list, cone: Cone) -> list[Meet]:
+def _polygon(es: list, cone: ConeClass) -> list[tuple[int, int, int]]:
     """The vertices of a pointed polyhedron from its edges, as meets.
 
     A half-plane intersection keeps the rows that touch in `hs[f:]`, a deque
@@ -417,7 +410,7 @@ def _polygon(es: list, cone: Cone) -> list[Meet]:
     return vs[f + (not closed):]
 
 
-def _anchors(es: list) -> list[Meet]:
+def _anchors(es: list) -> list[tuple[int, int, int]]:
     # a line or half-plane cone: one edge, or two opposite ones whose band is
     # empty when one line lies outside the other; each line is anchored
     # where it crosses x = 0, or y = 0 when it is vertical

@@ -68,8 +68,10 @@ rows_strategy = st.lists(
 
 
 def test_hpoly_rejects_non_integer_rows():
-    with pytest.raises(ValueError):
-        hpoly([(1.5, 0, 1)])
+    for bad in (1.5, float("inf"), float("nan"), None, "1"):
+        with pytest.raises(ValueError, match="constraint coefficients must be integers"):
+            hpoly([(1, 0, 1), (0, bad, 1)])
+    assert hpoly([(1.0, 0, True)]).rows == ((1, 0, 1),)
 
 
 def test_primitive():
@@ -206,8 +208,9 @@ def test_contains_and_swap():
 
 
 def test_x_extent_memory_stays_linear_in_rows():
-    # 2,048 rows make about a million elimination pairs; none is kept
-    p = tangent_polygon(random.Random(SEED), 2048)
+    # 1,024 rows make about 250,000 elimination pairs; none is kept.  Kept,
+    # they peak near 27 MiB; at 512 rows they would stay under the bound
+    p = tangent_polygon(random.Random(SEED), 1024)
     tracemalloc.start()
     try:
         empty, lo, hi = as_fractions(x_extent(p))
