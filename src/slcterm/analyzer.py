@@ -16,11 +16,9 @@ of mode shift, ascend, descend or outward, as witness) or unknown (the
 conjecture-dependent cases L5.3.3 and L5.4.2).  Case labels are plain
 strings: L5.2.x (pointed wedge), L5.3.x (ray), L5.4.x (line), L5.5.x
 (half-plane/plane/zero), plus CYCLE and EMPTY.  Deciding builds no
-trace: `witness_trace` alone builds states from a witness, and checks
-each transition by substitution; a growth trace restarts at most once,
-at a column past which no run stalls.  An I- point and a descending
-trace are the I+ point and the ascending trace of the reflected loop
-R(p) = {(-x, -x')}, negated.
+trace, and its cost is polynomial in the bit size (`decide`).  An I-
+point and a descending trace are the I+ point and the ascending trace
+of the reflected loop R(p) = {(-x, -x')}, negated.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 from itertools import pairwise
 
 from .lattice import (
-    DEFAULT_SCAN_LIMIT,
     column,
     growth_threshold,
     height,
@@ -185,12 +182,12 @@ def _reflect(p: HPoly) -> HPoly:  # R(x, x') = (-x, -x') maps I- onto I+
     return HPoly(tuple(Constraint(-a1, -a2, b) for a1, a2, b in p.rows))
 
 
-def region_point(p: HPoly, region: str, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int] | None:
+def region_point(p: HPoly, region: str) -> tuple[int, int] | None:
     """An integer pair of p inside the open region I+ or I-, or None; I- as
-    the negated I+ point of the reflected loop (no scan tie-break fires)."""
+    the negated I+ point of the reflected loop (no column tie-break fires)."""
     if region not in ("I+", "I-"):
         raise ValueError("region must be 'I+' or 'I-'")
-    pt = integer_point_2d(intersect(_reflect(p) if region == "I-" else p, _I_PLUS), scan_limit)
+    pt = integer_point_2d(intersect(_reflect(p) if region == "I-" else p, _I_PLUS))
     return pt if pt is None or region == "I+" else (-pt[0], -pt[1])
 
 
@@ -261,33 +258,31 @@ def witness_trace(p: HPoly, v: Verdict, length: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _seeded(p: HPoly, label: str, mode: str, data: tuple[int, ...], scan_limit: int) -> Verdict:
+def _seeded(p: HPoly, label: str, mode: str) -> Verdict:
     # ascend/descend grow from the region's point nearest the origin: one
-    # query, which reaches a far-off region at once
-    if mode in ("ascend", "descend"):
-        data = region_point(p, "I+" if mode == "ascend" else "I-", scan_limit)
-        if data is None:
-            raise ExtensionFailedError("growth seed query came back empty")
+    # query, which reaches a far-off region at once; outward from column 1
+    data = () if mode == "outward" else region_point(p, "I+" if mode == "ascend" else "I-")
+    if data is None:
+        raise ExtensionFailedError("growth seed query came back empty")
     return Verdict("non-terminating", label, TraceSeed(mode, data))
 
 
-def _shift_case(p: HPoly, regions, yes: str, no: str, scan_limit: int) -> Verdict:
+def _shift_case(p: HPoly, regions, yes: str, no: str) -> Verdict:
     # a transition (a, b) inside I+ or I- repeats along the diagonal recession
     # direction as a -> b -> 2b - a -> ...; without one the loop terminates
     for region in regions:
-        pt = region_point(p, region, scan_limit)
-        if pt is not None:
-            return _seeded(p, yes, "shift", pt, scan_limit)
+        if (pt := region_point(p, region)) is not None:
+            return Verdict("non-terminating", yes, TraceSeed("shift", pt))
     return Verdict("terminating", no)
 
 
-def _height_case(p: HPoly, d: MWDecomp, pp: int, mode: str, labels, scan_limit: int) -> Verdict:
+def _height_case(p: HPoly, d: MWDecomp, pp: int, mode: str, labels) -> Verdict:
     # the p-height h of p decides: h >= p grows a trace, h = 0 and h = 1
     # terminate, and 1 < h < p is the conjecture-dependent case
     grows, h0, h1, conjectural = labels
     h = height(p, d, pp).value
     if h >= pp:
-        return _seeded(p, grows, mode, (), scan_limit)
+        return _seeded(p, grows, mode)
     if h == 0:
         return Verdict("terminating", h0)
     if h == 1:
@@ -295,7 +290,7 @@ def _height_case(p: HPoly, d: MWDecomp, pp: int, mode: str, labels, scan_limit: 
     return Verdict("unknown", conjectural)
 
 
-def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_LIMIT) -> Verdict:
+def decide_self_avoiding(p: HPoly, d: MWDecomp) -> Verdict:
     """Case analysis on the recession cone of a nonempty, cycle-free p.
 
     Returns a non-terminating verdict with a trace seed, a terminating
@@ -324,7 +319,7 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
         flags = cone_regions(cone)
         if flags.i_plus or flags.i_minus:
             label = "L5.2.1" if isinstance(cone, Pointed2) else "L5.5.1"
-            return _seeded(p, label, "ascend" if flags.i_plus else "descend", (), scan_limit)
+            return _seeded(p, label, "ascend" if flags.i_plus else "descend")
         assert isinstance(cone, Pointed2), "a half-plane or plane cone meets I+ or I-"
         if flags.delta_plus:
             return Verdict("terminating", "L5.2.6")
@@ -339,12 +334,12 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
         if abs(pp) > abs(q):
             return Verdict("terminating", "L5.3.6")
         if pp == q == 1:
-            return _shift_case(p, ("I+",), "L5.3.7", "L5.3.8", scan_limit)
+            return _shift_case(p, ("I+",), "L5.3.7", "L5.3.8")
         if pp == q == -1:
-            return _shift_case(p, ("I-",), "L5.3.9", "L5.3.10", scan_limit)
+            return _shift_case(p, ("I-",), "L5.3.9", "L5.3.10")
         # same strict sign, |p| < |q|
         mode = "ascend" if pp > 0 else "descend"
-        return _height_case(p, d, abs(pp), mode, ("L5.3.1", "L5.3.5", "L5.3.4", "L5.3.3"), scan_limit)
+        return _height_case(p, d, abs(pp), mode, ("L5.3.1", "L5.3.5", "L5.3.4", "L5.3.3"))
 
     assert isinstance(cone, Line)
     if pp == 0:
@@ -352,12 +347,12 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
     if pp > abs(q):
         return Verdict("terminating", "L5.4.5")
     if pp == q:  # the diagonal line (1, 1)
-        return _shift_case(p, ("I+", "I-"), "L5.4.6", "L5.4.7", scan_limit)
+        return _shift_case(p, ("I+", "I-"), "L5.4.6", "L5.4.7")
     if pp == -q:  # the anti-diagonal line (1, -1)
         return Verdict("terminating", "L5.4.9")
     # 0 < p < |q|
     mode = "ascend" if q > 0 else "outward"
-    return _height_case(p, d, pp, mode, ("L5.4.1", "L5.4.4", "L5.4.3", "L5.4.2"), scan_limit)
+    return _height_case(p, d, pp, mode, ("L5.4.1", "L5.4.4", "L5.4.3", "L5.4.2"))
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +360,22 @@ def decide_self_avoiding(p: HPoly, d: MWDecomp, scan_limit: int = DEFAULT_SCAN_L
 # ---------------------------------------------------------------------------
 
 
-def decide(
-    p: HPoly, assume_conjecture: bool = False, scan_limit: int = DEFAULT_SCAN_LIMIT
-) -> Verdict:
+def decide(p: HPoly, assume_conjecture: bool = False) -> Verdict:
     """Full analysis: emptiness, cycles, then the self-avoiding dispatch.
 
     One emptiness test per loop answers EMPTY: `is_empty` on at most
     `_FM_ROWS` rows, else `decompose`.  Both CYCLE answers come first, each
-    cycle slice asked once and naming its cycle, so no column is scanned for
+    cycle slice asked once and naming its cycle, so no column is read for
     them and `decompose` runs once, on cycle-free loops only.  Every test is
     in integers: no `Fraction` is built, nor a trace; a non-terminating
     verdict carries its seed for `witness_trace`.
+
+    Cost, polynomial in the bit size, for k rows of coefficients of at most
+    b bits, on integers of O(b) bits: (1) emptiness, O(k log k); (2) the
+    cycle slices, O(k); (3) `decompose`, O(k log k); (4) the dispatch and
+    one `height` column, O(k); (5) at most two region queries, each one
+    column, O(k), and on a miss cut polygons, O(k log k), and O(k + b)
+    floor sums of O(b) rounds each, as a window spans 2^O(b) columns.
     """
     if len(p.rows) <= _FM_ROWS and is_empty(p):
         return Verdict("terminating", EMPTY)
@@ -385,6 +385,6 @@ def decide(
         d = decompose(p)
     except EmptyPolyhedronError:
         return Verdict("terminating", EMPTY)
-    v = decide_self_avoiding(p, d, scan_limit)
+    v = decide_self_avoiding(p, d)
     kind = "terminating" if v.kind == "unknown" and assume_conjecture else v.kind
     return Verdict(kind, v.label, v.witness, d)

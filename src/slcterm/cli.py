@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 analysis completed, 2 bad input or usage, or out of
-memory, 3 scan limit exceeded, 4 oracle disagreement under --compare.
-`oracle --bound B` is the oracle's one size knob: its escape trace
-holds at most 2B + 1 states.
+memory, 4 oracle disagreement under --compare.  `oracle --bound B` is
+the oracle's one size knob: its escape trace holds at most 2B + 1
+states.  The analysis has none: an integer-point query counts its
+column window by floor sums, in time polynomial in the bit size.
 
 Each command imports only what it runs.  `decide`, `cycles`,
 `decompose` and `witness` load `poly2`, `lattice`, `analyzer` and
@@ -24,7 +25,6 @@ import sys
 from collections.abc import Sequence
 
 from .analyzer import EMPTY, CycleWitness, TraceSeed, cycle2, decide, witness_trace
-from .lattice import DEFAULT_SCAN_LIMIT, ScanLimitExceededError
 from .loopio import emit_json, emit_report, emit_text, parse_json, parse_text
 from .poly2 import ConeClass, EmptyPolyhedronError, HalfPlane, HPoly, decompose
 
@@ -63,7 +63,7 @@ def _fmt_cone(c: ConeClass) -> str:
 
 def _cmd_decide(args) -> int:
     p = _read_loop(args.file)
-    v = decide(p, assume_conjecture=args.assume_reachability, scan_limit=args.scan_limit)
+    v = decide(p, assume_conjecture=args.assume_reachability)
     prefix = witness_trace(p, v, 10) if isinstance(v.witness, TraceSeed) else None
     if args.json:
         d = v.decomposition or (None if v.label == EMPTY else decompose(p))
@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_witness(args) -> int:
     p = _read_loop(args.file)
-    v = decide(p, scan_limit=args.scan_limit)
+    v = decide(p)
     if v.kind != "non-terminating":
         print(f"error: loop is {v.kind} ({v.label}); no witness trace", file=sys.stderr)
         return 2
@@ -118,7 +118,7 @@ def _cmd_oracle(args) -> int:
     print("cycle: " + ("none" if cyc is None else _ints(cyc)))
     print("escape: " + ("none" if esc is None else _ints(esc)))
     if args.compare:
-        v = decide(p, scan_limit=args.scan_limit)
+        v = decide(p)
         print(f"verdict: {v.kind} {v.label}")
         if cyc is not None and v.kind != "non-terminating":
             print("compare: mismatch (bounded graph has a cycle)")
@@ -216,8 +216,6 @@ def _count(text: str) -> int:
 # each argument is (flag, add_argument keywords); the lists below are the
 # options that several commands share
 _FILE = [("file", dict(help="loop file, or - for stdin"))]
-_SCAN_LIMIT = [("--scan-limit", dict(type=_count, default=DEFAULT_SCAN_LIMIT,
-                                     help="max columns per integer-point query (default %(default)s)"))]
 _WEAK = [("--d", dict(type=int, required=True, help="modulus")),
          ("--m", dict(type=int, help="weak-map multiplier")),
          ("--a", dict(type=int, help="weak-map offset"))]
@@ -233,21 +231,18 @@ _COMMANDS = {
         ("--assume-reachability", dict(action="store_true",
                                        help="treat conjecture-backed cases as terminating")),
         ("--json", dict(action="store_true", help="emit a JSON report")),
-        *_SCAN_LIMIT,
     ]),
     "cycles": ("search for cycles of length 1 and 2", _cmd_cycles, _FILE),
     "decompose": ("print the Minkowski-Weyl decomposition", _cmd_decompose, _FILE),
     "witness": ("print a verified non-termination trace", _cmd_witness, [
         *_FILE,
         ("--length", dict(type=_count, required=True, help="number of states to emit")),
-        *_SCAN_LIMIT,
     ]),
     "oracle": ("brute-force the loop on a bounded state window", _cmd_oracle, [
         *_FILE,
         ("--bound", dict(type=_count, default=64, help="state window is [-B, B] (default %(default)s)")),
         ("--compare", dict(action="store_true",
                            help="also run the analyzer and cross-check; exit 4 on disagreement")),
-        *_SCAN_LIMIT,
     ]),
     "collatz": ("Collatz-style map utilities", None, {
         "orbit": ("iterate a map and report the outcome", _cmd_orbit, _WEAK + _GEN + _RUN + _ABS_BOUND),
@@ -302,9 +297,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if extra:  # as parse_args words it, but from the command's parser
             args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
-    except ScanLimitExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

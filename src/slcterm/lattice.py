@@ -1,24 +1,19 @@
 """Integer points and fractional heights of 2D polyhedra.
 
 Column z of a polyhedron is the span of integers y with (z, y) inside,
-found from the rows in integer arithmetic alone.  The p-height of a
-polyhedron is the supremum over integer columns of the number of points
-of (1/p)Z in the column; those points are the integers of the same
-column of the rows scaled to (p*a1, a2, p*b), and a ray or line
-recession cone makes one column attain the supremum.
-`integer_point_2d` decides whether the polyhedron contains an integer
-point at all, again by reducing to a finite column window via the
-cone's translation periodicity.  Windows come from `MWDecomp.extent()`:
-a side that no generator of the cone reaches stops at the polyhedron's
-first or last real column, so every column scanned holds a real point,
-however far the polyhedron is translated.  On a few rows the first
-column comes from `poly2.x_extent`, and the window only on a miss.
+found from the rows in integer arithmetic alone.  The p-height is the
+supremum over integer columns of the number of points of (1/p)Z in the
+column, which one column attains for a ray or line recession cone.
+`integer_point_2d` finds an integer point in a finite column window,
+whose every column holds a real point however far the polyhedron is
+translated (`column_window`).  It reads the first column; on a miss it
+counts the integers of runs of columns by floor sums, in time
+polynomial in the bit size, and bisects to the first that holds one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import islice
+from collections.abc import Iterable
 
 from .poly2 import (
     EmptyPolyhedronError,
@@ -29,6 +24,8 @@ from .poly2 import (
     Ray,
     Record,
     _FM_ROWS,
+    _edges,
+    _polygon,
     cross,
     decompose,
     x_extent,
@@ -36,10 +33,7 @@ from .poly2 import (
 
 
 class ScanLimitExceededError(RuntimeError):
-    """A column scan would visit more columns than the configured limit."""
-
-
-DEFAULT_SCAN_LIMIT = 10**6
+    """Raised by nothing: kept while the benchmark worker imports it."""
 
 
 class Height(Record):
@@ -127,38 +121,23 @@ def height(p: HPoly, d: MWDecomp, pp: int) -> Height:
 # ---------------------------------------------------------------------------
 
 
-def _window_order(lo: int, hi: int) -> Iterator[int]:
-    # lo..hi by smallest |z| first, nonnegative before negative on ties;
-    # lazy, so a huge or far-off window costs only the columns scanned
-    for k in range(max(0, lo, -hi), max(hi, -lo) + 1):
-        if lo <= k <= hi:
-            yield k
-        if k and lo <= -k <= hi:
-            yield -k
-
-
 def column_window(d: MWDecomp) -> tuple[int, int]:
-    """The columns lo..hi that `integer_point_2d` scans for d's polyhedron.
+    """The columns lo..hi that `integer_point_2d` searches for d's polyhedron.
 
     One rule per side.  p = conv(meets) + cone, so when no generator of the
     cone has x < 0, every real point of p has x >= the least meet x, and the
     window starts at x_lo from `d.extent()`; likewise it ends at x_hi when
     no generator has x > 0.  A side that a generator reaches ends at
-    bound + reach, where the cone's periodicity makes the columns past it add
-    nothing: a ray (a, c) repeats columns with period |a| (shift c) past the
-    vertex bound, reach |a| - 1; a cone holding a vertical direction has
-    unbounded far columns, reach 1; a wedge strictly on one side of the
+    bound + reach, past which the cone's periodicity adds nothing: a ray
+    (a, c) repeats columns with period |a|, reach |a| - 1; a cone holding a
+    vertical direction has unbounded far columns, reach 1; a wedge off the
     vertical has columns of length >= 1 from there on.  A non-vertical line
-    cone (a, c) keeps 0..a - 1: every column is an exact integer translate
-    of one of these.  So every column of the window holds a real point, and
-    a far-off polyhedron is scanned from its own columns.
+    cone (a, c) keeps 0..a - 1, of which every column is a translate.  So
+    every column of the window holds a real point.
 
-    The wedge's last `+ 1` is not needed for completeness: the wedge's
-    generators' x parts share a sign, and from a vertex w, |w_x| <= bound,
-    column z of w + cone is a segment of length |z - w_x| / g, g =
-    |v1x * v2x| / |cross(v1, v2)|, so of length >= 1 from |z| = bound +
-    ceil(g) on.  It moves only the column a stalled growth trace restarts
-    at (`growth_threshold`), which witness traces show and tests pin.
+    The wedge's last `+ 1` is not needed: its columns have length >= 1
+    from |z| = bound + ceil(g) on, g = |v1x * v2x| / |cross(v1, v2)|.  It
+    moves only the column where `growth_threshold` restarts a trace.
     """
     cone = d.cone
     if isinstance(cone, Line) and cone.v[0]:
@@ -199,39 +178,70 @@ def growth_threshold(d: MWDecomp) -> int:
     return column_window(d)[1]
 
 
-def _scan_order(p: HPoly) -> Iterator[int]:
-    # p's `column_window` by |column|.  Its first column depends only on
-    # p's real x-range [lo, hi]: ceil(lo) if lo > 0, floor(hi) if hi < 0,
-    # else 0, and the window is empty when that column lies outside the
-    # range.  So on at most `_FM_ROWS` rows it comes straight off
-    # `x_extent`, and p is decomposed and the window built only when the
-    # scan asks for a second column.
-    skip = 0
-    if len(p.rows) <= _FM_ROWS:
-        ext = x_extent(p)
-        if ext is None:
-            return
-        ln, ld, hn, hd = ext
-        z = -(-ln // ld) if ln > 0 else hn // hd if hn < 0 else 0
-        if z * ld < ln or z * hd > hn:  # no integer column
-            return
-        yield z
-        skip = 1
-    try:
-        d = decompose(p)
-    except EmptyPolyhedronError:
-        return
-    yield from islice(_window_order(*column_window(d)), skip, None)
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b) / m) over i = 0..n-1, for n >= 0, m >= 1
+    and any a, b, by the AtCoder Library's `floor_sum`: Euclid-like rounds
+    that take the whole parts of a/m and b/m, then swap the axes."""
+    total = 0
+    while n:
+        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
 
 
-def integer_point_2d(p: HPoly, scan_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int] | None:
-    """Some integer point of p, or None: the first in `column_window`, by
-    |column|, each column counted once against `scan_limit`.  The first
-    column comes from p's x-range, and the window is built only on a miss."""
-    for count, z in enumerate(_scan_order(p), 1):
-        if count > scan_limit:
-            raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
-        y = integer_point_1d(column(p, z))
-        if y is not None:
-            return (z, y)
+def _first_column(rows, s: int, t: int) -> int | None:
+    # The least column in s..t holding an integer, or None, when each holds a
+    # real point and the cone has no vertical direction: cut to s..t, p is a
+    # counterclockwise polygon whose upper rows (a2 > 0) start at meet j + 1
+    # (a lower row follows each), lower rows at meet j.  Sorted by the column
+    # of that meet, they cut s..t into pieces where neither chain turns, and
+    # where a column counts floor(U) - ceil(L) + 1 >= 0 integers.
+    if s > t:
+        return None
+    hs, vs = _polygon(_edges(HPoly((*rows, (1, 0, t), (-1, 0, -s)))), True)
+    ends = [(vs[j + 1], hs[j]) for j in reversed(range(len(hs))) if hs[j][1] > 0]
+    ends += [(vs[j], hs[j]) for j in range(len(hs)) if hs[j][1] < 0]
+    starts = sorted(((-(-x // d), row) for (x, _, d), row in ends), key=lambda e: e[0])
+    upper = lower = None
+
+    def count(s, e):  # the integers of columns s..e-1 between the two rows
+        return e - s + sum(_floor_sum(e - s, abs(a2), -a1, b - a1 * s) for a1, a2, b in (upper, lower))
+
+    for (c, row), (e, _) in zip(starts, starts[1:] + [(t + 1, None)]):
+        upper, lower = (row, lower) if row[1] > 0 else (upper, row)
+        if c < e and count(c, e):  # bisect the first piece that counts one
+            while e - c > 1:
+                mid = (c + e) // 2
+                c, e = (c, mid) if count(c, mid) else (mid, e)
+            return c
     return None
+
+
+def integer_point_2d(p: HPoly) -> tuple[int, int] | None:
+    """Some integer point of p, or None: in the first column of
+    `column_window` that holds one, by |column|, nonnegative first.  The
+    first column, ceil(lo) if lo > 0, floor(hi) if hi < 0, else 0 for the
+    x-range [lo, hi] of `x_extent` on a few rows, else of the window, is
+    read.  A miss rules out a vertical direction in the cone; then
+    `_first_column` counts each side of 0, the negative one mirrored, in
+    O(k log k) for k rows and O(k + log w) floor sums for w columns."""
+    try:
+        window = None if len(p.rows) <= _FM_ROWS else column_window(decompose(p))
+    except EmptyPolyhedronError:
+        return None
+    if (ext := x_extent(p) if window is None else (window[0], 1, window[1], 1)) is None:
+        return None
+    ln, ld, hn, hd = ext
+    z = -(-ln // ld) if ln > 0 else hn // hd if hn < 0 else 0
+    if z * ld < ln or z * hd > hn:  # no integer column
+        return None
+    if (y := integer_point_1d(column(p, z))) is not None:
+        return z, y
+    lo, hi = window or column_window(decompose(p))
+    z = _first_column(p.rows, max(lo, 0), hi)
+    # a negative column wins only when nearer 0
+    m = _first_column([(-a1, a2, b) for a1, a2, b in p.rows], max(-hi, 1), -lo if z is None else min(-lo, z - 1))
+    z = z if m is None else -m
+    return None if z is None else (z, integer_point_1d(column(p, z)))

@@ -12,14 +12,11 @@ It reads everything off one canonical edge list, built in O(k log k) for
 k rows: the tightest row of each primitive normal, sorted by angle, then
 cut to the rows that touch the polygon by a half-plane intersection over
 two lists, rows and meets, with every test inlined as integer products;
-it raises `EmptyPolyhedronError` where that finds p empty.  The integers
-`x_lo`, `x_hi` and `bound` come on demand from `MWDecomp.extent()`.
-`x_extent` projects p onto x1 by one integer variable elimination, O(k^2)
-but cheaper than the edge list on a few rows, so it runs only up to
-`_FM_ROWS` rows: `is_empty` is its None test, which `analyzer.decide`
-runs, and `lattice.integer_point_2d` reads its first column off it.
-`lattice.integer_slice` gives integer one-variable bounds.  `fractions`
-loads only for reports and replay, in `vertices` and `contains`.
+it raises `EmptyPolyhedronError` where that finds p empty, and its rows
+and meets give `lattice` a polygon's chains.  `x_extent` projects p onto
+x1 by one integer elimination, O(k^2), on up to `_FM_ROWS` rows.
+`fractions` loads only for reports and replay, in `vertices` and
+`contains`.
 """
 
 from __future__ import annotations
@@ -375,17 +372,17 @@ def _cone(es: list) -> ConeClass:
     return Zero()
 
 
-def _polygon(es: list, cone: ConeClass) -> list[tuple[int, int, int]]:
-    """The vertices of a pointed polyhedron from its edges, as meets.
+def _polygon(es: list, closed: bool) -> tuple[list, list[tuple[int, int, int]]]:
+    """The rows that touch a pointed polyhedron, and its vertices as meets.
 
     A half-plane intersection keeps the rows that touch in `hs[f:]`, a deque
     as a list and a front index; `vs[i]` is the meet of `hs[i - 1]` and
     `hs[i]`, whose det is their cross product.  A meet (x, y, det) lies
-    strictly outside h when h1*x + h2*y > hb*det.  A bounded polygon (Zero
-    cone) closes up; an unbounded one is an open chain of rows, from the end
-    of the widest gap between normals to its start, so nothing wraps round.
+    strictly outside h when h1*x + h2*y > hb*det.  A `closed` (bounded)
+    polygon closes up: meet 0 is that of the last row and the first.  An
+    unbounded one is an open chain of rows, from the end of the widest gap
+    between normals to its start, and meet j is that of rows j and j + 1.
     """
-    closed = isinstance(cone, Zero)
     if not closed:
         i = next(i for i in range(len(es)) if cross(es[i - 1], es[i]) <= 0)
         es = es[i:] + es[:i]
@@ -407,7 +404,7 @@ def _polygon(es: list, cone: ConeClass) -> list[tuple[int, int, int]]:
             del hs[-1], vs[-1]
         g1, g2, gb = hs[-1]
         vs[f] = (gb * h2 - g2 * hb, g1 * hb - gb * h1, g1 * h2 - g2 * h1)
-    return vs[f + (not closed):]
+    return hs[f:], vs[f + (not closed):]
 
 
 def _anchors(es: list) -> list[tuple[int, int, int]]:
@@ -441,6 +438,6 @@ def decompose(p: HPoly) -> MWDecomp:
     elif isinstance(cone, (Line, HalfPlane)):
         meets = _anchors(es)
     else:
-        meets = _polygon(es, cone)
+        meets = _polygon(es, isinstance(cone, Zero))[1]
     assert meets, "nonempty pointed polyhedron must expose a vertex"
     return MWDecomp(tuple(meets), cone)

@@ -9,8 +9,12 @@ import math
 import random
 from fractions import Fraction
 
-from slcterm.lattice import DEFAULT_SCAN_LIMIT, integer_point_2d
+import pytest
+
+from slcterm import lattice
+from slcterm.lattice import column, column_window, integer_point_1d, integer_point_2d
 from slcterm.poly2 import (
+    EmptyPolyhedronError,
     HalfPlane,
     Line,
     Plane,
@@ -19,6 +23,7 @@ from slcterm.poly2 import (
     Zero,
     contains,
     cross,
+    decompose,
     dot,
     hpoly,
     intersect,
@@ -83,6 +88,12 @@ def slope2_wedge(k):
     # (2k+1)x/k <= x' <= (2k-1)x/(k-1), x >= 1: inside I+ from column 1 on,
     # but its columns hold an integer only from column k - 1 on
     return hpoly([(2 * k + 1, -k, 0), (-(2 * k - 1), k - 1, 0), (-1, 0, -1)])
+
+
+def integer_free_line(k):
+    # 2k*x' - 2(k+1)*x = 1: a Line cone (k, k+1) whose window spans k
+    # columns, none of which holds an integer, since the left side is even
+    return hpoly([(-2 * (k + 1), 2 * k, 1), (2 * (k + 1), -2 * k, -1)])
 
 
 def line_strips(n, seed):
@@ -217,6 +228,43 @@ def column_span(p, x, lo, hi):
     return (ylo, yhi)
 
 
+@pytest.fixture
+def column_reads(monkeypatch):
+    """The columns the lattice layer reads through `lattice.column`, in order."""
+    reads, real = [], lattice.column
+
+    def column(p, z):
+        reads.append(z)
+        return real(p, z)
+
+    monkeypatch.setattr(lattice, "column", column)
+    return reads
+
+
+def window_order(lo, hi):
+    """The columns lo..hi by smallest |z| first, nonnegative before
+    negative on ties, lazily."""
+    for k in range(max(0, lo, -hi), max(hi, -lo) + 1):
+        if lo <= k <= hi:
+            yield k
+        if k and lo <= -k <= hi:
+            yield -k
+
+
+def window_scan(p):
+    """Reference for `integer_point_2d`: decompose p, build the whole
+    window and read it column by column in `window_order`."""
+    try:
+        d = decompose(p)
+    except EmptyPolyhedronError:
+        return None
+    for z in window_order(*column_window(d)):
+        y = integer_point_1d(column(p, z))
+        if y is not None:
+            return (z, y)
+    return None
+
+
 def box_integer_point(p, lo=-1000, hi=1000):
     """First integer point of p in [lo, hi]^2 by exhaustive column
     sweep, or None.  Independent of the library's search."""
@@ -284,7 +332,7 @@ def greedy_run(p, mode, s, length):
     return trace
 
 
-def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
+def restarting_growth_states(p, mode, length):
     """A growth witness by the restart loop: each seed is a fresh
     `integer_point_2d` query on p cut to the growth region from column t
     on, and each stall moves t past the last state.  The reference for
@@ -298,7 +346,7 @@ def restarting_growth_states(p, mode, length, scan_limit=DEFAULT_SCAN_LIMIT):
             extra = I_MINUS_ROWS + ((1, 0, -t),)
         else:
             extra = ((-1, 0, -t),)
-        seed = integer_point_2d(intersect(p, hpoly(extra)), scan_limit)
+        seed = integer_point_2d(intersect(p, hpoly(extra)))
         assert seed is not None, "growth seed query came back empty"
         trace = greedy_run(p, mode, seed[0], length)
         if len(trace) >= length:

@@ -204,18 +204,19 @@ def test_cycles_outputs():
             assert verdict["stdout"] == f"non-terminating CYCLE\ncycle: {cycle}\n", found.get("loop")
 
 
-def test_cycle_verdict_scans_no_column():
-    # the adjacent-pair slice names the 2-cycle, so even a scan limit of 0
-    # columns leaves the CYCLE verdict standing
-    assert outputs(RUNS[("decide", "-", "--scan-limit", "0"), PAIR]) == outputs(RUNS[("decide", "-"), PAIR])
+def test_cycle_verdict_scans_no_column(column_reads):
+    # the adjacent-pair slice names the 2-cycle, and no column is read
+    assert run_cli("decide", "-", stdin=PAIR) == outputs(RUNS[("decide", "-"), PAIR])
+    assert column_reads == []
 
 
-def test_segment_without_integer_points_is_answered():
+def test_segment_without_integer_points_is_answered(column_reads):
     # 2x + 2x' = 1 inside |x|, |x'| <= 10^30: every real point is a 2-cycle,
-    # but no integer pair is, and decide answers it without a column scan
+    # but no integer pair is, and decide answers it without reading a column
     n = 10**30
     seg = f"slc v1\n2 2 1\n-2 -2 -1\n1 0 {n}\n-1 0 {n}\n0 1 {n}\n0 -1 {n}\n"
-    assert outputs(RUNS[("decide", "-", "--scan-limit", "0"), seg]) == outputs(RUNS[("decide", "-"), seg])
+    assert run_cli("decide", "-", stdin=seg) == outputs(RUNS[("decide", "-"), seg])
+    assert column_reads == []
 
 
 def test_decompose_outputs():
@@ -236,30 +237,21 @@ def test_decompose_outputs():
 
 def test_one_prefix_for_decide_its_report_and_witness():
     # decide's trace line, decide --json's prefix and witness --length 10
-    # replay one seed to the same 10 states, or stop at the same limit.
-    # --scan-limit 50 stops the slope-2 wedges in the seed query: their
-    # real columns start at 1 and their integers at k - 1
+    # replay one seed to the same 10 states; the slope-2 wedges' real
+    # columns start at 1 and their integers at k - 1
     loops = [hpoly(rows) for rows, kind, label in DECIDE_GOLDEN
              if kind == "non-terminating" and label != "CYCLE"]
     loops += [wedge_loop(k) for k in range(2, 31)] + [slope2_wedge(k) for k in (60, 100)]
-    outcomes = Counter()
     for p in loops:
         loop = emit_text(p)
-        for extra in ([], ["--scan-limit", "50"]):
-            text = run_cli("decide", "-", *extra, stdin=loop)
-            report = run_cli("decide", "-", "--json", *extra, stdin=loop)
-            trace = run_cli("witness", "-", "--length", "10", *extra, stdin=loop)
-            if text[0] == 3:
-                assert text == report == trace and text[1] == "", (loop, extra)
-                outcomes["scan"] += 1
-                continue
-            assert text[0] == report[0] == trace[0] == 0, (loop, extra)
-            states = trace[1].removeprefix("trace: ").split()
-            assert len(states) == 10
-            assert text[1].splitlines()[1] == trace[1].rstrip("\n"), (loop, extra)
-            assert json.loads(report[1])["witness"] == {"type": "trace", "prefix": [int(x) for x in states]}
-            outcomes["trace"] += 1
-    assert set(outcomes) == {"trace", "scan"}
+        text = run_cli("decide", "-", stdin=loop)
+        report = run_cli("decide", "-", "--json", stdin=loop)
+        trace = run_cli("witness", "-", "--length", "10", stdin=loop)
+        assert text[0] == report[0] == trace[0] == 0, loop
+        states = trace[1].removeprefix("trace: ").split()
+        assert len(states) == 10
+        assert text[1].splitlines()[1] == trace[1].rstrip("\n"), loop
+        assert json.loads(report[1])["witness"] == {"type": "trace", "prefix": [int(x) for x in states]}
 
 
 def test_witness_outputs():
@@ -289,7 +281,7 @@ def test_oracle_outputs():
 
 def test_oracle_compare_mismatch_exits_4(monkeypatch):
     # a terminating verdict on a loop whose bounded graph has a cycle
-    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: Verdict("terminating", "L5.5.2"))
+    monkeypatch.setattr(cli, "decide", lambda p: Verdict("terminating", "L5.5.2"))
     code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=PAIR)
     assert code == 4
     assert out == ("cycle: 0 1\nescape: -2\nverdict: terminating L5.5.2\n"
@@ -300,14 +292,14 @@ def test_oracle_compare_verdict_cycle_missing_from_graph_exits_4(monkeypatch):
     # a cycle verdict whose states lie in the window must be a cycle of
     # the graph; inc (x' = x + 1) has none
     cyc = Verdict("non-terminating", "CYCLE", CycleWitness((0, 1)))
-    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: cyc)
+    monkeypatch.setattr(cli, "decide", lambda p: cyc)
     code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=INC)
     assert code == 4
     assert out == ("cycle: none\nescape: 0 1 2\nverdict: non-terminating CYCLE\n"
                    "compare: mismatch (verdict cycle inside the window, graph has none)\n")
     # a state outside the window puts the cycle beyond what the graph sees
     far = Verdict("non-terminating", "CYCLE", CycleWitness((2, 3)))
-    monkeypatch.setattr(cli, "decide", lambda p, scan_limit: far)
+    monkeypatch.setattr(cli, "decide", lambda p: far)
     code, out, _ = run_cli("oracle", "-", "--bound", "2", "--compare", stdin=INC)
     assert code == 0 and out.endswith("compare: ok\n")
 

@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 from slcterm import lattice, poly2
 from slcterm.analyzer import TraceSeed, Verdict, decide, region_point, witness_trace
 from slcterm.lattice import (
-    DEFAULT_SCAN_LIMIT,
     Height,
-    ScanLimitExceededError,
-    _window_order,
+    _floor_sum,
     column,
     column_window,
     height,
@@ -48,6 +46,7 @@ from conftest import (
     empty_loop,
     halfint_loop,
     halfplane_loop,
+    integer_free_line,
     line_strips,
     pair_loop,
     quad_loop,
@@ -61,6 +60,8 @@ from conftest import (
     thin_loop,
     translated,
     wedge_loop,
+    window_order,
+    window_scan,
 )
 from test_cli import run_cli
 
@@ -337,41 +338,29 @@ def test_integer_point_2d_golden():
     assert integer_point_2d(hpoly([(2, -1, -3), (-1, -1, -5)])) == (0, 5)
 
 
-def test_integer_point_2d_scan_limit():
-    with pytest.raises(ScanLimitExceededError):
-        integer_point_2d(halfint_loop(), scan_limit=2)
-    # generous limit still finds nothing, no exception
-    assert integer_point_2d(halfint_loop(), scan_limit=100) is None
+def test_floor_sum_matches_the_sum():
+    rng = random.Random(SEED + 27)
+    for _ in range(3000):
+        n, m = rng.randint(0, 30), rng.randint(1, 40)
+        a, b = rng.randint(-10**3, 10**3), rng.randint(-10**6, 10**6)
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+    assert _floor_sum(0, 7, -5, -9) == 0
+    assert _floor_sum(3, 1, -1, -1) == -1 - 2 - 3
 
 
-def window_scan(p, scan_limit):
-    """Reference for `integer_point_2d`: decompose p, build the whole
-    window and read it by |column|, the first column included."""
-    try:
-        d = decompose(p)
-    except EmptyPolyhedronError:
-        return None
-    for count, z in enumerate(_window_order(*column_window(d)), 1):
-        if count > scan_limit:
-            raise ScanLimitExceededError(f"column scan exceeded {scan_limit} columns")
-        y = integer_point_1d(column(p, z))
-        if y is not None:
-            return (z, y)
-    return None
-
-
-def _answer(f, *args):
-    try:
-        return f(*args)
-    except ScanLimitExceededError:
-        return "limit"
+def test_integer_point_2d_counts_an_integer_free_window(column_reads):
+    # x' = x + 3/2 from x >= 1 holds a real point in every column of its
+    # window and an integer in none: the first column is read, the rest
+    # counted, and nothing else is read
+    assert integer_point_2d(halfint_loop()) is None
+    assert column_reads == [1]
 
 
 def test_integer_point_2d_matches_the_window_scan():
-    # the same point, or the same limit, as the full window scan, on random
+    # the same point as the reference that reads the whole window, on random
     # loops of 0-7 rows, bounded (boxed) and unbounded, their reflections,
     # and their translations by +-10^e; the first column lies above 0,
-    # below 0 or at 0, and a miss there falls through to the window
+    # below 0 or at 0, and a miss there is counted
     rng = random.Random(SEED + 26)
     bases = [halfint_loop(), reflected(halfint_loop())]
     for _ in range(500):
@@ -386,28 +375,68 @@ def test_integer_point_2d_matches_the_window_scan():
         e = rng.randint(0, 30)
         loops += [translated(p, rng.choice((-1, 1)) * 10**e)]
     cases = {"above": 0, "below": 0, "zero": 0, "miss": 0}
+    wide = []
     for p in loops:
-        for s in (0, 1, 2, DEFAULT_SCAN_LIMIT):
-            assert _answer(integer_point_2d, p, s) == _answer(window_scan, p, s), (p.rows, s)
         try:
-            first = next(_window_order(*column_window(decompose(p))), None)
+            lo, hi = column_window(decompose(p))
         except EmptyPolyhedronError:
+            assert integer_point_2d(p) is None
             continue
+        got = integer_point_2d(p)
+        if got is None and hi - lo >= 10**6:  # too wide for the reference to read
+            wide.append(p)
+            continue
+        assert got == window_scan(p), p.rows
+        first = next(window_order(lo, hi), None)
         if first is not None:
             cases["above" if first > 0 else "below" if first < 0 else "zero"] += 1
             cases["miss"] += integer_point_1d(column(p, first)) is None
     assert min(cases.values()) > 20, cases
+    # one halfint moved by 10^14, whose window spans 2*10^14 columns and
+    # holds no integer: 2x' - 2x = 3 has no integer solution
+    assert [p.rows[:2] for p in wide] == [halfint_loop().rows[:2]]
 
 
-def test_first_column_answer_counts_against_the_scan_limit():
-    # README's L5.3.1 loop: p & I+'s first column holds the seed, and even
-    # that one column is counted, so a limit of 0 columns stops the query
+def test_integer_point_2d_and_region_point_match_the_window_scan():
+    # the benchmark's corpora for seeds 1-3 and 2,000 random loops, each as
+    # p, p & I+ and R(p) & I+, and p's region points
+    for p in _bench_loops() + slc_corpus(2000, seed=11):
+        plus, minus = (window_scan(intersect(q, I_PLUS)) for q in (p, reflected(p)))
+        assert integer_point_2d(p) == window_scan(p), p.rows
+        assert integer_point_2d(intersect(p, I_PLUS)) == region_point(p, "I+") == plus, p.rows
+        assert integer_point_2d(intersect(reflected(p), I_PLUS)) == minus, p.rows
+        assert region_point(p, "I-") == (None if minus is None else (-minus[0], -minus[1])), p.rows
+
+
+@pytest.mark.parametrize("k", range(2, 61))
+def test_counted_wedges_and_lines_match_the_window_scan(k):
+    # the slope-2 wedge, whose I+ integers start at column k - 1 though its
+    # real columns start at 1, and the integer-free line, each moved by
+    # +-7k; the reference reads every column, so they are not moved far
+    for p in (slope2_wedge(k), integer_free_line(k)):
+        for q in (p, translated(p, 7 * k), translated(p, -7 * k)):
+            for r in (q, intersect(q, I_PLUS), intersect(reflected(q), I_PLUS)):
+                assert integer_point_2d(r) == window_scan(r), r.rows
+
+
+def test_chain_rows_that_start_in_one_column_stay_in_order():
+    # a row of a cut polygon's chain that spans no integer column starts in
+    # the same column as the next row on its right, which bounds that column:
+    # the chain must list them left to right (found by a random search)
+    for rows in ([(-4, 9, 6), (-2, 9, 0), (2, -5, -2), (9, -9, -20)],
+                 [(7, 6, 6), (9, 8, 24), (-3, 9, 3), (-5, -5, 4), (-1, 2, -28)],
+                 [(1, 5, 11), (-5, -6, -12), (4, 9, -28), (8, 9, 28)]):
+        p = hpoly(rows)
+        assert integer_point_2d(p) == window_scan(p), rows
+
+
+def test_first_column_answer_reads_one_column(column_reads):
+    # README's L5.3.1 loop: p & I+'s first column holds the seed, so the
+    # query reads that column alone; the CLI answers with it
     q = intersect(thick_loop(), I_PLUS)
-    with pytest.raises(ScanLimitExceededError):
-        integer_point_2d(q, scan_limit=0)
-    assert integer_point_2d(q, scan_limit=1) == (3, 4)
-    code, out, err = run_cli("decide", "-", "--scan-limit", "0", stdin="slc v1\n4 -3 2\n-4 3 0\n-1 0 -3\n")
-    assert code == 3 and out == "" and "scan" in err
+    assert integer_point_2d(q) == (3, 4) and column_reads == [3]
+    code, out, err = run_cli("decide", "-", stdin="slc v1\n4 -3 2\n-4 3 0\n-1 0 -3\n")
+    assert (code, out.splitlines()[0], err) == (0, "non-terminating L5.3.1", "")
 
 
 def test_many_rows_region_query_runs_no_elimination(monkeypatch):
@@ -512,8 +541,8 @@ def test_column_window_drops_only_empty_columns():
                 continue
             if isinstance(d.cone, Plane):
                 # its window grew from 0..0 to -1..1, but column 0 comes
-                # first and holds (0, 0), so the scan still reads one column
-                assert column_window(d) == (-1, 1) and integer_point_2d(q, scan_limit=1) == (0, 0)
+                # first and holds (0, 0), so the query still reads one column
+                assert column_window(d) == (-1, 1) and integer_point_2d(q) == (0, 0)
                 continue
             (rlo, rhi), (lo, hi) = reference_column_window(d), column_window(d)
             if lo > hi:
@@ -529,13 +558,16 @@ def test_column_window_drops_only_empty_columns():
 
 
 @pytest.mark.parametrize("k", [10**6, 10**30])
-def test_thin_wedge_region_query_reads_one_column(k):
+def test_thin_wedge_region_query_reads_one_column(k, column_reads):
     # I+ cuts wedge_loop(k) to x >= k - 1, whose first column holds (k-1, k)
-    assert region_point(wedge_loop(k), "I+", scan_limit=1) == (k - 1, k)
-    assert region_point(reflected(wedge_loop(k)), "I-", scan_limit=1) == (1 - k, -k)
-    # the slope-2 wedge's real columns start at 1, its integers at k - 1
-    with pytest.raises(ScanLimitExceededError):
-        region_point(slope2_wedge(k), "I+", scan_limit=1000)
+    assert region_point(wedge_loop(k), "I+") == (k - 1, k)
+    assert region_point(reflected(wedge_loop(k)), "I-") == (1 - k, -k)
+    assert column_reads == [k - 1, k - 1]
+    # the slope-2 wedge's real columns start at 1, its integers at k - 1:
+    # column 1 misses, and the count finds column k - 1, read next
+    column_reads.clear()
+    assert region_point(slope2_wedge(k), "I+") == (k - 1, 2 * k - 1)
+    assert column_reads == [1, k - 1]
 
 
 @pytest.mark.parametrize("t", [10**6, 10**30])
