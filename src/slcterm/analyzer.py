@@ -47,11 +47,11 @@ from .poly2 import (
     Record,
     Zero,
     _FM_ROWS,
+    _edges,
     contains,
     cross,
     decompose,
     hpoly,
-    intersect,
     is_empty,
 )
 
@@ -187,7 +187,7 @@ def region_point(p: HPoly, region: str) -> tuple[int, int] | None:
     the negated I+ point of the reflected loop (no column tie-break fires)."""
     if region not in ("I+", "I-"):
         raise ValueError("region must be 'I+' or 'I-'")
-    pt = integer_point_2d(intersect(_reflect(p) if region == "I-" else p, _I_PLUS))
+    pt = integer_point_2d(HPoly((_reflect(p) if region == "I-" else p).rows + _I_PLUS.rows))
     return pt if pt is None or region == "I+" else (-pt[0], -pt[1])
 
 
@@ -227,19 +227,22 @@ def _grow_states(p: HPoly, mode: str, data: tuple[int, ...], length: int) -> lis
             trace.append(s)
         if len(trace) == length:
             return trace
-        s = growth_threshold(decompose(p if mode == "outward" else intersect(p, _I_PLUS)))
+        s = growth_threshold(decompose(p if mode == "outward" else HPoly(p.rows + _I_PLUS.rows)))
     raise ExtensionFailedError(f"growth trace stalled past its threshold column {s}")
 
 
 def witness_trace(p: HPoly, v: Verdict, length: int) -> list[int]:
     """A verified trace of `length` states witnessing non-termination: a
-    cycle repeats, a trace seed replays its mode from its data.  Every
-    transition is re-checked by substitution."""
+    cycle repeats, a trace seed replays its mode from its data.  Replay
+    reads p's canonical rows (`poly2._edges`), which imply every row they
+    drop, so each transition's re-check by substitution into them is exact
+    and redundant rows cost one sort; a false row 0 <= b raises."""
     w = v.witness
     if v.kind != "non-terminating" or w is None:
         raise NotNonTerminatingError("witness traces exist only for non-terminating verdicts")
     if length <= 0:
         return []
+    p = HPoly(tuple(_edges(p)))
     if isinstance(w, CycleWitness):
         out = [w.states[i % len(w.states)] for i in range(length)]
     elif w.mode == "shift":

@@ -310,10 +310,6 @@ def contains(p: HPoly, pt: Sequence[int | Fraction]) -> bool:
     return all(a1 * x + a2 * y <= b for a1, a2, b in p.rows)
 
 
-def intersect(p: HPoly, q: HPoly) -> HPoly:
-    return HPoly(p.rows + q.rows)
-
-
 # ---------------------------------------------------------------------------
 # the canonical edge list: recession cone and decomposition
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from slcterm.poly2 import (
     decompose,
     dot,
     hpoly,
-    intersect,
 )
 
 SEED = 20260814
@@ -346,7 +345,7 @@ def restarting_growth_states(p, mode, length):
             extra = I_MINUS_ROWS + ((1, 0, -t),)
         else:
             extra = ((-1, 0, -t),)
-        seed = integer_point_2d(intersect(p, hpoly(extra)))
+        seed = integer_point_2d(hpoly(p.rows + extra))
         assert seed is not None, "growth seed query came back empty"
         trace = greedy_run(p, mode, seed[0], length)
         if len(trace) >= length:

@@ -42,7 +42,6 @@ from slcterm.poly2 import (
     cross,
     decompose,
     hpoly,
-    intersect,
 )
 
 from conftest import (
@@ -118,7 +117,7 @@ def test_cycle2_matches_the_unguarded_query():
     loops = _cycle_corpus()
     adjacent = 0
     for p in loops:
-        ref = integer_point_2d(intersect(p, swap(p)))
+        ref = integer_point_2d(hpoly(p.rows + swap(p).rows))
         got = cycle2(p)
         assert (got is None) == (ref is None)
         assert has_cycle(p) == (ref is not None)
@@ -156,7 +155,7 @@ def test_has_cycle_makes_no_search(monkeypatch):
     monkeypatch.setattr(lattice, "decompose", counted(lattice.decompose))
     cycling = 0
     for p in _cycle_corpus():
-        ref = real(intersect(p, swap(p)))
+        ref = real(hpoly(p.rows + swap(p).rows))
         calls.clear()
         assert has_cycle(p) == (ref is not None)
         assert not calls
@@ -258,7 +257,7 @@ def test_region_point_i_minus_matches_a_direct_scan():
     hits = 0
     for p in loops:
         pt = region_point(p, "I-")
-        assert pt == integer_point_2d(intersect(p, hpoly(I_MINUS_ROWS))), p
+        assert pt == integer_point_2d(hpoly(p.rows + I_MINUS_ROWS)), p
         hits += pt is not None
     assert hits > 100
 
@@ -476,6 +475,11 @@ def test_witness_trace_rejects_non_nt():
         v = decide(p)
         with pytest.raises(NotNonTerminatingError):
             witness_trace(p, v, 10)
+    # a forged verdict on a loop with the zero row 0 <= -1: replay reads the
+    # canonical rows, which reject that row before any state is built
+    forged = Verdict("non-terminating", CYCLE, CycleWitness((0,)))
+    with pytest.raises(EmptyPolyhedronError):
+        witness_trace(hpoly([(1, -1, 0), (-1, 1, 0), (0, 0, -1)]), forged, 10)
 
 
 def test_witness_trace_zero_length():
@@ -501,11 +505,11 @@ def test_witness_trace_holds_one_trace(monkeypatch):
     monkeypatch.setattr(analyzer, "contains", int_contains)
     tracemalloc.start()
     try:
-        out = witness_trace(p, v, 10**6)
+        out = witness_trace(p, v, 2 * 10**5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(out) == 10**6 and set(out) == {0}
+    assert len(out) == 2 * 10**5 and set(out) == {0}
     assert peak < 1.5 * sys.getsizeof(out)
 
 
@@ -682,17 +686,34 @@ def test_translated_loops_keep_kind_and_label():
 
 
 def test_a_loosened_row_keeps_the_verdict():
-    # a copy of one row with a larger bound is redundant: the point set and
-    # the whole Verdict, witness included, stay.  On a 5-row loop the region
-    # queries (the loop and 2 rows) cross from _FM_ROWS rows to more
+    # a copy of one row with a larger bound is redundant, and so are a
+    # duplicate and a doubled copy (2a1, 2a2, 2b) of one row, each put at a
+    # random place: the point set and the whole Verdict, witness included,
+    # stay, and so does the replayed trace, which still passes substitution
+    # into the raw rows, redundant ones included.  On a 5-row loop the
+    # region queries (the loop and 2 rows) cross from _FM_ROWS rows to more
     rng = random.Random(SEED + 23)
     sizes = Counter()
+    replayed = 0
     for p in _metamorphic_corpus():
+        v = decide(p)
+        nt = v.kind == "non-terminating"
+        trace = witness_trace(p, v, 50) if nt else None
         a1, a2, b = rng.choice(p.rows)
-        q = hpoly(list(p.rows) + [(a1, a2, b + rng.randint(1, 9))])
-        assert decide(q) == decide(p), (p, q)
-        sizes[len(q.rows)] += 1
+        loosened = hpoly(list(p.rows) + [(a1, a2, b + rng.randint(1, 9))])
+        a1, a2, b = rng.choice(p.rows)
+        copies = list(p.rows)
+        for row in ((a1, a2, b), (2 * a1, 2 * a2, 2 * b)):
+            copies.insert(rng.randint(0, len(copies)), row)
+        for q in (loosened, hpoly(copies)):
+            assert decide(q) == v, (p, q)
+            if nt:
+                assert witness_trace(q, v, 50) == trace, (p, q)
+                verify_states(q, trace)
+                replayed += 1
+        sizes[len(loosened.rows)] += 1
     assert sizes[_FM_ROWS - 1] > 0, sizes
+    assert replayed > 500, replayed
 
 
 @pytest.mark.parametrize("c", [10**10, 10**20, -10**12], ids=["10", "20", "-12"])
@@ -736,8 +757,8 @@ def _threshold(p, mode):
     # the column a stalled growth trace restarts at: for descend, the low
     # end of p & I-'s window, read without the reflection
     if mode == "descend":
-        return column_window(decompose(intersect(p, hpoly(I_MINUS_ROWS))))[0]
-    return growth_threshold(decompose(p if mode == "outward" else intersect(p, hpoly(I_PLUS_ROWS))))
+        return column_window(decompose(hpoly(p.rows + I_MINUS_ROWS)))[0]
+    return growth_threshold(decompose(p if mode == "outward" else hpoly(p.rows + I_PLUS_ROWS)))
 
 
 def test_growth_witness_matches_restart_reference():
@@ -790,7 +811,7 @@ def test_wedge_trace_restarts_past_the_window_margin(k, bound, start):
     # point stalls and restarts there: any column from bound + k*(k-1) on
     # would pass substitution, so the witness pins the margin
     p = wedge_loop(k)
-    d = decompose(intersect(p, hpoly(I_PLUS_ROWS)))
+    d = decompose(hpoly(p.rows + I_PLUS_ROWS))
     assert d.extent()[2] == bound and growth_threshold(d) == start == bound + k * (k - 1) + 1
     v = decide(p)
     assert len(greedy_run(p, "ascend", v.witness.data[0], 10)) < 10

@@ -35,7 +35,6 @@ from slcterm.poly2 import (
     cross,
     decompose,
     hpoly,
-    intersect,
 )
 from conftest import (
     SEED,
@@ -401,10 +400,10 @@ def test_integer_point_2d_and_region_point_match_the_window_scan():
     # the benchmark's corpora for seeds 1-3 and 2,000 random loops, each as
     # p, p & I+ and R(p) & I+, and p's region points
     for p in _bench_loops() + slc_corpus(2000, seed=11):
-        plus, minus = (window_scan(intersect(q, I_PLUS)) for q in (p, reflected(p)))
+        plus, minus = (window_scan(hpoly(q.rows + I_PLUS.rows)) for q in (p, reflected(p)))
         assert integer_point_2d(p) == window_scan(p), p.rows
-        assert integer_point_2d(intersect(p, I_PLUS)) == region_point(p, "I+") == plus, p.rows
-        assert integer_point_2d(intersect(reflected(p), I_PLUS)) == minus, p.rows
+        assert integer_point_2d(hpoly(p.rows + I_PLUS.rows)) == region_point(p, "I+") == plus, p.rows
+        assert integer_point_2d(hpoly(reflected(p).rows + I_PLUS.rows)) == minus, p.rows
         assert region_point(p, "I-") == (None if minus is None else (-minus[0], -minus[1])), p.rows
 
 
@@ -415,7 +414,7 @@ def test_counted_wedges_and_lines_match_the_window_scan(k):
     # +-7k; the reference reads every column, so they are not moved far
     for p in (slope2_wedge(k), integer_free_line(k)):
         for q in (p, translated(p, 7 * k), translated(p, -7 * k)):
-            for r in (q, intersect(q, I_PLUS), intersect(reflected(q), I_PLUS)):
+            for r in (q, hpoly(q.rows + I_PLUS.rows), hpoly(reflected(q).rows + I_PLUS.rows)):
                 assert integer_point_2d(r) == window_scan(r), r.rows
 
 
@@ -433,7 +432,7 @@ def test_chain_rows_that_start_in_one_column_stay_in_order():
 def test_first_column_answer_reads_one_column(column_reads):
     # README's L5.3.1 loop: p & I+'s first column holds the seed, so the
     # query reads that column alone; the CLI answers with it
-    q = intersect(thick_loop(), I_PLUS)
+    q = hpoly(thick_loop().rows + I_PLUS.rows)
     assert integer_point_2d(q) == (3, 4) and column_reads == [3]
     code, out, err = run_cli("decide", "-", stdin="slc v1\n4 -3 2\n-4 3 0\n-1 0 -3\n")
     assert (code, out.splitlines()[0], err) == (0, "non-terminating L5.3.1", "")
@@ -534,7 +533,7 @@ def test_column_window_drops_only_empty_columns():
     loops = _bench_loops() + slc_corpus(10000, seed=11)
     narrowed = 0
     for p in loops:
-        for q in (p, intersect(p, I_PLUS), intersect(reflected(p), I_PLUS)):
+        for q in (p, hpoly(p.rows + I_PLUS.rows), hpoly(reflected(p).rows + I_PLUS.rows)):
             try:
                 d = decompose(q)
             except EmptyPolyhedronError:
@@ -603,7 +602,7 @@ def check_extent(p):
 
 def test_extent_matches_the_view_on_the_bench_corpora():
     loops = _bench_loops()
-    assert sum(check_extent(q) for p in loops for q in (p, intersect(p, I_PLUS))) > len(loops)
+    assert sum(check_extent(q) for p in loops for q in (p, hpoly(p.rows + I_PLUS.rows))) > len(loops)
 
 
 @settings(max_examples=300, deadline=None)
@@ -648,4 +647,4 @@ def test_each_lattice_reader_computes_its_extent_once(extent_calls):
     v = decide(p)
     extent_calls.clear()
     assert len(set(witness_trace(p, v, 200))) == 200
-    assert extent_calls == [decompose(intersect(p, I_PLUS))]
+    assert extent_calls == [decompose(hpoly(p.rows + I_PLUS.rows))]

@@ -1,14 +1,16 @@
 """The complexity ledger: families whose cost could grow with the magnitude
-of the coefficients, each a deterministic count with no wall-clock test.
+of the coefficients or with redundant rows, each a deterministic count
+with no wall-clock test.
 
 The work of a query is metered at the import sites of `lattice.column`
 (columns read) and `lattice._floor_sum` (column ranges counted).  b is
 the bit length of the largest coefficient, and a cost polynomial in bit
-size makes at most 4*b of each.  A family that outgrows its budget is a
-strict expected failure naming the ROADMAP item that fixes it; when a
-change makes it pass, its strict marker fails as XPASS and the change
-deletes the marker.  No change raises a budget or shrinks a parameter to
-make a run pass.
+size makes at most 4*b of each.  The work of a witness replay is the rows
+that `lattice.column` and `poly2.contains` read, metered the same way.  A
+family that outgrows its budget is a strict expected failure naming the
+ROADMAP item that fixes it; when a change makes it pass, its strict
+marker fails as XPASS and the change deletes the marker.  No change
+raises a budget or shrinks a parameter to make a run pass.
 """
 
 import sys
@@ -16,8 +18,8 @@ from collections import Counter
 
 import pytest
 
-from slcterm import lattice
-from slcterm.analyzer import TraceSeed, Verdict, decide
+from slcterm import lattice, poly2
+from slcterm.analyzer import TraceSeed, Verdict, decide, witness_trace
 from slcterm.lattice import integer_point_2d
 from slcterm.poly2 import hpoly
 
@@ -31,21 +33,33 @@ def bits(p):
     return max(abs(c) for row in p.rows for c in row).bit_length()
 
 
-@pytest.fixture
-def work(monkeypatch):
-    # calls of each metered function, wrapped in every module that imports it
+def meter(monkeypatch, fns, weight):
+    # weight(args) summed per call of each function, wrapped in every module
+    # that imports it
     calls = Counter()
-    for name in ("column", "_floor_sum"):
-        fn = getattr(lattice, name)
+    for fn in fns:
+        name = fn.__name__
 
         def metered(*args, _name=name, _fn=fn):
-            calls[_name] += 1
+            calls[_name] += weight(args)
             return _fn(*args)
 
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("slcterm") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, metered)
     return calls
+
+
+@pytest.fixture
+def work(monkeypatch):
+    # calls of each metered function
+    return meter(monkeypatch, (lattice.column, lattice._floor_sum), lambda args: 1)
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    # the rows each row reader reads: len(p.rows) per call
+    return meter(monkeypatch, (lattice.column, poly2.contains), lambda args: len(args[0].rows))
 
 
 @pytest.mark.parametrize("k", KS, ids=["2^64", "2^256"])
@@ -74,6 +88,21 @@ def test_loosened_copies_leave_the_count_unchanged(work):
     work.clear()
     assert decide(many) == v
     assert work["_floor_sum"] == alone <= 4 * bits(many), work
+
+
+def test_loosened_copies_leave_replay_rows_unchanged(rows_read):
+    # replay reads the canonical edge list, one row per normal: a 200-state
+    # witness behind 10^4 loosened copies of x >= 1, put first, reads the
+    # rows it reads without them
+    p = wedge_loop(3000)
+    v = decide(p)
+    rows_read.clear()
+    trace = witness_trace(p, v, 200)
+    alone = dict(rows_read)
+    many = hpoly([(-1, 0, j) for j in range(10**4)] + list(p.rows))
+    rows_read.clear()
+    assert witness_trace(many, v, 200) == trace
+    assert rows_read == alone, (rows_read, alone)
 
 
 @pytest.mark.parametrize("p", [wedge_loop(10**6), translated(wedge_loop(10**6), -10**30)],

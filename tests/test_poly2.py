@@ -23,7 +23,6 @@ from slcterm.poly2 import (
     decompose,
     dot,
     hpoly,
-    intersect,
     is_empty,
     primitive,
     x_extent,
@@ -336,8 +335,8 @@ def test_vertices_match_pairwise_reference_random(coeff):
 def test_vertices_match_pairwise_reference_degenerate():
     loops = [
         thin_loop(),
-        intersect(pair_loop(), hpoly([(-1, 0, 0)])),  # ray along x + x' = 1
-        intersect(pair_loop(), hpoly([(-1, 0, 0), (1, 0, 4)])),  # segment
+        hpoly(pair_loop().rows + ((-1, 0, 0),)),  # ray along x + x' = 1
+        hpoly(pair_loop().rows + ((-1, 0, 0), (1, 0, 4))),  # segment
         hpoly([(1, 2, 3), (-1, -2, -3), (2, -1, 1), (-2, 1, -1)]),  # two equalities: a point
         hpoly([(1, 0, 2), (-1, 0, -2), (0, 1, 5), (0, -1, 1)]),  # vertical segment x = 2
         hpoly([(0, 1, 0), (0, -1, 0), (-1, 0, 0)]),  # ray along the x1-axis
@@ -489,7 +488,7 @@ def test_cone_of_intersection():
     done = 0
     while done < 200:
         p, q = random_slc(rng, 3), random_slc(rng, 3)
-        pq = intersect(p, q)
+        pq = hpoly(p.rows + q.rows)
         if is_empty(p) or is_empty(q) or is_empty(pq):
             continue
         done += 1
